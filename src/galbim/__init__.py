@@ -10,12 +10,9 @@ The package provides, in rough dependency order:
 * bimodules over a field presented by a right rank and a left-action
   homomorphism, with splitting analysis and classification, in
   ``linalg``, ``bimod`` and ``derivations``;
-* the multi-base (semisimple commutative base) generalisation in
-  ``multibase``;
 * finite dimensional Hopf algebras, comodule algebras and the invariant
   theoretic operations in ``hopf`` and ``coact``;
-* the double coset convolution shadow in ``hecke``;
-* a declarative fixture language and command line front end in ``cli``.
+* the exception taxonomy in ``errors``.
 
 All arithmetic is exact; no floating point is used anywhere.
 """

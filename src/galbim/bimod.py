@@ -3,10 +3,11 @@
 A bimodule of right rank d over a field L is stored as a ring map
 phi: L -> Mat_d(L), given by one matrix per tower layer (generator
 image for algebraic layers, variable image for rational function
-layers).  Elements are column vectors; the right action is
-coordinatewise, the left action of a is multiplication by phi(a), so
-split factors are exactly the vectors v with phi(a) v = sigma(a) v for
-a twisting endomorphism sigma.
+layers) and evaluated by ``towers.evaluate`` with scalars lifted to
+multiples of the identity.  Elements are column vectors; the right
+action is coordinatewise, the left action of a is multiplication by
+phi(a), so split factors are exactly the vectors v with
+phi(a) v = sigma(a) v for a twisting endomorphism sigma.
 
 The structural analysis works at the L-level.  Over the center F the
 bimodule decomposes along the irreducible factors mu_k over L of the
@@ -74,6 +75,7 @@ from .towers import (
     algebraic_degree,
     chain,
     coords_over,
+    evaluate,
     extend,
     is_layer_of,
     tower_basis,
@@ -168,7 +170,10 @@ class Bimodule:
         for layer, M in self.images.items():
             if isinstance(layer, ExtensionField):
                 value = layer.relation.evaluate(
-                    M, lift=lambda c, _l=layer: self._phi(c, _l.base)
+                    M,
+                    lift=lambda c, _l=layer: evaluate(
+                        c, _l.base, self.images, self._scalar
+                    ),
                 )
                 if not value.is_zero():
                     raise NotAHomomorphism(
@@ -198,38 +203,15 @@ class Bimodule:
         cached = self._phi_cache.get(a)
         if cached is not None:
             return cached
-        M = self._phi(a, self.field)
+        M = evaluate(a, self.field, self.images, self._scalar)
         if len(self._phi_cache) < PHI_CACHE_SIZE:
             self._phi_cache[a] = M
         return M
 
-    def _phi(self, x, layer):
-        if isinstance(layer, ExtensionField):
-            x = layer.coerce(x)
-            img = self.images[layer]
-            acc = self._phi(x.coords[-1], layer.base)
-            for c in reversed(x.coords[:-1]):
-                acc = acc * img + self._phi(c, layer.base)
-            return acc
-        if isinstance(layer, RationalFunctionField):
-            x = layer.coerce(x)
-            img = self.images[layer]
-            num = self._phi_poly(x.num, img, layer.coefficient_field)
-            if x.is_polynomial():
-                return num
-            den = self._phi_poly(x.den, img, layer.coefficient_field)
-            return num * den.inverse()
+    def _scalar(self, c):
         return Matrix.identity(self.field, self.rank).scale(
-            self.field.coerce(x)
+            self.field.coerce(c)
         )
-
-    def _phi_poly(self, p, at, coeff_layer):
-        if p.is_zero():
-            return Matrix.zeros(self.field, self.rank)
-        acc = self._phi(p.leading(), coeff_layer)
-        for j in range(p.degree - 1, -1, -1):
-            acc = acc * at + self._phi(p.coeff(j), coeff_layer)
-        return acc
 
     # -------------------------------------------------------- structure
 
@@ -592,6 +574,8 @@ class BimoduleAnalysis:
     iota: FieldMorphism       # chosen embedding of L in the splitting field
     gamma: AutomorphismGroup  # automorphisms of E over the center
     h_indices: list           # stabilizer of iota(L) inside gamma
+    rho: list                 # gamma index -> its restriction to L, as
+                              # an index into characters in factor order
     factors: list             # GrFactor entries, zero multiplicities kept
     semisimple: bool
     is_split: bool
@@ -758,18 +742,14 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             raise ResolutionError(
                 "descended factor does not divide the minimal polynomial"
             )
-        N = mu_k.evaluate(
-            M, lift=lambda c: Matrix.identity(L, d).scale(c)
-        )
+        N = mu_k.evaluate(M, lift=P._scalar)
         dim1 = len(N.kernel())
-        factors.append(
-            [mu_k, dim1, e, [chars[i] for i in orbit], N]
-        )
+        factors.append([mu_k, dim1, e, orbit, N])
         kernel_dims_power1 += dim1
     semisimple = kernel_dims_power1 == d
     out_factors = []
     total = 0
-    for mu_k, dim1, e, charlist, N in factors:
+    for mu_k, dim1, e, orbit, N in factors:
         if semisimple:
             dim = dim1
         else:
@@ -780,7 +760,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             )
         mult = dim // mu_k.degree
         total += dim
-        out_factors.append(GrFactor(mu_k, mult, e, charlist))
+        out_factors.append(
+            GrFactor(mu_k, mult, e, [chars[i] for i in orbit])
+        )
     if total != d:
         raise ResolutionError(
             "composition factors account for %d of %d dimensions; "
@@ -804,6 +786,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         f.min_poly.degree == 1 for f in out_factors if f.multiplicity
     )
     h_normal = gamma.is_normal_subgroup(h_indices)
+    # reindex rho from the located characters to factor order
+    order = [i for _, _, _, orbit, _ in factors for i in orbit]
+    position = {i: k for k, i in enumerate(order)}
     analysis = BimoduleAnalysis(
         bimodule=P,
         center=center,
@@ -813,6 +798,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         iota=iota,
         gamma=gamma,
         h_indices=h_indices,
+        rho=[position[r] for r in rho],
         factors=out_factors,
         semisimple=semisimple,
         is_split=is_split,
@@ -853,24 +839,11 @@ def _pull_back_poly(q: Polynomial, L_sub: Subfield):
 # ----------------------------------------------- Galois property checks
 
 
-def _closure_data(an: BimoduleAnalysis):
-    chars = [g for f in an.factors for g in f.characters]
-    mult = {}
-    for f in an.factors:
-        for g in f.characters:
-            mult[g.key()] = f.multiplicity
-    keys = {g.key(): i for i, g in enumerate(chars)}
-    gen_elems = _tower_generators(an.bimodule.field)
-    iota_gens = [an.iota.apply(x) for x in gen_elems]
-    char_sigs = {}
-    for idx, g in enumerate(chars):
-        sig = tuple(_elem_sort_key(g.apply(x)) for x in gen_elems)
-        char_sigs[sig] = idx
-    rho = []
-    for sigma in an.gamma:
-        sig = tuple(_elem_sort_key(sigma.apply(v)) for v in iota_gens)
-        rho.append(char_sigs[sig])
-    return chars, mult, keys, rho
+def _support(an: BimoduleAnalysis):
+    """(multiplicities, supported indices) of the characters in factor
+    order, the order ``an.rho`` indexes."""
+    mults = [f.multiplicity for f in an.factors for _ in f.characters]
+    return mults, {i for i, m in enumerate(mults) if m}
 
 
 def is_weakly_galois(P: Bimodule, analysis=None, **kw):
@@ -880,8 +853,8 @@ def is_weakly_galois(P: Bimodule, analysis=None, **kw):
         an = analysis if analysis is not None else analyze(P, **kw)
     except ANALYSIS_OBSTRUCTIONS:
         return None
-    chars, mult, keys, rho = _closure_data(an)
-    supp = {i for i, g in enumerate(chars) if mult[g.key()] > 0}
+    _, supp = _support(an)
+    rho = an.rho
     ext = {}
     for gi, ci in enumerate(rho):
         ext.setdefault(ci, []).append(gi)
@@ -905,12 +878,10 @@ def is_galois(P: Bimodule, analysis=None, **kw):
     wg = is_weakly_galois(P, analysis=an)
     if not wg:
         return wg
-    chars, mult, keys, rho = _closure_data(an)
-    supp = {i for i, g in enumerate(chars) if mult[g.key()] > 0}
-    mults = {mult[chars[i].key()] for i in supp}
-    if len(mults) != 1:
+    mults, supp = _support(an)
+    if len({mults[i] for i in supp}) != 1:
         return False
-    U = [gi for gi, ci in enumerate(rho) if ci in supp]
+    U = [gi for gi, ci in enumerate(an.rho) if ci in supp]
     return an.gamma.is_subgroup(U)
 
 
@@ -1037,9 +1008,8 @@ def split_analysis(P: Bimodule, analysis=None, **kw) -> SplitData:
         if all(sigma.apply(t) == t for t in targets)
     ]
     minimal = fixed_field(E, stab)
-    chars, mult, keys, rho = _closure_data(an)
-    supp = {i for i, g in enumerate(chars) if mult[g.key()] > 0}
-    seed = [gi for gi, ci in enumerate(rho) if ci in supp]
+    _, supp = _support(an)
+    seed = [gi for gi, ci in enumerate(an.rho) if ci in supp]
     closure = an.gamma.subgroup_closure(
         list(seed) + list(an.h_indices)
     )

@@ -239,7 +239,7 @@ def coact_element(C, a):
     if C.kind != "field":
         raise UnsupportedBase("coact_element needs the field kind")
     L = C.field
-    coords = list(L.coords(L.coerce(a)))
+    coords = L.coerce(a).coords
     acc = _tk_const(C, coords[-1])
     for c in reversed(coords[:-1]):
         acc = _tk_add(_tk_mul(C, acc, C.rho_gen), _tk_const(C, c))

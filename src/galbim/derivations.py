@@ -1,8 +1,10 @@
 """Derivations of a field tower and their rank-two bimodules.
 
 A derivation D of the top field is stored through its values on the
-tower generators; everything else follows from additivity and the
-Leibniz rule.  On an algebraic layer the generator value is constrained
+tower generators.  It is evaluated as the ring map
+a |-> [[a, D(a)], [0, a]] into Mat_2(L) by ``towers.evaluate``; D(a) is
+the corner entry, so additivity and the Leibniz rule come from matrix
+arithmetic.  On an algebraic layer the generator value is constrained
 by the defining relation (differentiating rel(g) = 0 must give zero),
 on a rational function layer it is free.  Purely inseparable relations
 make the constraint degenerate, which is what lets nonzero derivations
@@ -22,14 +24,14 @@ from .bimod import Bimodule, tensor_power, _tower_generators
 from .errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from .linalg import stack_kernel
 from .matrix import Matrix
-from .towers import ExtensionField, RationalFunctionField, chain
+from .towers import ExtensionField, RationalFunctionField, chain, evaluate
 
 
 class Derivation:
     """Additive map satisfying the Leibniz rule, zero on the bottom
     scalars, determined by its values on the tower generators."""
 
-    __slots__ = ("field", "values")
+    __slots__ = ("field", "values", "images")
 
     def __init__(self, field, values=None, check=True):
         self.field = field
@@ -47,30 +49,27 @@ class Derivation:
                 "derivation values given for layers outside the tower"
             )
         self.values = full
+        # D is the ring map a |-> [[a, D(a)], [0, a]] into Mat_2(L)
+        zero = field.zero()
+        self.images = {}
+        for layer, dg in full.items():
+            g = field.coerce(layer.gen())
+            self.images[layer] = Matrix(field, [[g, dg], [zero, g]])
         if check:
             self._verify()
 
     def _verify(self):
-        # differentiating the defining relation of each algebraic layer
-        # must give zero; this pins the generator value (or forces the
-        # lower values to vanish when the relation is inseparable)
-        F = self.field
-        for layer in self.values:
+        # each defining relation must map to zero; its diagonal does by
+        # construction, the corner is D(rel(g)), which pins the
+        # generator value (or forces the lower values to vanish when the
+        # relation is inseparable)
+        for layer, M in self.images.items():
             if not isinstance(layer, ExtensionField):
                 continue
-            g = F.coerce(layer.gen())
-            total = F.zero()
-            slope = F.zero()
-            for j, c in enumerate(layer.relation.coeffs):
-                dc = self._d(c, layer.relation.field)
-                if dc:
-                    total = total + dc * g**j
-                if j and c:
-                    jc = F.coerce(c) * F.from_int(j)
-                    if jc:
-                        slope = slope + jc * g ** (j - 1)
-            total = total + slope * self.values[layer]
-            if total:
+            value = layer.relation.evaluate(
+                M, lift=lambda c, _l=layer: self._matrix(c, _l.base)
+            )
+            if not value.is_zero():
                 raise AxiomViolation(
                     "derivation values are inconsistent with the "
                     "defining relation of layer %r" % layer.var
@@ -79,58 +78,14 @@ class Derivation:
     # ------------------------------------------------------- evaluation
 
     def apply(self, x):
-        return self._d(self.field.coerce(x), self.field)
+        return self._matrix(x, self.field).rows[0][1]
 
-    def _d(self, x, layer):
+    def _matrix(self, x, layer):
         F = self.field
-        if isinstance(layer, ExtensionField):
-            x = layer.coerce(x)
-            g = F.coerce(layer.gen())
-            out = F.zero()
-            slope = F.zero()
-            for j, c in enumerate(x.coords):
-                dc = self._d(c, layer.base)
-                if dc:
-                    out = out + dc * g**j
-                if j and c:
-                    jc = F.coerce(c) * F.from_int(j)
-                    if jc:
-                        slope = slope + jc * g ** (j - 1)
-            return out + slope * self.values[layer]
-        if isinstance(layer, RationalFunctionField):
-            x = layer.coerce(x)
-            ne = self._poly_elem(x.num, layer)
-            dn = self._d_poly(x.num, layer)
-            if x.is_polynomial():
-                return dn
-            de = self._poly_elem(x.den, layer)
-            dd = self._d_poly(x.den, layer)
-            return (dn * de - ne * dd) / (de * de)
-        return F.zero()
-
-    def _poly_elem(self, q, layer):
-        F = self.field
-        t = F.coerce(layer.gen())
-        out = F.zero()
-        for j, c in enumerate(q.coeffs):
-            if c:
-                out = out + F.coerce(c) * t**j
-        return out
-
-    def _d_poly(self, q, layer):
-        F = self.field
-        t = F.coerce(layer.gen())
-        out = F.zero()
-        slope = F.zero()
-        for j, c in enumerate(q.coeffs):
-            dc = self._d(c, layer.coefficient_field)
-            if dc:
-                out = out + dc * t**j
-            if j and c:
-                jc = F.coerce(c) * F.from_int(j)
-                if jc:
-                    slope = slope + jc * t ** (j - 1)
-        return out + slope * self.values[layer]
+        return evaluate(
+            x, layer, self.images,
+            lambda c: Matrix.identity(F, 2).scale(F.coerce(c)),
+        )
 
     # -------------------------------------------------- linear structure
 
@@ -213,12 +168,8 @@ def p_power(D: Derivation) -> Derivation:
 def m_of_d(D: Derivation, base=None) -> Bimodule:
     """Self-extension of the trivial bimodule attached to D: rank two,
     left action a |-> [[a, D(a)], [0, a]]."""
-    F = D.field
-    images = {}
-    for layer, dg in D.values.items():
-        g = F.coerce(layer.gen())
-        images[layer] = Matrix(F, [[g, dg], [F.zero(), g]])
-    return Bimodule(F, images, rank=2, base=base, label="derivation block")
+    return Bimodule(D.field, D.images, rank=2, base=base,
+                    label="derivation block")
 
 
 def m_of_d_isomorphic(D1: Derivation, D2: Derivation):

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by every module.
 
 Every raisable condition with a contract behind it gets its own class so
-callers (and the fixture runner) can match on the name.
+callers can match on the name.
 """
 
 
@@ -45,10 +45,6 @@ class EigenvalueOutsideField(GalbimError):
     """A triangularization step met an eigenvalue not in the field."""
 
 
-class NotSplit(GalbimError):
-    """Composition factor extraction failed: the input is not split."""
-
-
 class NotAPower(GalbimError):
     """A characteristic polynomial is not the expected power of the
     minimal polynomial."""
@@ -56,10 +52,6 @@ class NotAPower(GalbimError):
 
 class ClassificationFailed(GalbimError):
     """classify could not verify the multiple-of-regular structure."""
-
-
-class NotQuasiGalois(GalbimError):
-    """A multi-base bimodule fails the quasi-Galois axioms."""
 
 
 class NotPrimitiveRoot(GalbimError):
@@ -80,35 +72,23 @@ class NotInvertible(GalbimError):
 
 
 class CoefficientEscapesZ(GalbimError):
-    """An integrality certificate coefficient left the declared subring.
+    """A polynomial coefficient left the declared subring or center.
 
-    Counterexample fixtures expect this condition; the certificate
-    reports it as an outcome rather than raising, but the class exists
-    for callers that want a hard failure.
+    ``verify_central_coefficients`` raises it; integrality certificates
+    report escapes as an outcome instead of raising.
     """
 
 
 class Violated(GalbimError):
-    """A stated invariant was violated (divisibility, idempotency...)."""
+    """A divisibility invariant (a degree or a component sum dividing
+    dim K) was violated."""
 
 
 class NotASubgroup(GalbimError):
     """The supplied subset is not a subgroup."""
 
 
-class NotIdempotent(GalbimError):
-    """Hecke element expected to be idempotent is not."""
-
-
-class ParseError(GalbimError):
-    """Fixture file syntax error, with line information."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
-
-
 class ResolutionError(GalbimError):
-    """A fixture refers to a name that is not (yet) declared."""
+    """Located data does not resolve the question: a root search, an
+    automorphism or embedding enumeration, or a splitting tower came up
+    short or inconsistent (supplying more root hints may help)."""

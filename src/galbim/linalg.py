@@ -50,18 +50,6 @@ def joint_eigenspace(mats, lams) -> list:
     return stack_kernel(shifted)
 
 
-def joint_generalized_eigenspace(mats, lams, power=None) -> list:
-    field = mats[0].field
-    n = mats[0].nrows
-    if power is None:
-        power = n
-    shifted = [
-        (M - Matrix.identity(field, n).scale(field.coerce(lam))) ** power
-        for M, lam in zip(mats, lams)
-    ]
-    return stack_kernel(shifted)
-
-
 def restriction_matrix(M: Matrix, basis) -> Matrix:
     """Matrix of M on an M-invariant subspace, in the given basis."""
     field = M.field

@@ -211,6 +211,10 @@ class Matrix:
             out.append(tuple(out_row))
         return Matrix(self.field, tuple(out), trusted=True)
 
+    def __truediv__(self, other):
+        """self * other^-1; raises NotInvertible when other is singular."""
+        return self * other.inverse()
+
     def mul_vec(self, v):
         if len(v) != self.ncols:
             raise ValueError("vector length does not match")
@@ -567,15 +571,6 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     ]
     return Matrix.from_blocks(A.field, blocks)
 
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-def vec_scale(c, v):
-    return [c * a for a in v]
 
 def vec_is_zero(v):
     return all(not a for a in v)

@@ -2,9 +2,10 @@
 
 A morphism is stored as one image per tower layer (the generator image
 for algebraic layers, the variable image for rational function layers);
-everything at or below the fixed region maps canonically.  Application
-is structural recursion over the domain tower.  Composition reads left
-to right: (f * g)(x) = g(f(x)).
+layers the caller leaves out map canonically.  Application is
+``towers.evaluate``; the canonical prefix (the bottom layers sent to
+their own generators) is left to coercion.  Composition reads left to
+right: (f * g)(x) = g(f(x)).
 
 Automorphism enumeration works by backtracking over layer generators:
 candidate images are drawn from a finite pool (tower generators, their
@@ -21,15 +22,16 @@ from .errors import (
     FieldMismatch,
     NotAHomomorphism,
     NotASubgroup,
+    NotInvertible,
     ResolutionError,
     UnsupportedBase,
 )
 from .factor import _elem_sort_key, roots_in_coefficient_field
-from .poly import Polynomial
 from .towers import (
     ExtensionField,
     RationalFunctionField,
     chain,
+    evaluate,
     is_layer_of,
 )
 
@@ -37,79 +39,59 @@ CLOSURE_BOUND = 1024
 
 
 class FieldMorphism:
-    __slots__ = ("domain", "codomain", "images", "_key")
+    __slots__ = ("domain", "codomain", "images", "_moved", "_key")
 
     def __init__(self, domain, codomain, images, check=True):
         self.domain = domain
         self.codomain = codomain
         fixed = {}
+        moved = {}
         for layer in chain(domain):
-            if isinstance(layer, (ExtensionField, RationalFunctionField)):
-                if layer in images:
-                    fixed[layer] = codomain.coerce(images[layer])
-                elif is_layer_of(layer, codomain):
-                    # canonical image: the same generator, lifted
-                    gen = (
-                        layer.gen()
-                        if isinstance(layer, ExtensionField)
-                        else layer.gen()
-                    )
-                    fixed[layer] = codomain.coerce(gen)
-                else:
-                    raise NotAHomomorphism(
-                        "no image supplied for layer %r" % (layer,)
-                    )
+            if not isinstance(layer, (ExtensionField, RationalFunctionField)):
+                continue
+            canonical = None
+            if is_layer_of(layer, codomain):
+                canonical = codomain.coerce(layer.gen())
+            if layer in images:
+                fixed[layer] = codomain.coerce(images[layer])
+            elif canonical is not None:
+                fixed[layer] = canonical
+            else:
+                raise NotAHomomorphism(
+                    "no image supplied for layer %r" % (layer,)
+                )
+            # the canonical prefix (bottom layers sent to their own
+            # generator) stays out of ``moved`` and maps by coercion
+            if moved or canonical is None or fixed[layer] != canonical:
+                moved[layer] = fixed[layer]
         self.images = fixed
+        self._moved = moved
         self._key = None
         if check:
             self._verify()
 
     def _verify(self):
-        for layer in chain(self.domain):
+        for layer, img in self._moved.items():
             if not isinstance(layer, ExtensionField):
                 continue
-            img = self.images[layer]
-            rel = layer.relation
-            acc = self.codomain.coerce(
-                self._apply(rel.leading(), layer.base)
+            value = layer.relation.evaluate(
+                img, lift=lambda c, _l=layer: self._image(c, _l.base)
             )
-            for j in range(rel.degree - 1, -1, -1):
-                acc = acc * img + self._apply(rel.coeff(j), layer.base)
-            if acc:
+            if value:
                 raise NotAHomomorphism(
                     "image of %s does not satisfy its relation" % layer.var
                 )
 
     def apply(self, x):
-        return self._apply(x, self.domain)
+        return self._image(x, self.domain)
 
-    def _apply(self, x, layer):
-        if isinstance(layer, ExtensionField):
-            x = layer.coerce(x)
-            img = self.images[layer]
-            acc = self.codomain.coerce(
-                self._apply(x.coords[-1], layer.base)
-            )
-            for c in reversed(x.coords[:-1]):
-                acc = acc * img + self._apply(c, layer.base)
-            return acc
-        if isinstance(layer, RationalFunctionField):
-            x = layer.coerce(x)
-            img = self.images[layer]
-            num = self._eval_poly(x.num, img, layer.coefficient_field)
-            den = self._eval_poly(x.den, img, layer.coefficient_field)
-            if not den:
-                raise NotAHomomorphism(
-                    "variable image makes a denominator vanish"
-                )
-            return num / den
-        return self.codomain.coerce(x)
-
-    def _eval_poly(self, p, at, coeff_layer):
-        acc = self.codomain.coerce(self._apply(p.leading(), coeff_layer))
-        for j in range(p.degree - 1, -1, -1):
-            acc = acc * at + self._apply(p.coeff(j), coeff_layer)
-        return acc
+    def _image(self, x, layer):
+        try:
+            return evaluate(x, layer, self._moved, self.codomain.coerce)
+        except (NotInvertible, ZeroDivisionError):
+            raise NotAHomomorphism(
+                "variable image makes a denominator vanish"
+            ) from None
 
     def key(self):
         if self._key is None:
@@ -386,18 +368,6 @@ def _enumerate_maps(domain, codomain, fixed, hints):
     pool = _candidate_pool(codomain, hints)
     found = []
 
-    def partial_apply(x, layer, images):
-        if isinstance(layer, ExtensionField) and layer in images:
-            x = layer.coerce(x)
-            img = images[layer]
-            acc = partial_apply(x.coords[-1], layer.base, images)
-            acc = codomain.coerce(acc)
-            for c in reversed(x.coords[:-1]):
-                acc = acc * img + partial_apply(c, layer.base, images)
-            return acc
-        # at or below the fixed layer: canonical embedding
-        return codomain.coerce(x)
-
     def place(idx, images):
         if idx == len(above):
             found.append(
@@ -405,31 +375,24 @@ def _enumerate_maps(domain, codomain, fixed, hints):
             )
             return
         layer = above[idx]
-        rel = layer.relation
-        mapped = [
-            partial_apply(rel.coeff(j), layer.base, images)
-            for j in range(rel.degree + 1)
-        ]
+        rel = layer.relation.map_coeffs(
+            codomain,
+            lambda c: evaluate(c, layer.base, images, codomain.coerce),
+        )
         roots = []
         seen_rk = set()
         for r in pool:
-            acc = codomain.coerce(mapped[-1])
-            for j in range(rel.degree - 1, -1, -1):
-                acc = acc * r + mapped[j]
-            if not acc:
+            if not rel.evaluate(r):
                 k = _elem_sort_key(r)
                 if k not in seen_rk:
                     seen_rk.add(k)
                     roots.append(r)
         if len(roots) == rel.degree - 1:
             # sum of roots completes the last one; verify before use
-            cand = -mapped[rel.degree - 1]
+            cand = -rel.coeff(rel.degree - 1)
             for r in roots:
                 cand = cand - r
-            acc = codomain.coerce(mapped[-1])
-            for j in range(rel.degree - 1, -1, -1):
-                acc = acc * cand + mapped[j]
-            if not acc:
+            if not rel.evaluate(cand):
                 k = _elem_sort_key(cand)
                 if k not in seen_rk:
                     seen_rk.add(k)
@@ -438,9 +401,7 @@ def _enumerate_maps(domain, codomain, fixed, hints):
             # pool missed some root; fall back to real factorization
             # where the codomain supports it
             try:
-                located = roots_in_coefficient_field(
-                    Polynomial(codomain, mapped)
-                )
+                located = roots_in_coefficient_field(rel)
             except UnsupportedBase:
                 located = []
             for r, _mult in located:

@@ -10,6 +10,25 @@ Extensions validate irreducibility of the relation when the base
 supports factorization and record ``validated=False`` otherwise (the
 caller is then vouching for the relation, which is how externally
 supplied splitting data enters).
+
+A ring map out of a tower is fixed by its generator images, and
+``evaluate(x, layer, images, lift)`` is the one evaluator for all of
+them: field morphisms, the left actions phi: L -> Mat_d(L) of
+bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
+
+* ``images`` sends a layer to the image of its generator (algebraic
+  layer) or of its variable (rational function layer).  Coefficients
+  are folded in by Horner through ``Polynomial.evaluate``, layer by
+  layer down the tower.
+* ``lift`` maps everything at and below the first layer that is not in
+  ``images`` into the codomain.  A map whose bottom run of layers sends
+  each generator to itself (its canonical prefix) leaves that run out
+  of ``images`` and coerces it in one step.
+* A rational function with denominator 1 maps to its numerator's image
+  without any inverse; otherwise the numerator's image is divided by
+  the denominator's, and a zero or singular denominator image raises
+  whatever that division raises (``NotInvertible`` for tower elements
+  and matrices).  Callers translate it into their own error.
 """
 
 from __future__ import annotations
@@ -85,7 +104,10 @@ class RationalFunctionField(Field):
         if isinstance(x, RationalFunction):
             if x.field is self:
                 return x
-            raise FieldMismatch("rational function from a different field")
+            if not is_layer_of(x.field, self.coefficient_field):
+                raise FieldMismatch(
+                    "rational function from a different field"
+                )
         if isinstance(x, Polynomial) and x.field is self.coefficient_field:
             return self.from_polynomial(x)
         return self.constant(self.coefficient_field.coerce(x))
@@ -300,12 +322,8 @@ class ExtensionField(Field):
         coords += [self.base.zero()] * (self.degree - len(coords))
         return ExtElement(self, tuple(coords))
 
-    def coords_of(self, x):
-        return self.coerce(x).coords
-
-    # spec-facing alias used by factorization and coordinates code
     def coords(self, x):
-        return self.coords_of(x)
+        return self.coerce(x).coords
 
     def __repr__(self):
         return "%r[%s]/(%s)" % (
@@ -434,6 +452,28 @@ def chain(field):
         layers.append(seen)
     layers.reverse()
     return layers
+
+
+def evaluate(x, layer, images, lift):
+    """Image of ``x`` (an element of ``layer``) under the ring map that
+    sends each layer in ``images`` to its image and everything else
+    through ``lift``; see the module docstring for the contract."""
+    img = images.get(layer)
+    if img is None:
+        return lift(x)
+    x = layer.coerce(x)
+    if isinstance(layer, ExtensionField):
+        return Polynomial(layer.base, x.coords).evaluate(
+            img, lift=lambda c: evaluate(c, layer.base, images, lift)
+        )
+
+    def down(c):
+        return evaluate(c, layer.coefficient_field, images, lift)
+
+    num = x.num.evaluate(img, lift=down)
+    if x.is_polynomial():
+        return num
+    return num / x.den.evaluate(img, lift=down)
 
 
 def is_layer_of(sub, field) -> bool:
