@@ -9,8 +9,10 @@ Routes by field:
   Hensel lifting and subset recombination against a Landau-Mignotte
   bound;
 * algebraic extension towers over the rationals: Trager's norm descent
-  (resultant against the generator's minimal polynomial, factor the
-  norm one level down, pull factors back through gcds).
+  (the norm is computed by evaluation at integer points, each value a
+  resultant against the generator's minimal polynomial over the base,
+  and interpolation over the base; factor the norm one level down, pull
+  factors back through gcds).
 
 Coefficient fields containing a rational function field are refused
 with UnsupportedBase: factorization there is not part of the kernel
@@ -20,8 +22,10 @@ degree cap raise DegreeBound.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 from .errors import DegreeBound, UnsupportedBase
 from .fieldbase import GF, QQ, PrimeField, RationalField
@@ -214,11 +218,9 @@ def _factor_rational_squarefree(f: Polynomial):
     if f.degree == 1:
         return [f]
     # clear denominators to a primitive integer polynomial
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in f.coeffs))
     int_coeffs = [int(c * den) for c in f.coeffs]
-    g = _gcd_list(int_coeffs)
+    g = math.gcd(*int_coeffs)
     int_coeffs = [c // g for c in int_coeffs]
     factors = _zassenhaus(int_coeffs)
     out = []
@@ -226,19 +228,6 @@ def _factor_rational_squarefree(f: Polynomial):
         poly = Polynomial(QQ, [Fraction(c) for c in fac]).monic()
         out.append(poly)
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _gcd_list(values):
-    g = 0
-    for v in values:
-        g = _gcd_int(g, v)
-    return g or 1
 
 
 def _int_poly_mul(a, b):
@@ -319,7 +308,7 @@ def _zassenhaus(coeffs):
     for fac in raw:
         m = len(fac) - 1
         scaled = [fac[i] * lc**i for i in range(m + 1)]
-        g = _gcd_list(scaled)
+        g = math.gcd(*scaled)
         out.append([c // g for c in scaled])
     return out
 
@@ -347,41 +336,55 @@ def _hensel_lift_list(target, modular_factors, p, k):
     return [g_int] + sub
 
 
-def _poly_to_ints(f: Polynomial, p):
-    return [c.value for c in f.coeffs]
-
-
 def _hensel_lift_pair(f_int, g_p, h_p, p, k):
-    """f = g*h mod p with g, h monic coprime mod p; lift to mod p^k."""
-    field = GF(p)
+    """f = g*h mod p with g, h monic coprime mod p; lift to mod p^k.
+
+    One extended gcd over GF(p) gives s*g + t*h = 1; every lifting step
+    then runs on integer coefficient lists reduced mod p."""
     d, s, t = poly_ext_gcd(g_p, h_p)
     if not d.is_one():
         raise ArithmeticError("modular factors are not coprime")
-    g = [_sym_mod(c, p) for c in _poly_to_ints(g_p, p)]
-    h = [_sym_mod(c, p) for c in _poly_to_ints(h_p, p)]
+    s, t, g0, h0 = ([c.value for c in q.coeffs] for q in (s, t, g_p, h_p))
+    g = [_sym_mod(c, p) for c in g0]
+    h = [_sym_mod(c, p) for c in h0]
     pj = p
     for _ in range(k - 1):
         pj2 = pj * p
-        prod = _int_poly_mul(g, h)
-        width = max(len(f_int), len(prod))
-        fi = f_int + [0] * (width - len(f_int))
-        pr = prod + [0] * (width - len(prod))
-        e = [((fc - pc) // pj) % p for fc, pc in zip(fi, pr)]
-        e_poly = Polynomial(field, e)
-        if e_poly.is_zero():
-            pj = pj2
-            continue
-        u = s * e_poly
-        q, dh = u.divmod(Polynomial(field, h))
-        dg = t * e_poly + q * Polynomial(field, g)
-        if dg.degree >= len(g) - 1 or dh.degree >= len(h) - 1:
-            raise ArithmeticError("lift correction degree overflow")
-        dg_int = [_sym_mod(c.value, p) for c in dg.coeffs]
-        dh_int = [_sym_mod(c.value, p) for c in dh.coeffs]
-        g = _int_poly_addmul(g, dg_int, pj, pj2)
-        h = _int_poly_addmul(h, dh_int, pj, pj2)
+        pairs = zip_longest(f_int, _int_poly_mul(g, h), fillvalue=0)
+        e = _trim_mod([(a - b) // pj for a, b in pairs], p)
+        if e:
+            q, dh = _int_poly_divmod_mod(_int_poly_mul(s, e), h0, p)
+            pairs = zip_longest(_int_poly_mul(t, e), _int_poly_mul(q, g0), fillvalue=0)
+            dg = _trim_mod([a + b for a, b in pairs], p)
+            if len(dg) >= len(g) or len(dh) >= len(h):
+                raise ArithmeticError("lift correction degree overflow")
+            g = _int_poly_addmul(g, dg, pj, pj2)
+            h = _int_poly_addmul(h, dh, pj, pj2)
         pj = pj2
     return g, h
+
+
+def _trim_mod(a, p):
+    """Coefficients of a reduced into 0..p-1, trailing zeros dropped."""
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_poly_divmod_mod(a, b, p):
+    """(quotient, remainder) of a by the monic b over GF(p), as trimmed
+    coefficient lists in 0..p-1."""
+    rem = _trim_mod(a, p)
+    db = len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[db + k] % p
+        if c:
+            quo[k] = c
+            for j, cb in enumerate(b):
+                rem[j + k] -= c * cb
+    return quo, _trim_mod(rem[:db], p)
 
 
 def _int_poly_addmul(base, delta, pj, mod):
@@ -398,8 +401,6 @@ def _int_poly_addmul(base, delta, pj, mod):
 def _recombine(target, lifted, pk):
     """Subset recombination of Hensel-lifted factors against the monic
     integer polynomial `target`; returns irreducible integer factors."""
-    from itertools import combinations
-
     remaining = list(lifted)
     current = list(target)
     found = []
@@ -439,22 +440,16 @@ def _recombine(target, lifted, pk):
 def _factor_tower_squarefree(f: Polynomial, max_degree: int, seed: int):
     """Irreducible monic factors of a squarefree f over an algebraic
     extension K = base(alpha), by norm descent to the base."""
-    from .towers import RationalFunctionField
-
     K = f.field
-    base = K.base
     mu = K.relation  # minimal polynomial of the generator over base
     f = f.monic()
     if f.degree == 1:
         return [f]
 
-    frac = RationalFunctionField(base, "@x")
-    x_rf = frac.gen()
-
     shift = 0
     while True:
         shifted = _shift_by_generator(f, shift)
-        norm = _norm_to_base(shifted, mu, frac, x_rf)
+        norm = _norm_to_base(shifted, mu)
         d = norm.derivative()
         if not d.is_zero() and poly_gcd(norm, d).is_constant():
             break
@@ -492,28 +487,31 @@ def _shift_by_generator(f: Polynomial, s: int):
     return f.compose(shift_poly)
 
 
-def _norm_to_base(f: Polynomial, mu: Polynomial, frac, x_rf):
-    """Norm of f from K[x] down to base[x], as a polynomial over base.
+def _norm_to_base(f: Polynomial, mu: Polynomial):
+    """Norm of the monic f from K[x] down to base[x], as a polynomial
+    over the base.
 
-    Computed as Res_y(mu(y), f~(x, y)) where f~ writes each K
-    coefficient as a polynomial in y over the base; the resultant runs
-    over the rational function field base(x)."""
-    base = frac.coefficient_field
-    deg_mu = mu.degree
-    # coefficient polynomials in x for each power of the generator
-    x_polys = [[] for _ in range(deg_mu)]
-    for i in range(f.degree + 1):
-        coords = f.field.coords(f.coeff(i))
-        for j in range(deg_mu):
-            x_polys[j].append(coords[j])
-    y_coeffs = []
-    for j in range(deg_mu):
-        poly_x = Polynomial(base, x_polys[j])
-        y_coeffs.append(frac.from_polynomial(poly_x))
-    f_tilde = Polynomial(frac, y_coeffs)
-    mu_frac = mu.map_coeffs(frac, lambda c: frac.constant(c))
-    res = resultant(mu_frac, f_tilde)
-    num, den = res.num, res.den
-    if not den.is_one():
-        raise ArithmeticError("norm resultant produced a denominator")
-    return num
+    The norm Res_y(mu(y), f~(x, y)), where f~ writes each K coefficient
+    as a polynomial in y, is monic of degree N = deg f * deg mu.  It is
+    evaluated at the integers c = 0..N, each value the resultant of mu
+    against the coordinates of f(c) over the base, and Newton-interpolated
+    over the base.  The nodes are integers, so every division is by an
+    integer."""
+    K = f.field
+    base = K.base
+    n = f.degree * mu.degree
+    coef = [
+        resultant(mu, Polynomial(base, f.evaluate(K.from_int(c)).coords))
+        for c in range(n + 1)
+    ]
+    # divided differences: nodes i - j and i are j apart
+    for j in range(1, n + 1):
+        inv = Fraction(1, j)
+        for i in range(n, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv
+    norm = Polynomial.zero(base)
+    for c in range(n, -1, -1):
+        norm = norm * Polynomial(base, [-c, 1]) + coef[c]
+    if norm.degree != n or norm.leading() != base.one():
+        raise ArithmeticError("norm interpolant is not monic of degree %d" % n)
+    return norm

@@ -56,14 +56,13 @@ def scalar_layer(field):
     return best
 
 
-_basis_cache = {}
-
-
 def cached_basis(field, down):
-    key = (field, down)
-    if key not in _basis_cache:
-        _basis_cache[key] = tower_basis(field, down)
-    return _basis_cache[key]
+    """tower_basis(field, down), memoized on the field handle itself so
+    the basis is freed together with its tower."""
+    cache = vars(field).setdefault("_basis_cache", {})
+    if down not in cache:
+        cache[down] = tower_basis(field, down)
+    return cache[down]
 
 
 @dataclass

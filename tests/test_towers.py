@@ -6,6 +6,9 @@ dihedral of order 8 with the conjugation subgroup non-normal; cyclotomic
 polynomials for small indices are written out literally.
 """
 
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from galbim.errors import (
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import (
     Subfield,
+    cached_basis,
     fixed_field,
     inseparable_degree,
     locate_roots,
@@ -108,6 +112,16 @@ def test_coords_roundtrip_and_basis():
     cs = coords_over(K, v, QQ)
     assert cs == [Fraction(3), Fraction(2), Fraction(-1), Fraction(5)]
     assert from_coords_over(K, cs, QQ) == v
+
+
+def test_cached_basis_is_freed_with_its_tower():
+    K = make_sqrt_tower()
+    assert cached_basis(K, QQ) == tower_basis(K, QQ)
+    assert cached_basis(K, QQ) is cached_basis(K, QQ)
+    ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert ref() is None
 
 
 def test_unrelated_fields_do_not_mix():
