@@ -22,6 +22,7 @@ orbits of the stabilizer of the embedded copy of L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     ClassificationFailed,
@@ -54,7 +55,6 @@ from .fieldops import (
     primitive_element_over,
     scalar_layer,
     splitting_field,
-    subfield_contains,
     subfield_coords,
     subfield_from_vectors,
     verify_splitting,
@@ -71,12 +71,12 @@ from .poly import Polynomial
 from .towers import (
     DEFAULT_TOWER_CAP,
     ExtensionField,
-    RationalFunctionField,
     algebraic_degree,
     chain,
     coords_over,
     evaluate,
     extend,
+    generator_layers,
     is_layer_of,
     tower_basis,
 )
@@ -86,24 +86,7 @@ PHI_CACHE_SIZE = 512
 
 def _tower_generators(field):
     """Coerced generators of every non-bottom layer, bottom first."""
-    out = []
-    for layer in chain(field):
-        if isinstance(layer, (ExtensionField, RationalFunctionField)):
-            out.append(field.coerce(layer.gen()))
-    return out
-
-
-def _is_scalar(M: Matrix) -> bool:
-    d = M.nrows
-    top = M.rows[0][0]
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                if M.rows[i][j] != top:
-                    return False
-            elif M.rows[i][j]:
-                return False
-    return True
+    return [field.coerce(layer.gen()) for layer in generator_layers(field)]
 
 
 class Bimodule:
@@ -120,9 +103,7 @@ class Bimodule:
         self.base = base
         supplied = dict(images or {})
         full = {}
-        for layer in chain(field):
-            if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-                continue
+        for layer in generator_layers(field):
             if layer in supplied:
                 M = supplied.pop(layer)
                 rows = [[field.coerce(e) for e in row] for row in M.rows]
@@ -158,7 +139,8 @@ class Bimodule:
 
     def _verify(self):
         nonscalar = [
-            M for M in self.images.values() if not _is_scalar(M)
+            M for M in self.images.values()
+            if not _is_scalar_value(M, M.rows[0][0])
         ]
         for i, A in enumerate(nonscalar):
             for B in nonscalar[i + 1:]:
@@ -224,12 +206,11 @@ class Bimodule:
         if self._center is None:
             f0 = scalar_layer(self.field)
             linear = True
-            for layer in chain(f0):
-                if isinstance(layer, (ExtensionField, RationalFunctionField)):
-                    g = self.field.coerce(layer.gen())
-                    if not _is_scalar_value(self.phi(g), g):
-                        linear = False
-                        break
+            for layer in generator_layers(f0):
+                g = self.field.coerce(layer.gen())
+                if not _is_scalar_value(self.phi(g), g):
+                    linear = False
+                    break
             if not linear:
                 if self.base is None:
                     self._center = (None, False)
@@ -263,11 +244,7 @@ def _is_scalar_value(M: Matrix, value) -> bool:
 def _base_elements(field, base):
     if isinstance(base, Subfield):
         return base.basis_in_ambient()
-    out = []
-    for layer in chain(base):
-        if isinstance(layer, (ExtensionField, RationalFunctionField)):
-            out.append(field.coerce(layer.gen()))
-    return out
+    return [field.coerce(g) for g in _tower_generators(base)]
 
 
 def _as_subfield(field, base):
@@ -284,10 +261,9 @@ def twist(field, sigma: FieldMorphism, base=None) -> Bimodule:
     if sigma.domain is not field or sigma.codomain is not field:
         raise FieldMismatch("twisting endomorphism must act on the field")
     images = {}
-    for layer in chain(field):
-        if isinstance(layer, (ExtensionField, RationalFunctionField)):
-            g = field.coerce(layer.gen())
-            images[layer] = Matrix(field, [[sigma.apply(g)]])
+    for layer in generator_layers(field):
+        g = field.coerce(layer.gen())
+        images[layer] = Matrix(field, [[sigma.apply(g)]])
     return Bimodule(field, images, base=base, label="twist")
 
 
@@ -314,13 +290,12 @@ def bimodule_of_group(field, group, multiplicity=1, base=None) -> Bimodule:
     if d == 0:
         raise ValueError("the zero bimodule is not representable")
     images = {}
-    for layer in chain(field):
-        if isinstance(layer, (ExtensionField, RationalFunctionField)):
-            g = field.coerce(layer.gen())
-            diag = []
-            for sigma, m in zip(elements, mults):
-                diag.extend([sigma.apply(g)] * m)
-            images[layer] = Matrix.diagonal(field, diag)
+    for layer in generator_layers(field):
+        g = field.coerce(layer.gen())
+        diag = []
+        for sigma, m in zip(elements, mults):
+            diag.extend([sigma.apply(g)] * m)
+        images[layer] = Matrix.diagonal(field, diag)
     return Bimodule(field, images, rank=d, base=base, label="group action")
 
 
@@ -343,9 +318,7 @@ def regular_over(field, sub, base=None) -> Bimodule:
             cols.append(coords_over(field, b * k, f0))
     solver = Matrix.from_cols(f0, cols)
     images = {}
-    for layer in chain(field):
-        if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-            continue
+    for layer in generator_layers(field):
         g = field.coerce(layer.gen())
         rows = [[None] * m for _ in range(m)]
         for j in range(m):
@@ -373,8 +346,7 @@ def _module_basis_over(field, sub: Subfield):
     if is_layer_of(sub.field, field) and all(
         sub.embed(sub.field.coerce(layer.gen()))
         == field.coerce(layer.gen())
-        for layer in chain(sub.field)
-        if isinstance(layer, (ExtensionField, RationalFunctionField))
+        for layer in generator_layers(sub.field)
     ):
         return [field.coerce(b) for b in tower_basis(field, sub.field)]
     kbasis = sub.basis_in_ambient()
@@ -400,9 +372,7 @@ def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
         raise FieldMismatch("tensor factors live over different fields")
     field = P.field
     images = {}
-    for layer in chain(field):
-        if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-            continue
+    for layer in generator_layers(field):
         A = P.images[layer]
         blocks = [
             [Q.phi(A.rows[i][j]) for j in range(P.rank)]
@@ -429,9 +399,7 @@ def direct_sum(P: Bimodule, Q: Bimodule) -> Bimodule:
         raise FieldMismatch("summands live over different fields")
     field = P.field
     images = {}
-    for layer in chain(field):
-        if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-            continue
+    for layer in generator_layers(field):
         A, B = P.images[layer], Q.images[layer]
         zeroTR = Matrix.zeros(field, P.rank, Q.rank)
         zeroBL = Matrix.zeros(field, Q.rank, P.rank)
@@ -452,9 +420,7 @@ def base_change(P: Bimodule, E) -> Bimodule:
     basis = [E.coerce(b) for b in tower_basis(E, L)]
     m = len(basis)
     images = {}
-    for layer in chain(E):
-        if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-            continue
+    for layer in generator_layers(E):
         g = E.coerce(layer.gen())
         blocks = [[None] * m for _ in range(m)]
         for k in range(m):
@@ -478,9 +444,7 @@ def restrict_scalars(P: Bimodule, layer) -> Bimodule:
     s = len(cbasis)
     d = P.rank
     images = {}
-    for lay in chain(layer):
-        if not isinstance(lay, (ExtensionField, RationalFunctionField)):
-            continue
+    for lay in generator_layers(layer):
         a = L.coerce(lay.gen())
         A = P.phi(a)
         rows = [[None] * (d * s) for _ in range(d * s)]
@@ -539,7 +503,7 @@ def verify_central_coefficients(poly: Polynomial, center, label="center"):
     """Check every coefficient against a membership test; ``center``
     is a Subfield or a predicate.  Raises CoefficientEscapesZ."""
     if isinstance(center, Subfield):
-        member = lambda c: subfield_contains(center, c)
+        member = lambda c: subfield_coords(center, c) is not None
     else:
         member = center
     for i, c in enumerate(poly.coeffs):
@@ -1124,7 +1088,7 @@ def _peel_binomial(rem: Polynomial, E, tracked, hints):
     exps = [j for j in range(1, rem.degree + 1) if rem.coeff(j)]
     k = 0
     for j in exps:
-        k = _gcd(k, j)
+        k = gcd(k, j)
     if k < 2:
         raise ResolutionError(
             "splitting probe only follows binomial ladders"
@@ -1170,12 +1134,6 @@ def _peel_binomial(rem: Polynomial, E, tracked, hints):
     raise ResolutionError(
         "splitting probe cannot bound the spectrum of the required root"
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _scan_root_of_square(c, E, hints):

@@ -24,8 +24,9 @@ Three shapes of comodule algebra are supported:
   dimensions below a degree cap are computed.  The counterexample
   fixtures that break the integrality hypotheses live here.
 
-Elements of L (x) K are dictionaries mapping a K basis index to a
-nonzero coefficient in L; a missing key is a zero coefficient.
+Elements of L (x) K are sparse dictionaries over the K basis, with
+coefficients in L, in the convention of ``hopf``: every sum of them
+goes through ``lincomb``.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .errors import (
     Violated,
 )
 from .fieldops import splitting_field, verify_splitting
-from .hopf import HopfAlgebra, dual
+from .hopf import HopfAlgebra, dual, lincomb, sparse_product, tensor_product
 from .matrix import Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
 from .towers import (
@@ -144,25 +145,16 @@ def finite_coaction(K, mult, unit, rho):
     C.field = F
     table = {}
     for (i, j), terms in dict(mult).items():
-        out = {}
-        for k, c in terms:
-            c = F.coerce(c)
-            if c:
-                out[int(k)] = out.get(int(k), F.zero()) + c
-        cleaned = tuple(sorted((k, c) for k, c in out.items() if c))
+        cleaned = lincomb((int(k), F.coerce(c)) for k, c in terms)
         if cleaned:
-            table[(int(i), int(j))] = cleaned
+            table[(int(i), int(j))] = tuple(sorted(cleaned.items()))
     C.mult = table
     C.unit = unit
-    images = []
-    for s in range(n):
-        img = {}
-        for (t, i), c in dict(rho[s]).items():
-            c = F.coerce(c)
-            if c:
-                img[(int(t), int(i))] = c
-        images.append(img)
-    C.rho = images
+    C.rho = [
+        lincomb(((int(t), int(i)), F.coerce(c))
+                for (t, i), c in dict(rho[s]).items())
+        for s in range(n)
+    ]
     return C
 
 
@@ -194,39 +186,33 @@ def truncated_action(field, nvars, substitutions, pairs=()):
 
 # ------------------------------------------------ L (x) K arithmetic
 
-def _tk_clean(d):
-    return {t: c for t, c in d.items() if c}
-
-
-def _tk_add(a, b):
-    out = dict(a)
-    for t, c in b.items():
-        cur = out.get(t)
-        out[t] = c if cur is None else cur + c
-    return _tk_clean(out)
-
-
 def _tk_mul(C, a, b):
     """Product in L (x) K; coefficients multiply in L, legs in K."""
-    L, K = C.field, C.hopf
-    out = {}
-    for s, cs in a.items():
-        for t, ct in b.items():
-            coeff = cs * ct
-            if not coeff:
-                continue
-            for u, w in K.basis_product(s, t):
-                term = coeff * L.coerce(w)
-                cur = out.get(u)
-                out[u] = term if cur is None else cur + term
-    return _tk_clean(out)
+    return sparse_product(C.hopf.mult, a, b)
 
 
 def _tk_const(C, a):
     """a (x) 1 for a in L (or a lower layer)."""
-    L = C.field
-    a = L.coerce(a)
-    return _tk_clean({t: a * L.coerce(w) for t, w in enumerate(C.hopf.unit)})
+    a = C.field.coerce(a)
+    return lincomb((t, a * w) for t, w in enumerate(C.hopf.unit) if w)
+
+
+def _at_rho_gen(C, coeffs):
+    """sum_j coeffs[j] rho(z)^j by Horner, for z the tower generator."""
+    acc = {}
+    for c in reversed(coeffs):
+        acc = lincomb([
+            *_tk_mul(C, acc, C.rho_gen).items(), *_tk_const(C, c).items()
+        ])
+    return acc
+
+
+def _rho_powers(C, count):
+    """[rho(z)^0, ..., rho(z)^(count - 1)] for z the tower generator."""
+    powers = [_tk_const(C, C.field.one())]
+    for _ in range(count - 1):
+        powers.append(_tk_mul(C, powers[-1], C.rho_gen))
+    return powers
 
 
 def coact_element(C, a):
@@ -238,27 +224,15 @@ def coact_element(C, a):
     """
     if C.kind != "field":
         raise UnsupportedBase("coact_element needs the field kind")
-    L = C.field
-    coords = L.coerce(a).coords
-    acc = _tk_const(C, coords[-1])
-    for c in reversed(coords[:-1]):
-        acc = _tk_add(_tk_mul(C, acc, C.rho_gen), _tk_const(C, c))
-    return acc
+    return _at_rho_gen(C, C.field.coerce(a).coords)
 
 
 def _apply_second_leg(C, tk, M):
     """Push a K-endomorphism (columns = images) through the K leg."""
-    L = C.field
-    out = {}
-    for t, c in tk.items():
-        for u in range(C.hopf.dim):
-            w = M[u, t]
-            if not w:
-                continue
-            term = c * L.coerce(w)
-            cur = out.get(u)
-            out[u] = term if cur is None else cur + term
-    return _tk_clean(out)
+    return lincomb(
+        (u, c * w) for t, c in tk.items()
+        for u, w in enumerate(M.col(t)) if w
+    )
 
 
 # ------------------------------------------------------- verification
@@ -304,29 +278,17 @@ def _verify_field(C):
             % (eps,)
         )
 
-    lhs = {}
-    for t, c in R.items():
-        for s, e in coact_element(C, c).items():
-            key = (s, t)
-            cur = lhs.get(key)
-            lhs[key] = e if cur is None else cur + e
-    rhs = {}
-    for t, c in R.items():
-        for j, k, w in K.coprod[t]:
-            term = c * L.coerce(w)
-            cur = rhs.get((j, k))
-            rhs[(j, k)] = term if cur is None else cur + term
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
+    lhs = lincomb(
+        ((s, t), e) for t, c in R.items()
+        for s, e in coact_element(C, c).items()
+    )
+    rhs = lincomb(
+        ((j, k), c * w) for t, c in R.items() for j, k, w in K.coprod[t]
+    )
     if lhs != rhs:
         raise AxiomViolation("coassociativity fails on the generator")
 
-    rel = L.relation
-    image = _tk_const(C, L.coerce(rel.leading()))
-    for j in range(rel.degree - 1, -1, -1):
-        image = _tk_add(
-            _tk_mul(C, image, R), _tk_const(C, L.coerce(rel.coeff(j)))
-        )
+    image = _at_rho_gen(C, L.relation.coeffs)
     if image:
         raise AxiomViolation(
             "the coaction does not annihilate the defining relation; "
@@ -341,52 +303,26 @@ def _verify_field(C):
     )
 
 
-def _finite_product(C, a, b):
-    """Product of two coordinate dictionaries in the finite algebra."""
-    F = C.field
-    out = {}
-    for s, cs in a.items():
-        for t, ct in b.items():
-            coeff = cs * ct
-            if not coeff:
-                continue
-            for u, w in C.mult.get((s, t), ()):
-                term = coeff * w
-                cur = out.get(u)
-                out[u] = term if cur is None else cur + term
-    return {u: c for u, c in out.items() if c}
-
-
 def _verify_finite(C):
     K, F = C.hopf, C.field
     n = len(C.unit)
 
-    one_image = {}
-    for s, c in enumerate(C.unit):
-        if not c:
-            continue
-        for key, w in C.rho[s].items():
-            term = c * w
-            cur = one_image.get(key)
-            one_image[key] = term if cur is None else cur + term
-    expected = {}
-    for t, a in enumerate(C.unit):
-        for i, b in enumerate(K.unit):
-            c = a * F.coerce(b)
-            if c:
-                expected[(t, i)] = c
-    if {k: v for k, v in one_image.items() if v} != expected:
+    one_image = lincomb(
+        (key, c * w) for s, c in enumerate(C.unit)
+        for key, w in C.rho[s].items()
+    )
+    expected = lincomb(
+        ((t, i), a * F.coerce(b)) for t, a in enumerate(C.unit)
+        for i, b in enumerate(K.unit)
+    )
+    if one_image != expected:
         raise AxiomViolation("the coaction does not send 1 to 1 (x) 1")
 
     for s in range(n):
-        back = {}
-        for (t, i), c in C.rho[s].items():
-            term = c * F.coerce(K.counit[i])
-            cur = back.get(t)
-            back[t] = term if cur is None else cur + term
-        back = {t: c for t, c in back.items() if c}
-        want = {s: F.one()}
-        if back != want:
+        back = lincomb(
+            (t, c * F.coerce(K.counit[i])) for (t, i), c in C.rho[s].items()
+        )
+        if back != {s: F.one()}:
             raise AxiomViolation(
                 "counit law fails on basis element %d" % s
             )
@@ -394,27 +330,11 @@ def _verify_finite(C):
     pairs = 0
     for s in range(n):
         for t in range(n):
-            left = {}
-            for (u, i), c in C.rho[s].items():
-                for (v, j), e in C.rho[t].items():
-                    coeff = c * e
-                    if not coeff:
-                        continue
-                    for w, m in C.mult.get((u, v), ()):
-                        for k, h in K.basis_product(i, j):
-                            term = coeff * m * F.coerce(h)
-                            cur = left.get((w, k))
-                            left[(w, k)] = (
-                                term if cur is None else cur + term
-                            )
-            right = {}
-            for v, m in C.mult.get((s, t), ()):
-                for key, c in C.rho[v].items():
-                    term = m * c
-                    cur = right.get(key)
-                    right[key] = term if cur is None else cur + term
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+            left = tensor_product(C.mult, K.mult, C.rho[s], C.rho[t])
+            right = lincomb(
+                (key, m * c) for v, m in C.mult.get((s, t), ())
+                for key, c in C.rho[v].items()
+            )
             if left != right:
                 raise AxiomViolation(
                     "the coaction is not multiplicative on the basis "
@@ -423,22 +343,14 @@ def _verify_finite(C):
             pairs += 1
 
     for s in range(n):
-        lhs = {}
-        for (t, i), c in C.rho[s].items():
-            for (u, j), e in C.rho[t].items():
-                term = c * e
-                key = (u, j, i)
-                cur = lhs.get(key)
-                lhs[key] = term if cur is None else cur + term
-        rhs = {}
-        for (t, i), c in C.rho[s].items():
-            for j, k, w in K.coprod[i]:
-                term = c * F.coerce(w)
-                key = (t, j, k)
-                cur = rhs.get(key)
-                rhs[key] = term if cur is None else cur + term
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
+        lhs = lincomb(
+            ((u, j, i), c * e) for (t, i), c in C.rho[s].items()
+            for (u, j), e in C.rho[t].items()
+        )
+        rhs = lincomb(
+            ((t, j, k), c * F.coerce(w)) for (t, i), c in C.rho[s].items()
+            for j, k, w in K.coprod[i]
+        )
         if lhs != rhs:
             raise AxiomViolation(
                 "coassociativity fails on basis element %d" % s
@@ -480,19 +392,15 @@ def invariants(C):
 def _invariants_field(C):
     L, K, B = C.field, C.hopf, C.base
     n, d = L.degree, K.dim
-    powers = [_tk_const(C, L.one())]
-    z = L.coerce(L.gen())
-    for _ in range(n - 1):
-        powers.append(_tk_mul(C, powers[-1], C.rho_gen))
-    unit = [L.coerce(w) for w in K.unit]
+    z = L.gen()
     # rows: one per (K leg, L coordinate); columns: coefficient of z^j
     rows = [[B.zero()] * n for _ in range(d * n)]
     zj = L.one()
-    for j in range(n):
-        for t in range(d):
-            delta = powers[j].get(t, L.zero()) - unit[t] * zj
-            for l, c in enumerate(L.coords(delta)):
-                rows[t * n + l][j] = c
+    for j, power in enumerate(_rho_powers(C, n)):
+        delta = lincomb([*power.items(), *_tk_const(C, -zj).items()])
+        for t, c in delta.items():
+            for l, cl in enumerate(L.coords(c)):
+                rows[t * n + l][j] = cl
         zj = zj * z
     kernel = Matrix(B, rows).kernel()
     basis = [L.from_coords(vec) for vec in kernel]
@@ -509,32 +417,26 @@ def _invariants_field(C):
 def _invariants_finite(C):
     F, K = C.field, C.hopf
     n, d = len(C.unit), K.dim
-    index = {}
-    rows = []
-
-    def row_of(key):
-        if key not in index:
-            index[key] = len(rows)
-            rows.append([F.zero()] * n)
-        return rows[index[key]]
-
-    for s in range(n):
-        for (t, i), c in C.rho[s].items():
-            row_of((t, i))[s] = row_of((t, i))[s] + c
-        for i, w in enumerate(K.unit):
-            w = F.coerce(w)
-            if w:
-                row_of((s, i))[s] = row_of((s, i))[s] - w
-    kernel = Matrix(F, rows).kernel() if rows else []
+    # rho(a) - a (x) 1 = 0, one row per (A index, K index) leg
+    entries = lincomb(
+        [((key, s), c) for s in range(n) for key, c in C.rho[s].items()]
+        + [(((s, i), s), -F.coerce(w))
+           for s in range(n) for i, w in enumerate(K.unit)]
+    )
+    rows = {key: [F.zero()] * n for key, _ in entries}
+    for (key, s), c in entries.items():
+        rows[key][s] = c
+    kernel = Matrix(F, list(rows.values()), ncols=n).kernel()
     span = Matrix.from_cols(F, kernel) if kernel else None
+    zero = F.zero()
     for a in kernel:
         for b in kernel:
-            prod = _finite_product(
-                C,
+            prod = sparse_product(
+                C.mult,
                 {i: c for i, c in enumerate(a) if c},
                 {i: c for i, c in enumerate(b) if c},
             )
-            vec = [prod.get(i, F.zero()) for i in range(n)]
+            vec = [prod.get(i, zero) for i in range(n)]
             if span is None or span.solve(vec) is None:
                 raise AxiomViolation(
                     "invariants are not closed under products"
@@ -559,10 +461,11 @@ def bimodule_from_coaction(C):
         return C._bimodule
     L, K = C.field, C.hopf
     d = K.dim
+    zero = L.zero()
     cols = []
     for t in range(d):
         col = _tk_mul(C, {t: L.one()}, C.rho_gen)
-        cols.append([col.get(u, L.zero()) for u in range(d)])
+        cols.append([col.get(u, zero) for u in range(d)])
     Mz = Matrix.from_cols(L, cols)
     P = Bimodule(L, images={L: Mz}, rank=d, base=C.base,
                  label="coaction bimodule")
@@ -600,23 +503,28 @@ class PsiXiTauReport:
     tau_skipped: object
 
 
+def _left_legs(C, pieces):
+    """sum (1 (x) k_t) y over the pairs (t, y) of ``pieces``."""
+    mult = C.hopf.mult
+    return lincomb(
+        (u, c * w) for t, y in pieces for s, c in y.items()
+        for u, w in mult.get((t, s), ())
+    )
+
+
 def psi_map(C, x):
     """psi(sum a_t (x) k_t) = sum (1 (x) k_t) rho(a_t)."""
-    out = {}
-    for t, a in x.items():
-        out = _tk_add(out, _tk_mul(C, {t: C.field.one()}, coact_element(C, a)))
-    return out
+    return _left_legs(C, ((t, coact_element(C, a)) for t, a in x.items()))
 
 
 def xi_map(C, x, antipode_inverse=None):
     """xi(sum a_t (x) k_t) = sum (1 (x) k_t)(1 (x) S^-1) rho(a_t)."""
     if antipode_inverse is None:
         antipode_inverse = C.hopf.antipode.inverse()
-    out = {}
-    for t, a in x.items():
-        twisted = _apply_second_leg(C, coact_element(C, a), antipode_inverse)
-        out = _tk_add(out, _tk_mul(C, {t: C.field.one()}, twisted))
-    return out
+    return _left_legs(C, (
+        (t, _apply_second_leg(C, coact_element(C, a), antipode_inverse))
+        for t, a in x.items()
+    ))
 
 
 def verify_psi_xi_tau(C, rank_cap=64):
@@ -638,10 +546,13 @@ def verify_psi_xi_tau(C, rank_cap=64):
     n, d = L.degree, K.dim
     sinv = K.antipode.inverse()
 
-    zi = L.one()
+    z = L.gen()
+    z_pows = [L.one()]
+    for _ in range(n - 1):
+        z_pows.append(z_pows[-1] * z)
     ok = True
     checked = 0
-    for i in range(n):
+    for zi in z_pows:
         for t in range(d):
             e = {t: zi}
             if psi_map(C, xi_map(C, e, sinv)) != e:
@@ -649,14 +560,10 @@ def verify_psi_xi_tau(C, rank_cap=64):
             if xi_map(C, psi_map(C, e), sinv) != e:
                 ok = False
             checked += 1
-        zi = zi * L.coerce(L.gen())
     if not ok:
         raise AxiomViolation("psi and xi are not mutually inverse")
 
-    z = L.coerce(L.gen())
-    rho_pow = [_tk_const(C, L.one())]
-    for _ in range(n):
-        rho_pow.append(_tk_mul(C, rho_pow[-1], C.rho_gen))
+    rho_pow = _rho_powers(C, n + 1)
     # moving rho(z) across the middle tensor must match multiplying it in
     well = True
     for s in range(d):
@@ -666,17 +573,15 @@ def verify_psi_xi_tau(C, rank_cap=64):
             if lhs != rhs:
                 well = False
 
+    # tau on z^i (x) (z^j (x) k_s), in (i, s, j) order
     linear = True
-    zi = L.one()
-    for i in range(n):
-        for s in range(d):
-            for j in range(n):
-                a = _tk_mul(C, {s: zi}, rho_pow[j])
-                b = {t: zi * c for t, c in
-                     _tk_mul(C, {s: L.one()}, rho_pow[j]).items()}
-                if _tk_clean(a) != _tk_clean(b):
-                    linear = False
-        zi = zi * z
+    images = []
+    for zi, s, j in iproduct(z_pows, range(d), range(n)):
+        image = _tk_mul(C, {s: zi}, rho_pow[j])
+        unit_image = _tk_mul(C, {s: L.one()}, rho_pow[j])
+        if image != lincomb((t, zi * c) for t, c in unit_image.items()):
+            linear = False
+        images.append(image)
 
     source = n * n * d * d
     target = n * d
@@ -684,18 +589,11 @@ def verify_psi_xi_tau(C, rank_cap=64):
     bijective = None
     skipped = None
     if source <= rank_cap:
-        cols = []
-        zi = L.one()
-        basis_pows = []
-        for i in range(n):
-            basis_pows.append(zi)
-            zi = zi * z
-        for i, s, j in iproduct(range(n), range(d), range(n)):
-            tk = _tk_mul(C, {s: basis_pows[i]}, rho_pow[j])
-            col = []
-            for u in range(d):
-                col.extend(L.coords(tk.get(u, L.zero())))
-            cols.append([B.coerce(c) for c in col])
+        zero = L.zero()
+        cols = [
+            [B.coerce(c) for u in range(d) for c in L.coords(tk.get(u, zero))]
+            for tk in images
+        ]
         rank = d * Matrix.from_cols(B, cols).rank()
         bijective = bool(well and rank == d * target)
     else:
@@ -988,15 +886,14 @@ def _norm_substitution(field, nvars, sub, affine=False):
         raise ValueError("substitution must give one image per variable")
     out = []
     for img in sub:
-        poly = {}
-        for mono, c in dict(img).items():
-            mono = tuple(int(e) for e in mono)
+        terms = [
+            (tuple(int(e) for e in mono), field.coerce(c))
+            for mono, c in dict(img).items()
+        ]
+        for mono, _ in terms:
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError("bad exponent tuple %r" % (mono,))
-            c = field.coerce(c)
-            if c:
-                poly[mono] = poly.get(mono, field.zero()) + c
-        poly = {m: c for m, c in poly.items() if c}
+        poly = lincomb(terms)
         if affine and any(sum(m) > 1 for m in poly):
             raise ValueError(
                 "substitutions must have degree at most one so the "
@@ -1006,24 +903,18 @@ def _norm_substitution(field, nvars, sub, affine=False):
     return tuple(out)
 
 
-def _mpoly_mul(field, p, q):
-    out = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            c = ca * cb
-            if not c:
-                continue
-            key = tuple(a + b for a, b in zip(ma, mb))
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    return {m: c for m, c in out.items() if c}
+def _mpoly_mul(p, q):
+    return lincomb(
+        (tuple(a + b for a, b in zip(ma, mb)), ca * cb)
+        for ma, ca in p.items() for mb, cb in q.items()
+    )
 
 
 def _mpoly_compose_monomial(field, nvars, mono, images):
     acc = {(0,) * nvars: field.one()}
     for v, e in enumerate(mono):
         for _ in range(e):
-            acc = _mpoly_mul(field, acc, images[v])
+            acc = _mpoly_mul(acc, images[v])
     return acc
 
 
@@ -1068,13 +959,11 @@ def truncated_invariants(C, cap):
                 other = {m: field.one()}
             else:
                 other = _mpoly_compose_monomial(field, nvars, m, right)
-            diff = dict(image)
-            for mm, c in other.items():
-                cur = diff.get(mm)
-                diff[mm] = -c if cur is None else cur - c
+            diff = lincomb(
+                [*image.items(), *((mm, -c) for mm, c in other.items())]
+            )
             for mm, c in diff.items():
-                if c:
-                    block[col_of[mm]][j] = block[col_of[mm]][j] + c
+                block[col_of[mm]][j] = c
         rows.extend(block)
 
     dims = []

@@ -24,7 +24,7 @@ from .bimod import Bimodule, tensor_power, _tower_generators
 from .errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from .linalg import stack_kernel
 from .matrix import Matrix
-from .towers import ExtensionField, RationalFunctionField, chain, evaluate
+from .towers import ExtensionField, evaluate, generator_layers
 
 
 class Derivation:
@@ -37,9 +37,7 @@ class Derivation:
         self.field = field
         supplied = dict(values or {})
         full = {}
-        for layer in chain(field):
-            if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-                continue
+        for layer in generator_layers(field):
             if layer in supplied:
                 full[layer] = field.coerce(supplied.pop(layer))
             else:

@@ -240,19 +240,14 @@ def _int_poly_mul(a, b):
 
 
 def _int_poly_divmod(a, b):
-    """Division in Z[x] assuming b has invertible (unit) lead; returns
-    (quotient, remainder) or None if division leaves the integers."""
+    """Division in Z[x] by a monic b; returns (quotient, remainder)."""
     a = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
         return [0], a
-    lead = b[-1]
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
-        c = a[db + k]
-        if c % lead != 0:
-            return None
-        q = c // lead
+        q = a[db + k]
         quo[k] = q
         if q:
             for j, cb in enumerate(b):
@@ -414,10 +409,7 @@ def _recombine(target, lifted, pk):
             cand = [_sym_mod(c, pk) for c in prod]
             while len(cand) > 1 and cand[-1] == 0:
                 cand.pop()
-            division = _int_poly_divmod(current, cand)
-            if division is None:
-                continue
-            quo, rem = division
+            quo, rem = _int_poly_divmod(current, cand)
             if any(rem_c != 0 for rem_c in rem):
                 continue
             found.append(cand)

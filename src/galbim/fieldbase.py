@@ -34,9 +34,6 @@ class Field:
         field; raise FieldMismatch if it does not embed canonically."""
         raise NotImplementedError
 
-    def is_element(self, x) -> bool:
-        raise NotImplementedError
-
     # Containers call this instead of bool(x) so the convention is in
     # one place: every element class makes bool(x) False iff x == 0.
     @staticmethod
@@ -64,9 +61,6 @@ class RationalField(Field):
         if isinstance(x, int):
             return Fraction(x)
         raise FieldMismatch("cannot coerce %r into Q" % (x,))
-
-    def is_element(self, x):
-        return isinstance(x, Fraction)
 
     def __repr__(self):
         return "Q"
@@ -202,9 +196,6 @@ class PrimeField(Field):
                 self, x.denominator
             )
         raise FieldMismatch("cannot coerce %r into F_%d" % (x, self.p))
-
-    def is_element(self, x):
-        return isinstance(x, PrimeFieldElement) and x.field is self
 
     # Frobenius is the identity on F_p, so every element is its own
     # p-th root.  Perfect fields expose this hook; imperfect ones

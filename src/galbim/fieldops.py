@@ -34,12 +34,12 @@ from .poly import Polynomial
 from .towers import (
     DEFAULT_TOWER_CAP,
     ExtensionField,
-    RationalFunctionField,
     algebraic_degree,
     chain,
     coords_over,
     extend,
     from_coords_over,
+    generator_layers,
     is_layer_of,
     tower_basis,
 )
@@ -227,11 +227,7 @@ def primitive_element_over(ambient, sub: Subfield, budget=PRIMITIVE_BUDGET):
     n = sub.degree_in_ambient()
     if n == 1:
         return ambient.one()
-    gens = []
-    for layer in chain(ambient):
-        if isinstance(layer, (ExtensionField, RationalFunctionField)):
-            g = ambient.coerce(layer.gen())
-            gens.append(g)
+    gens = [ambient.coerce(layer.gen()) for layer in generator_layers(ambient)]
     gens.reverse()  # topmost generators are the most likely to work
     tried = 0
     for g in gens:
@@ -260,15 +256,6 @@ def _member_of_layer(ambient, x, layer) -> bool:
         return True
     cs = coords_over(ambient, x, layer)
     return all(not c for c in cs[1:])
-
-
-def subfield_contains(sub: Subfield, x) -> bool:
-    """Whether ambient element x lies in the embedded subfield."""
-    f0 = scalar_layer(sub.ambient)
-    basis = sub.basis_in_ambient()
-    cols = [coords_over(sub.ambient, b, f0) for b in basis]
-    M = Matrix.from_cols(f0, cols)
-    return M.solve(coords_over(sub.ambient, sub.ambient.coerce(x), f0)) is not None
 
 
 def subfield_coords(sub: Subfield, x):

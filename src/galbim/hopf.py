@@ -2,12 +2,18 @@
 
 A Hopf algebra of dimension d over an exact base field is stored
 through a distinguished basis: a sparse multiplication table
-(i, j) -> [(k, c)], a unit vector, a sparse coproduct
-i -> [(j, k, c)], a counit vector and an antipode matrix whose columns
-are the antipode images of the basis.  All five axiom families
+(i, j) -> ((k, c), ...), a unit vector, a sparse coproduct
+i -> ((j, k, c), ...), a counit vector and an antipode matrix whose
+columns are the antipode images of the basis.  All five axiom families
 (associativity and unit, coassociativity and counit, bialgebra
 compatibility, antipode identity on both sides) are verified
 exhaustively on basis tuples at construction; nothing is trusted.
+
+Sparse elements, here and in ``coact``, are dicts from a basis key to
+a nonzero coefficient; a missing key means zero.  ``lincomb`` enforces
+that convention: every sparse sum goes through it, and so do the
+products on structure constants built from it, ``sparse_product`` and
+``tensor_product``.
 
 The antipode is never guessed: when not supplied it is derived from
 its defining identity by forward substitution along the coproduct
@@ -27,25 +33,39 @@ from .errors import (
 from .matrix import Matrix
 
 
-def _norm_terms(field, terms):
+def lincomb(terms):
+    """Sum of (key, coefficient) terms as a sparse dict: each key maps
+    to the total of its coefficients, and zero totals are dropped."""
     out = {}
-    for idx, c in terms:
-        c = field.coerce(c)
-        if not c:
-            continue
-        out[idx] = out.get(idx, field.zero()) + c
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+    for key, c in terms:
+        if key in out:
+            out[key] += c
+        else:
+            out[key] = c
+    return {key: c for key, c in out.items() if c}
 
 
-def _norm_pairs(field, terms):
-    out = {}
-    for j, k, c in terms:
-        c = field.coerce(c)
-        if not c:
-            continue
-        key = (j, k)
-        out[key] = out.get(key, field.zero()) + c
-    return tuple((j, k, v) for (j, k), v in sorted(out.items()) if v)
+def sparse_product(mult, x, y):
+    """x * y for sparse x and y under the structure constants ``mult``,
+    a dict (i, j) -> ((k, c), ...) whose missing pairs multiply to 0."""
+    return lincomb(
+        (k, xi * yj * c)
+        for i, xi in x.items()
+        for j, yj in y.items()
+        for k, c in mult.get((i, j), ())
+    )
+
+
+def tensor_product(mult_a, mult_b, x, y):
+    """x * y in A (x) B for sparse x and y keyed by (a, b) pairs, with
+    A and B given by their structure constants as in sparse_product."""
+    return lincomb(
+        ((u, v), cx * cy * cu * cv)
+        for (a, b), cx in x.items()
+        for (c, e), cy in y.items()
+        for u, cu in mult_a.get((a, c), ())
+        for v, cv in mult_b.get((b, e), ())
+    )
 
 
 class HopfAlgebra:
@@ -64,13 +84,18 @@ class HopfAlgebra:
         for (i, j), terms in mult.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError("multiplication table index out of range")
-            nt = _norm_terms(field, terms)
+            nt = lincomb((k, field.coerce(c)) for k, c in terms)
             if nt:
-                table[(i, j)] = nt
+                table[(i, j)] = tuple(sorted(nt.items()))
         self.mult = table
         if len(coprod) != d:
             raise ValueError("need one coproduct entry per basis element")
-        self.coprod = [_norm_pairs(field, terms) for terms in coprod]
+        self.coprod = [
+            tuple((j, k, c) for (j, k), c in sorted(lincomb(
+                ((j, k), field.coerce(c)) for j, k, c in terms
+            ).items()))
+            for terms in coprod
+        ]
         if len(counit) != d or len(unit) != d:
             raise ValueError("counit and unit must have length dim")
         self.counit = [field.coerce(c) for c in counit]
@@ -90,18 +115,13 @@ class HopfAlgebra:
 
     def multiply(self, x, y):
         """Product of dense coordinate vectors."""
-        F = self.field
-        out = [F.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, ck in self.basis_product(i, j):
-                    out[k] = out[k] + c * ck
-        return out
+        prod = sparse_product(
+            self.mult,
+            {i: c for i, c in enumerate(x) if c},
+            {j: c for j, c in enumerate(y) if c},
+        )
+        zero = self.field.zero()
+        return [prod.get(k, zero) for k in range(self.dim)]
 
     def basis_vector(self, i):
         F = self.field
@@ -111,16 +131,9 @@ class HopfAlgebra:
 
     def right_regular(self, vec):
         """Matrix of w |-> w * vec on coordinate columns."""
-        F = self.field
-        d = self.dim
-        rows = [[F.zero()] * d for _ in range(d)]
-        for l in range(d):
-            for t, vt in enumerate(vec):
-                if not vt:
-                    continue
-                for u, cu in self.basis_product(l, t):
-                    rows[u][l] = rows[u][l] + vt * cu
-        return Matrix(F, rows)
+        return Matrix.from_cols(self.field, [
+            self.multiply(self.basis_vector(l), vec) for l in range(self.dim)
+        ])
 
     def counit_of(self, x):
         F = self.field
@@ -130,28 +143,10 @@ class HopfAlgebra:
                 out = out + c * e
         return out
 
-    def apply_antipode(self, x):
-        return self.antipode.mul_vec(x)
-
     def tensor_square_product(self, A, B):
         """Product of sparse elements of the tensor square, given as
         dicts (i, j) -> coefficient."""
-        F = self.field
-        out = {}
-        for (a, b), ca in A.items():
-            for (c, e), cb in B.items():
-                s = ca * cb
-                if not s:
-                    continue
-                for u, cu in self.basis_product(a, c):
-                    for v, cv in self.basis_product(b, e):
-                        key = (u, v)
-                        t = out.get(key, F.zero()) + s * cu * cv
-                        if t:
-                            out[key] = t
-                        elif key in out:
-                            del out[key]
-        return out
+        return tensor_product(self.mult, self.mult, A, B)
 
     def coproduct_sparse(self, i):
         return {(j, k): c for j, k, c in self.coprod[i]}
@@ -181,11 +176,13 @@ class HopfAlgebra:
     def _verify(self):
         F = self.field
         d = self.dim
-        one = self.unit
+        mult = self.mult
+        one = {u: c for u, c in enumerate(self.unit) if c}
         # unit laws
         for i in range(d):
-            e = self.basis_vector(i)
-            if self.multiply(one, e) != e or self.multiply(e, one) != e:
+            e = {i: F.one()}
+            if (sparse_product(mult, one, e) != e
+                    or sparse_product(mult, e, one) != e):
                 raise AxiomViolation("unit law fails at basis %d" % i)
         # associativity on basis triples, sparse
         for i in range(d):
@@ -193,115 +190,92 @@ class HopfAlgebra:
                 ij = self.basis_product(i, j)
                 for k in range(d):
                     jk = self.basis_product(j, k)
-                    left = {}
-                    for l, c in ij:
-                        for u, cu in self.basis_product(l, k):
-                            left[u] = left.get(u, F.zero()) + c * cu
-                    right = {}
-                    for l, c in jk:
-                        for u, cu in self.basis_product(i, l):
-                            right[u] = right.get(u, F.zero()) + c * cu
-                    left = {u: c for u, c in left.items() if c}
-                    right = {u: c for u, c in right.items() if c}
+                    left = lincomb(
+                        (u, c * cu)
+                        for l, c in ij for u, cu in mult.get((l, k), ())
+                    )
+                    right = lincomb(
+                        (u, c * cu)
+                        for l, c in jk for u, cu in mult.get((i, l), ())
+                    )
                     if left != right:
                         raise AxiomViolation(
                             "associativity fails at (%d, %d, %d)"
                             % (i, j, k)
                         )
         # counit laws
-        if self.counit_of(one) != F.one():
+        if self.counit_of(self.unit) != F.one():
             raise AxiomViolation("counit of the unit is not 1")
         for i in range(d):
-            left = [F.zero()] * d
-            right = [F.zero()] * d
-            for j, k, c in self.coprod[i]:
-                if self.counit[j]:
-                    left[k] = left[k] + c * self.counit[j]
-                if self.counit[k]:
-                    right[j] = right[j] + c * self.counit[k]
-            e = self.basis_vector(i)
+            terms = self.coprod[i]
+            left = lincomb((k, c * self.counit[j]) for j, k, c in terms)
+            right = lincomb((j, c * self.counit[k]) for j, k, c in terms)
+            e = {i: F.one()}
             if left != e or right != e:
                 raise AxiomViolation("counit law fails at basis %d" % i)
         # coassociativity, sparse 3-tensors
         for i in range(d):
-            left = {}
-            right = {}
-            for j, k, c in self.coprod[i]:
-                for a, b, cc in self.coprod[j]:
-                    key = (a, b, k)
-                    left[key] = left.get(key, F.zero()) + c * cc
-                for a, b, cc in self.coprod[k]:
-                    key = (j, a, b)
-                    right[key] = right.get(key, F.zero()) + c * cc
-            left = {k: c for k, c in left.items() if c}
-            right = {k: c for k, c in right.items() if c}
+            terms = self.coprod[i]
+            left = lincomb(
+                ((a, b, k), c * cc)
+                for j, k, c in terms for a, b, cc in self.coprod[j]
+            )
+            right = lincomb(
+                ((j, a, b), c * cc)
+                for j, k, c in terms for a, b, cc in self.coprod[k]
+            )
             if left != right:
                 raise AxiomViolation(
                     "coassociativity fails at basis %d" % i
                 )
         # bialgebra compatibility
+        delta_one = lincomb(
+            ((j, k), ci * c)
+            for i, ci in one.items() for j, k, c in self.coprod[i]
+        )
         unit_sparse = {
-            (j, k): self.unit[j] * self.unit[k]
-            for j in range(d) if self.unit[j]
-            for k in range(d) if self.unit[k]
+            (j, k): cj * ck for j, cj in one.items() for k, ck in one.items()
         }
-        delta_one = {}
-        for i, ci in enumerate(self.unit):
-            if not ci:
-                continue
-            for j, k, c in self.coprod[i]:
-                key = (j, k)
-                t = delta_one.get(key, F.zero()) + ci * c
-                if t:
-                    delta_one[key] = t
-                elif key in delta_one:
-                    del delta_one[key]
         if delta_one != unit_sparse:
             raise AxiomViolation("coproduct of the unit is not 1 (x) 1")
+        deltas = [self.coproduct_sparse(i) for i in range(d)]
         for i in range(d):
-            di = self.coproduct_sparse(i)
             for j in range(d):
-                want = {}
-                eps = F.zero()
-                for k, c in self.basis_product(i, j):
-                    eps = eps + c * self.counit[k]
-                    for a, b, cc in self.coprod[k]:
-                        key = (a, b)
-                        t = want.get(key, F.zero()) + c * cc
-                        if t:
-                            want[key] = t
-                        elif key in want:
-                            del want[key]
-                got = self.tensor_square_product(
-                    di, self.coproduct_sparse(j)
+                ij = self.basis_product(i, j)
+                want = lincomb(
+                    ((a, b), c * cc)
+                    for k, c in ij for a, b, cc in self.coprod[k]
                 )
-                if got != want:
+                if tensor_product(mult, mult, deltas[i], deltas[j]) != want:
                     raise AxiomViolation(
                         "coproduct is not multiplicative at (%d, %d)"
                         % (i, j)
                     )
+                eps = sum((c * self.counit[k] for k, c in ij), F.zero())
                 if eps != self.counit[i] * self.counit[j]:
                     raise AxiomViolation(
                         "counit is not multiplicative at (%d, %d)"
                         % (i, j)
                     )
         # antipode identity on both sides
+        S = [
+            {u: c for u, c in enumerate(self.antipode.col(j)) if c}
+            for j in range(d)
+        ]
         for i in range(d):
-            left = [F.zero()] * d
-            right = [F.zero()] * d
-            for j, k, c in self.coprod[i]:
-                sj = self.antipode.col(j)
-                ek = self.basis_vector(k)
-                term = self.multiply(sj, ek)
-                for u in range(d):
-                    if term[u]:
-                        left[u] = left[u] + c * term[u]
-                sk = self.antipode.col(k)
-                term = self.multiply(self.basis_vector(j), sk)
-                for u in range(d):
-                    if term[u]:
-                        right[u] = right[u] + c * term[u]
-            want = [self.counit[i] * u for u in self.unit]
+            left = lincomb(
+                (u, c * s * cu)
+                for j, k, c in self.coprod[i]
+                for l, s in S[j].items()
+                for u, cu in mult.get((l, k), ())
+            )
+            right = lincomb(
+                (u, c * s * cu)
+                for j, k, c in self.coprod[i]
+                for l, s in S[k].items()
+                for u, cu in mult.get((j, l), ())
+            )
+            want = lincomb((u, self.counit[i] * c) for u, c in one.items())
             if left != want or right != want:
                 raise AxiomViolation(
                     "antipode identity fails at basis %d" % i
@@ -355,19 +329,17 @@ class HopfAlgebra:
         rows = []
         rhs = []
         for i in range(d):
-            coeff = {}
-            for j, k, c in self.coprod[i]:
-                for l in range(d):
-                    for u, cu in self.basis_product(l, k):
-                        key = (u, l, j)
-                        coeff[key] = coeff.get(key, F.zero()) + c * cu
-            for u in range(d):
-                row = [F.zero()] * (d * d)
-                for (uu, l, j), c in coeff.items():
-                    if uu == u:
-                        row[l * d + j] = row[l * d + j] + c
-                rows.append(row)
-                rhs.append(self.counit[i] * self.unit[u])
+            coeff = lincomb(
+                ((u, l * d + j), c * cu)
+                for j, k, c in self.coprod[i]
+                for l in range(d)
+                for u, cu in self.mult.get((l, k), ())
+            )
+            block = [[F.zero()] * (d * d) for _ in range(d)]
+            for (u, col), c in coeff.items():
+                block[u][col] = c
+            rows.extend(block)
+            rhs.extend(self.counit[i] * w for w in self.unit)
         sol = Matrix(F, rows, ncols=d * d).solve(rhs)
         if sol is None:
             raise AxiomViolation(
@@ -483,10 +455,6 @@ def taft(field, m, n, q) -> HopfAlgebra:
     counit = [one if b == 0 else F.zero()
               for a in range(mn) for b in range(m)]
 
-    helper = HopfAlgebra.__new__(HopfAlgebra)
-    helper.field = F
-    helper.dim = d
-    helper.mult = mult
     delta_g = {(g, g): one}
     delta_x = {(x, g): one, (idx(0, 0), x): one}
     coprod = []
@@ -494,9 +462,9 @@ def taft(field, m, n, q) -> HopfAlgebra:
         for b in range(m):
             acc = {(idx(0, 0), idx(0, 0)): one}
             for _ in range(a):
-                acc = helper.tensor_square_product(acc, delta_g)
+                acc = tensor_product(mult, mult, acc, delta_g)
             for _ in range(b):
-                acc = helper.tensor_square_product(acc, delta_x)
+                acc = tensor_product(mult, mult, acc, delta_x)
             coprod.append([(j, k, c) for (j, k), c in acc.items()])
     return HopfAlgebra(F, names_h, mult, coprod, counit, unit)
 
@@ -549,10 +517,6 @@ def nichols16(field) -> HopfAlgebra:
                         (idx((a + c) % 2, sb | tb), s),
                     )
 
-    helper = HopfAlgebra.__new__(HopfAlgebra)
-    helper.field = F
-    helper.dim = d
-    helper.mult = mult
     g = idx(1, 0)
     e0 = idx(0, 0)
     delta_g = {(g, g): one}
@@ -561,11 +525,11 @@ def nichols16(field) -> HopfAlgebra:
         for bits in range(8):
             acc = {(e0, e0): one}
             for _ in range(a):
-                acc = helper.tensor_square_product(acc, delta_g)
+                acc = tensor_product(mult, mult, acc, delta_g)
             for i in bits_list(bits):
                 xi = idx(0, 1 << i)
                 dxi = {(e0, xi): one, (xi, g): one}
-                acc = helper.tensor_square_product(acc, dxi)
+                acc = tensor_product(mult, mult, acc, dxi)
             coprod.append([(j, k, c) for (j, k), c in acc.items()])
     counit = [one if bits == 0 else F.zero()
               for a in range(2) for bits in range(8)]
@@ -593,24 +557,6 @@ def action_to_coaction(H: HopfAlgebra, action, algebra_mult,
     if len(action) != d:
         raise ValueError("need one action matrix per basis element")
 
-    def amul(xvec, yvec):
-        out = [F.zero()] * dA
-        for i, xi in enumerate(xvec):
-            if not xi:
-                continue
-            for j, yj in enumerate(yvec):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, ck in algebra_mult.get((i, j), ()):
-                    out[k] = out[k] + c * ck
-        return out
-
-    def basis(s):
-        v = [F.zero()] * dA
-        v[s] = F.one()
-        return v
-
     # unit of H acts as the identity
     acc = Matrix.zeros(F, dA, dA)
     for i, ci in enumerate(H.unit):
@@ -631,6 +577,10 @@ def action_to_coaction(H: HopfAlgebra, action, algebra_mult,
                     % (i, j)
                 )
     # module-algebra law against the coproduct, and unitality
+    cols = [
+        [{u: x for u, x in enumerate(M.col(s)) if x} for s in range(dA)]
+        for M in action
+    ]
     for i in range(d):
         got_unit = action[i].mul_vec(algebra_unit)
         want_unit = [H.counit[i] * u for u in algebra_unit]
@@ -641,34 +591,28 @@ def action_to_coaction(H: HopfAlgebra, action, algebra_mult,
             )
         for s in range(dA):
             for t in range(dA):
-                prod = [F.zero()] * dA
-                for k, ck in algebra_mult.get((s, t), ()):
-                    prod[k] = ck
-                lhs = action[i].mul_vec(prod)
-                rhs = [F.zero()] * dA
-                for j, k, c in H.coprod[i]:
-                    term = amul(
-                        action[j].mul_vec(basis(s)),
-                        action[k].mul_vec(basis(t)),
-                    )
-                    for u in range(dA):
-                        if term[u]:
-                            rhs[u] = rhs[u] + c * term[u]
+                lhs = lincomb(
+                    (u, c * x)
+                    for k, c in algebra_mult.get((s, t), ())
+                    for u, x in cols[i][k].items()
+                )
+                rhs = lincomb(
+                    (u, c * x)
+                    for j, k, c in H.coprod[i]
+                    for u, x in sparse_product(
+                        algebra_mult, cols[j][s], cols[k][t]
+                    ).items()
+                )
                 if lhs != rhs:
                     raise NotModuleAlgebra(
                         "the Leibniz-style module-algebra law fails at "
                         "basis %d on (%d, %d)" % (i, s, t)
                     )
     K = dual(H)
-    rho = []
-    for s in range(dA):
-        entry = {}
-        for i in range(d):
-            col = action[i].col(s)
-            for t in range(dA):
-                if col[t]:
-                    entry[(t, i)] = col[t]
-        rho.append(entry)
+    rho = [
+        lincomb(((t, i), x) for i in range(d) for t, x in cols[i][s].items())
+        for s in range(dA)
+    ]
     return K, rho
 
 

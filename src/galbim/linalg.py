@@ -9,8 +9,7 @@ small inputs rather than trusting one code path.
 from __future__ import annotations
 
 from .errors import EigenvalueOutsideField, NotAField
-from .matrix import Matrix, vec_is_zero
-from .poly import Polynomial
+from .matrix import Matrix
 
 
 def stack_kernel(matrices):

@@ -434,13 +434,6 @@ class Matrix:
             x[pc] = R.rows[r][m]
         return x
 
-    def solve_all(self, b):
-        """(particular solution, kernel basis) or None if inconsistent."""
-        x = self.solve(b)
-        if x is None:
-            return None
-        return x, self.kernel()
-
     # ------------------------------------------- characteristic structure
 
     def charpoly(self):
@@ -570,7 +563,3 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
         for i in range(A.nrows)
     ]
     return Matrix.from_blocks(A.field, blocks)
-
-
-def vec_is_zero(v):
-    return all(not a for a in v)

@@ -32,6 +32,7 @@ from .towers import (
     RationalFunctionField,
     chain,
     evaluate,
+    generator_layers,
     is_layer_of,
 )
 
@@ -46,9 +47,7 @@ class FieldMorphism:
         self.codomain = codomain
         fixed = {}
         moved = {}
-        for layer in chain(domain):
-            if not isinstance(layer, (ExtensionField, RationalFunctionField)):
-                continue
+        for layer in generator_layers(domain):
             canonical = None
             if is_layer_of(layer, codomain):
                 canonical = codomain.coerce(layer.gen())
@@ -97,8 +96,7 @@ class FieldMorphism:
         if self._key is None:
             self._key = tuple(
                 _elem_sort_key(self.images[layer])
-                for layer in chain(self.domain)
-                if isinstance(layer, (ExtensionField, RationalFunctionField))
+                for layer in generator_layers(self.domain)
             )
         return self._key
 
@@ -137,9 +135,8 @@ class FieldMorphism:
 
     def __repr__(self):
         parts = []
-        for layer in chain(self.domain):
-            if isinstance(layer, (ExtensionField, RationalFunctionField)):
-                parts.append("%s -> %r" % (layer.var, self.images[layer]))
+        for layer in generator_layers(self.domain):
+            parts.append("%s -> %r" % (layer.var, self.images[layer]))
         return "{%s}" % ", ".join(parts)
 
 

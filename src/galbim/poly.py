@@ -9,10 +9,7 @@ polynomial-only computations never pay for gcds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import FieldMismatch, NotInvertible, UnsupportedBase
-from .fieldbase import QQ
 
 
 class Polynomial:
@@ -65,11 +62,6 @@ class Polynomial:
         if not self.coeffs:
             return self.field.zero()
         return self.coeffs[-1]
-
-    def constant_term(self):
-        if not self.coeffs:
-            return self.field.zero()
-        return self.coeffs[0]
 
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
@@ -236,15 +228,6 @@ class Polynomial:
 
     def map_coeffs(self, field, fn):
         return Polynomial(field, [fn(c) for c in self.coeffs])
-
-    def shift_degree(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        zero = self.field.zero()
-        return Polynomial(
-            self.field, (zero,) * k + self.coeffs, trusted=True
-        )
 
     def __eq__(self, other):
         return (

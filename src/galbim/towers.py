@@ -33,8 +33,6 @@ bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     DegreeBound,
     FieldMismatch,
@@ -42,7 +40,7 @@ from .errors import (
     Reducible,
     UnsupportedBase,
 )
-from .fieldbase import Field, PrimeField, QQ, RationalField
+from .fieldbase import Field, QQ
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -97,9 +95,6 @@ class RationalFunctionField(Field):
             self, p, Polynomial.one(self.coefficient_field), trusted=True
         )
 
-    def from_polys(self, num: Polynomial, den: Polynomial):
-        return RationalFunction(self, num, den)
-
     def coerce(self, x):
         if isinstance(x, RationalFunction):
             if x.field is self:
@@ -111,9 +106,6 @@ class RationalFunctionField(Field):
         if isinstance(x, Polynomial) and x.field is self.coefficient_field:
             return self.from_polynomial(x)
         return self.constant(self.coefficient_field.coerce(x))
-
-    def is_element(self, x):
-        return isinstance(x, RationalFunction) and x.field is self
 
     def __repr__(self):
         return "%r(%s)" % (self.coefficient_field, self.var)
@@ -312,9 +304,6 @@ class ExtensionField(Field):
             (c,) + (self.base.zero(),) * (self.degree - 1),
         )
 
-    def is_element(self, x):
-        return isinstance(x, ExtElement) and x.field is self
-
     def from_coords(self, coords):
         coords = [self.base.coerce(c) for c in coords]
         if len(coords) > self.degree:
@@ -474,6 +463,12 @@ def evaluate(x, layer, images, lift):
     if x.is_polynomial():
         return num
     return num / x.den.evaluate(img, lift=down)
+
+
+def generator_layers(field):
+    """The layers of ``field``'s tower that carry a generator: every
+    layer above the bottom prime field, bottom first."""
+    return chain(field)[1:]
 
 
 def is_layer_of(sub, field) -> bool:

@@ -109,6 +109,44 @@ def test_monoid_without_inverses_has_no_antipode():
                     counit=[ONE, ONE], unit=[ONE, ZERO])
 
 
+Z2 = [[0, 1], [1, 0]]
+Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("table, dualize, part, key, value, message", [
+    # g g = 1 in Z3
+    (Z3, False, "mult", (1, 1), ((0, ONE),), "associativity fails"),
+    # a new leg e1 (x) e1 in the coproduct of e0, functions on Z3
+    (Z3, True, "coprod", 0, ((1, 1, ONE),), "coassociativity fails"),
+    # the e1 (x) e1 leg of the coproduct of e0 doubled, functions on Z2
+    (Z2, True, "coprod", 0, ((1, 1, ONE),),
+     r"coproduct of the unit is not 1 \(x\) 1"),
+    # g g = 2 in Z2
+    (Z2, False, "mult", (1, 1), ((0, 2 * ONE),),
+     "coproduct is not multiplicative"),
+    # g g = 0 in Z2: the coproduct stays multiplicative, the counit not
+    (Z2, False, "mult", (1, 1), (), "counit is not multiplicative"),
+    # S(g) = -g in Z2
+    (Z2, False, "antipode", (1, 1), -ONE, "antipode identity fails"),
+])
+def test_verify_names_the_broken_axiom(table, dualize, part, key, value,
+                                       message):
+    H = group_algebra(QQ, table)
+    if dualize:
+        H = dual(H)
+    mult, coprod = dict(H.mult), list(H.coprod)
+    S = [list(row) for row in H.antipode.rows]
+    if part == "mult":
+        mult[key] = value
+    elif part == "coprod":
+        coprod[key] = coprod[key] + value
+    else:
+        S[key[0]][key[1]] = value
+    with pytest.raises(AxiomViolation, match=message):
+        HopfAlgebra(QQ, H.names, mult, coprod, H.counit, H.unit,
+                    antipode=Matrix(QQ, S))
+
+
 def test_taft_2_2_structure(taft22):
     T = taft22
     assert T.dim == 8

@@ -1,7 +1,8 @@
 """Package hygiene: the package docstring and the install entry points
-name only modules that exist, and every library exception has a raise
-site in the package."""
+name only modules that exist, every library exception has a raise site
+in the package, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -44,3 +45,45 @@ def test_every_error_is_raised():
         if not re.search(r"raise\s+%s\b" % name, source)
     ]
     assert unraised == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a name listed in __all__ is re-exported, which counts as a use
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def test_no_unused_imports():
+    unused = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert unused == []
+
+
+def test_unused_import_guard_sees_uses():
+    tree = ast.parse(
+        "import os.path\n"
+        "from a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "os.path.join(d)\n"
+    )
+    assert _unused_imports(tree) == [(2, "b")]
