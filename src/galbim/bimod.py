@@ -1013,24 +1013,29 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
     polynomials tracked for adjoined roots are upper bounds for the
     spectra, so the probe may extend further than strictly necessary,
     but a DegreeBound raised here honestly means the ladder exceeded
-    the cap without resolving."""
+    the cap without resolving.
+
+    Each needed polynomial keeps its remaining factor: the polynomial
+    with every root in the step's pool divided out to its full
+    multiplicity.  The embedding of a step's field into the next is
+    injective, so a pool element that is not a root stays a non-root
+    one step up; a remainder is therefore scanned only against the new
+    pool elements, those involving the new generator, and only a new
+    lineage polynomial meets the whole pool."""
     L = P.field
-    needed = []
+    pool = _probe_pool(L, hints)
+    remainders = []
     tracked = {}
     for g in _tower_generators(L):
         mu = min_poly_right(P, g)
-        needed.append(mu)
+        remainders.append(_scan_remaining(mu, pool))
         tracked[_elem_sort_key(g)] = (g, mu)
     E = L
     step = 0
     while True:
-        remainings = []
-        for f in needed:
-            fE = f.map_coeffs(E, E.coerce) if f.field is not E else f
-            rem = _scan_remaining(fE, E, hints)
-            if rem.degree >= 1:
-                remainings.append(rem)
-        if not remainings:
+        # a linear remainder has its root in E already
+        remainders = [rem for rem in remainders if rem.degree >= 2]
+        if not remainders:
             return ProbeResult(field=E, steps=step, resolved=True)
         step += 1
         if step > max_steps:
@@ -1038,11 +1043,16 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
                 "splitting probe made no decision within %d steps"
                 % max_steps
             )
-        rel, lineage = _peel_binomial(remainings[0], E, tracked, hints)
+        rel, lineage = _peel_binomial(remainders[0], E, tracked, pool)
         w = extend(E, rel, "q%d" % step, max_degree=cap, validate=False)
+        pool = _probe_pool(w, hints)
+        fresh = [r for r in pool if any(r.coords[1:])]   # not from E
+        remainders = [
+            _scan_remaining(rem.map_coeffs(w, w.coerce), fresh)
+            for rem in remainders
+        ]
         lineage_w = lineage.map_coeffs(w, w.coerce)
-        needed = [f.map_coeffs(w, w.coerce) for f in needed]
-        needed.append(lineage_w)
+        remainders.append(_scan_remaining(lineage_w, pool))
         gen = w.coerce(w.gen())
         tracked = {
             _elem_sort_key(w.coerce(v)): (w.coerce(v),
@@ -1066,17 +1076,16 @@ def _probe_pool(E, hints):
     return pool
 
 
-def _scan_remaining(f: Polynomial, E, hints) -> Polynomial:
-    remaining = f
-    for r in _probe_pool(E, hints):
-        while remaining.degree >= 1 and not remaining.evaluate(r):
-            remaining = remaining // Polynomial(E, [-r, E.one()])
-    if remaining.degree == 1:
-        return Polynomial.one(E)
-    return remaining
+def _scan_remaining(f: Polynomial, roots) -> Polynomial:
+    """f with each of ``roots`` divided out to its full multiplicity."""
+    E = f.field
+    for r in roots:
+        while f.degree >= 1 and not f.evaluate(r):
+            f = f // Polynomial(E, [-r, E.one()])
+    return f
 
 
-def _peel_binomial(rem: Polynomial, E, tracked, hints):
+def _peel_binomial(rem: Polynomial, E, tracked, pool):
     """Extract a binomial step x^m - c with a tracked spectrum bound
     for c from a remaining factor; returns (relation, lineage).
 
@@ -1098,7 +1107,7 @@ def _peel_binomial(rem: Polynomial, E, tracked, hints):
         c = -g.coeff(0)
     else:
         c = None
-        for r in _probe_pool(E, hints):
+        for r in pool:
             if not g.evaluate(r):
                 c = r
                 break
@@ -1108,7 +1117,7 @@ def _peel_binomial(rem: Polynomial, E, tracked, hints):
             )
     m = k
     while m % 2 == 0 and m > 2:
-        half = _scan_root_of_square(c, E, hints)
+        half = _scan_root_of_square(c, pool)
         if half is None:
             break
         m //= 2
@@ -1136,8 +1145,8 @@ def _peel_binomial(rem: Polynomial, E, tracked, hints):
     )
 
 
-def _scan_root_of_square(c, E, hints):
-    for r in _probe_pool(E, hints):
+def _scan_root_of_square(c, pool):
+    for r in pool:
         if r * r == c:
             return r
     return None

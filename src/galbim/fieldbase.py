@@ -73,7 +73,12 @@ QQ = RationalField()
 
 
 class PrimeFieldElement:
-    """Residue in F_p.  Immutable; arithmetic stays in one field."""
+    """Residue in F_p.  Immutable; arithmetic stays in one field.
+
+    ``GF(p)(3) == 3`` holds, and so does ``GF(p)(3) == 3 + p``, because
+    ints compare mod p.  No hash agrees with both 3 and 3 + p, so an
+    element and an equal int may hash differently: do not mix them as
+    keys of one set or dict."""
 
     __slots__ = ("field", "value")
 

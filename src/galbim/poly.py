@@ -158,16 +158,20 @@ class Polynomial:
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
         zero = self.field.zero()
+        one = self.field.one()
         rem = list(self.coeffs)
         dq = self.degree - other.degree
         quo = [zero] * (dq + 1)
-        inv_lead = self.field.one() / other.leading()
+        # a monic divisor needs no inverse (in a tower every inverse
+        # reduces by a monic relation, so this also stops the chain)
+        lead = other.leading()
+        inv_lead = None if lead == one else one / lead
         oc = other.coeffs
         for k in range(dq, -1, -1):
             c = rem[other.degree + k]
             if not c:
                 continue
-            q = c * inv_lead
+            q = c if inv_lead is None else c * inv_lead
             quo[k] = q
             for j, b in enumerate(oc):
                 if b:
@@ -468,19 +472,24 @@ def qbinom(n: int, i: int, q):
 class RationalFunction:
     """num/den over a coefficient field; den monic and coprime to num.
 
-    The ``field`` slot points to the owning RationalFunctionField (an
-    opaque handle here; the class only needs the coefficient field that
-    the numerator carries).
+    The ``field`` slot points to the owning RationalFunctionField, which
+    supplies its constants, zero and one.  Whether den is 1 is tested
+    once, when the value is built; callers that know it pass
+    ``polynomial``.
+
+    A constant hashes as its coefficient, so it agrees with the equal
+    element of the coefficient field.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_polynomial")
 
-    def __init__(self, field, num, den, trusted=False):
+    def __init__(self, field, num, den, trusted=False, polynomial=None):
         if not trusted:
             num, den = _normalize_ratfunc(num, den)
         self.field = field
         self.num = num
         self.den = den
+        self._polynomial = den.is_one() if polynomial is None else polynomial
 
     def _check(self, other):
         if isinstance(other, RationalFunction):
@@ -488,26 +497,21 @@ class RationalFunction:
                 raise FieldMismatch("rational functions over different fields")
             return other
         try:
-            c = self.num.field.coerce(other)
+            return self.field.constant(other)
         except (FieldMismatch, TypeError):
             return None
-        return RationalFunction(
-            self.field,
-            Polynomial.constant(self.num.field, c),
-            Polynomial.one(self.num.field),
-            trusted=True,
-        )
 
     def is_polynomial(self):
-        return self.den.is_one()
+        return self._polynomial
 
     def __add__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
+        if self._polynomial and other._polynomial:
             return RationalFunction(
-                self.field, self.num + other.num, self.den, trusted=True
+                self.field, self.num + other.num, self.den, trusted=True,
+                polynomial=True,
             )
         num = self.num * other.den + other.num * self.den
         den = self.den * other.den
@@ -516,7 +520,10 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.field, -self.num, self.den, trusted=True)
+        return RationalFunction(
+            self.field, -self.num, self.den, trusted=True,
+            polynomial=self._polynomial,
+        )
 
     def __sub__(self, other):
         other = self._check(other)
@@ -533,9 +540,10 @@ class RationalFunction:
             return NotImplemented
         if not self.num or not other.num:
             return self.field.zero()
-        if self.den.is_one() and other.den.is_one():
+        if self._polynomial and other._polynomial:
             return RationalFunction(
-                self.field, self.num * other.num, self.den, trusted=True
+                self.field, self.num * other.num, self.den, trusted=True,
+                polynomial=True,
             )
         # cross-reduce before multiplying to keep degrees small
         a, d2 = _cross_reduce(self.num, other.den)
@@ -550,7 +558,8 @@ class RationalFunction:
         num, den = self.den, self.num
         scale = self.num.field.one() / den.leading()
         return RationalFunction(
-            self.field, num.scale(scale), den.scale(scale), trusted=True
+            self.field, num.scale(scale), den.scale(scale), trusted=True,
+            polynomial=den.degree == 0,
         )
 
     def __truediv__(self, other):
@@ -591,6 +600,8 @@ class RationalFunction:
         return self == checked
 
     def __hash__(self):
+        if self._polynomial and self.num.degree <= 0:
+            return hash(self.num.coeff(0))
         return hash(("ratfunc", self.num.coeffs, self.den.coeffs))
 
     def __bool__(self):
@@ -599,7 +610,7 @@ class RationalFunction:
     def __repr__(self):
         var = getattr(self.field, "var", "t")
         ns = format_poly(self.num, var)
-        if self.den.is_one():
+        if self._polynomial:
             return ns
         ds = format_poly(self.den, var)
         return "(%s)/(%s)" % (ns, ds)

@@ -60,13 +60,9 @@ class RationalFunctionField(Field):
         self.var = var
         self.characteristic = coefficient_field.characteristic
         one_poly = Polynomial.one(coefficient_field)
-        self._zero = RationalFunction(
-            self, Polynomial.zero(coefficient_field), one_poly, trusted=True
-        )
-        self._one = RationalFunction(self, one_poly, one_poly, trusted=True)
-        self._gen = RationalFunction(
-            self, Polynomial.x(coefficient_field), one_poly, trusted=True
-        )
+        self._zero = self.from_polynomial(Polynomial.zero(coefficient_field))
+        self._one = self.from_polynomial(one_poly)
+        self._gen = self.from_polynomial(Polynomial.x(coefficient_field))
 
     def zero(self):
         return self._zero
@@ -81,18 +77,16 @@ class RationalFunctionField(Field):
         return self.constant(self.coefficient_field.from_int(n))
 
     def constant(self, c):
-        return RationalFunction(
-            self,
-            Polynomial.constant(self.coefficient_field, c),
-            Polynomial.one(self.coefficient_field),
-            trusted=True,
+        return self.from_polynomial(
+            Polynomial.constant(self.coefficient_field, c)
         )
 
     def from_polynomial(self, p: Polynomial):
         if p.field is not self.coefficient_field:
             p = Polynomial(self.coefficient_field, p.coeffs)
         return RationalFunction(
-            self, p, Polynomial.one(self.coefficient_field), trusted=True
+            self, p, Polynomial.one(self.coefficient_field), trusted=True,
+            polynomial=True,
         )
 
     def coerce(self, x):
@@ -113,7 +107,10 @@ class RationalFunctionField(Field):
 
 class ExtElement:
     """Element of an algebraic extension, stored as coordinates over the
-    base in the power basis of the generator."""
+    base in the power basis of the generator.
+
+    An element of the base layer hashes as its coordinate there, so it
+    agrees with the equal element of any lower layer."""
 
     __slots__ = ("field", "coords")
 
@@ -229,6 +226,8 @@ class ExtElement:
         return a == b
 
     def __hash__(self):
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash(("ext", self.field.var, self.coords))
 
     def __bool__(self):

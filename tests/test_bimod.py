@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import galbim.bimod as bimod_module
 from galbim.errors import (
     ClassificationFailed,
     CoefficientEscapesZ,
@@ -509,10 +510,9 @@ def test_base_change_nonnormal_not_split():
 # --------------------------------------------- undecidable spectra
 
 
-def test_spectral_recursion_is_undecidable_within_bounds():
-    # phi sends the transcendental s to diag(s^2, t, t): resolving the
-    # right spectra needs s^(1/2^k) for every k, so the splitting
-    # ladder must overrun any degree cap
+def _spectral_bimodule():
+    """phi sends the transcendental s to diag(s^2, t, t) over
+    L = Q(s)[t]/(t^2 - s)."""
     Fs = RationalFunctionField(QQ, "s")
     L = extend(Fs, Polynomial(Fs, [-Fs.gen(), Fs.zero(), Fs.one()]), "t")
     t = L.coerce(L.gen())
@@ -520,7 +520,23 @@ def test_spectral_recursion_is_undecidable_within_bounds():
     z = L.zero()
     phi_t = Matrix(L, [[s, z, z], [z, z, t], [z, L.one(), z]])
     phi_s = Matrix.diagonal(L, [s * s, t, t])
-    P = Bimodule(L, {L: phi_t, Fs: phi_s}, base=QQ)
+    return Bimodule(L, {L: phi_t, Fs: phi_s}, base=QQ), s, t
+
+
+def _companion_bimodule(n):
+    """Rank n over Q(s) with s acting as the companion of x^n - s."""
+    Fs = RationalFunctionField(QQ, "s")
+    rows = [[Fs.zero()] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = Fs.one()
+    rows[0][n - 1] = Fs.gen()
+    return Bimodule(Fs, {Fs: Matrix(Fs, rows)}, base=QQ)
+
+
+def test_spectral_recursion_is_undecidable_within_bounds():
+    # resolving the right spectra needs s^(1/2^k) for every k, so the
+    # splitting ladder must overrun any degree cap
+    P, s, t = _spectral_bimodule()
     sub, exact = P.center()
     assert exact is False
 
@@ -536,3 +552,45 @@ def test_spectral_recursion_is_undecidable_within_bounds():
     v = galois_verdict(P)
     assert v.weakly_galois is None and v.galois is None
     assert isinstance(v.obstruction, DegreeBound)
+
+
+@pytest.fixture
+def adjoined(monkeypatch):
+    """Relations that split_probe hands to extend, in order."""
+    rels = []
+    real = bimod_module.extend
+
+    def record(base, rel, var, **kw):
+        rels.append(repr(rel))
+        return real(base, rel, var, **kw)
+
+    monkeypatch.setattr(bimod_module, "extend", record)
+    return rels
+
+
+@pytest.mark.parametrize("build, ladder", [
+    (lambda: _spectral_bimodule()[0],
+     ["x^2 - t", "x^2 - q1", "x^2 + q1", "x^2 - q2"]),
+    (lambda: _companion_bimodule(2),
+     ["x^2 - s", "x^2 - q1", "x^2 + q1", "x^2 - q2", "x^2 + q2"]),
+], ids=["spectral", "rank2"])
+def test_split_probe_ladder_is_pinned(adjoined, build, ladder):
+    P = build()
+    with pytest.raises(DegreeBound, match="tower degree 32 exceeds the cap 16"):
+        split_probe(P, cap=16)
+    assert adjoined == ladder
+    del adjoined[:]
+    with pytest.raises(ResolutionError,
+                       match="made no decision within 2 steps"):
+        split_probe(P, cap=16, max_steps=2)
+    assert adjoined == ladder[:2]
+
+
+@pytest.mark.parametrize("n, message", [
+    (3, "only follows binomial ladders"),
+    (4, "cannot bound the spectrum"),
+])
+def test_split_probe_stops_off_binomial_ladders(adjoined, n, message):
+    with pytest.raises(ResolutionError, match=message):
+        split_probe(_companion_bimodule(n), cap=16)
+    assert adjoined == ["x^%d - s" % n]

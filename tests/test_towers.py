@@ -145,6 +145,21 @@ def test_cross_layer_arithmetic_coerces_up():
     ]
 
 
+def test_equal_elements_of_different_layers_hash_alike():
+    K = make_sqrt_tower()
+    a = K.base.gen()
+    b = K.coerce(a)
+    assert a == b and len({a, b}) == 1
+    assert len({K.one(), K.base.one(), Fraction(1), 1}) == 1
+    assert len({K.zero(), Fraction(0)}) == 1
+    Ft = RationalFunctionField(K, "t")
+    c = Ft.coerce(b)
+    assert c == a and len({a, b, c}) == 1
+    assert len({Ft.one(), K.one(), Fraction(1)}) == 1
+    # elements off the base layer keep distinct hashes
+    assert len({K.gen(), K.gen() + 1, a, Ft.gen()}) == 4
+
+
 def test_cyclotomic_polynomials_frozen():
     x = Polynomial.x(QQ)
     assert cyclotomic_polynomial(1) == x - 1
