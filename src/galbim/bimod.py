@@ -94,7 +94,7 @@ class Bimodule:
     module."""
 
     __slots__ = ("field", "rank", "images", "base", "label", "_phi_cache",
-                 "_center", "_analyses")
+                 "_center")
 
     def __init__(self, field, images=None, rank=None, base=None,
                  check=True, label=None):
@@ -131,7 +131,6 @@ class Bimodule:
         self.images = full
         self._phi_cache = {}
         self._center = None
-        self._analyses = {}
         if check:
             self._verify()
 
@@ -579,17 +578,6 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     tower E (built over the same center layer) together with optional
     root hints, and everything found inside it is verified rather than
     trusted."""
-    iota_key = None
-    if iota_images is not None:
-        iota_key = tuple(sorted(
-            (layer.var, _elem_sort_key(img))
-            for layer, img in iota_images.items()
-        ))
-    ck = (id(E), iota_key, tuple(_elem_sort_key(h) for h in hints),
-          expected_gamma)
-    cached = P._analyses.get(ck)
-    if cached is not None:
-        return cached
     L = P.field
     d = P.rank
     center, exact = P.center()
@@ -768,7 +756,6 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         is_split=is_split,
         h_normal=h_normal,
     )
-    P._analyses[ck] = analysis
     return analysis
 
 

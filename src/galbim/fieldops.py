@@ -27,6 +27,8 @@ from .matrix import Matrix
 from .morphisms import (
     AutomorphismGroup,
     FieldMorphism,
+    _candidate_pool,
+    _roots_in_pool,
     identity_morphism,
     inclusion_morphism,
 )
@@ -346,53 +348,15 @@ def splitting_field(
         )
 
 
-def locate_roots(f: Polynomial, E, hints=(), allow_partial=False):
+def locate_roots(f: Polynomial, E, hints=()):
     """Find roots of f inside the tower E by candidate search.
 
     f's coefficients live in a sublayer of E (or E itself).  Returns
     (root, multiplicity) pairs; raises ResolutionError if the located
-    roots do not fully split f.  With allow_partial=True returns
-    (pairs, remaining_factor) instead of raising."""
-    from .morphisms import _candidate_pool
-
-    fE = f.map_coeffs(E, E.coerce)
-    pool = _candidate_pool(E, hints)
-    found = []
-    remaining = fE
-    for r in pool:
-        if remaining.degree < 1:
-            break
-        mult = 0
-        while True:
-            val = remaining.evaluate(r)
-            if val:
-                break
-            x_minus_r = Polynomial(E, [-r, E.one()])
-            remaining = remaining // x_minus_r
-            mult += 1
-        if mult:
-            found.append((r, mult))
-    if remaining.degree >= 2:
-        # pool missed some root; fall back to real factorization where
-        # the tower supports it
-        from .factor import roots_in_coefficient_field
-
-        try:
-            located = roots_in_coefficient_field(remaining)
-        except UnsupportedBase:
-            located = []
-        for r, mult in located:
-            found.append((r, mult))
-            x_minus_r = Polynomial(E, [-r, E.one()])
-            for _ in range(mult):
-                remaining = remaining // x_minus_r
-    if remaining.degree == 1:
-        # sum-of-roots completion for the last missing root
-        r = -remaining.coeff(0) / remaining.coeff(1)
-        found.append((r, 1))
-        remaining = Polynomial.one(E)
-    if allow_partial:
-        return found, remaining
+    roots do not fully split f."""
+    found, remaining = _roots_in_pool(
+        f.map_coeffs(E, E.coerce), E, _candidate_pool(E, hints)
+    )
     if remaining.degree >= 1:
         raise ResolutionError(
             "could not split the polynomial in the supplied tower; "

@@ -9,7 +9,7 @@ Hessenberg reduction; minimal polynomials through Krylov chains.
 from __future__ import annotations
 
 from .errors import FieldMismatch, NotInvertible
-from .poly import Polynomial, poly_gcd, poly_lcm
+from .poly import Polynomial, poly_gcd, poly_lcm, power
 
 
 class Matrix:
@@ -233,15 +233,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self):
         return Matrix(self.field, tuple(zip(*self.rows)), trusted=True)
@@ -388,35 +380,12 @@ class Matrix:
         if not self.is_square():
             raise NotInvertible("inverse of a non-square matrix")
         n = self.nrows
-        zero, one = self.field.zero(), self.field.one()
-        rows = [
-            list(r) + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                raise NotInvertible("matrix is singular")
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = one / rows[c][c]
-            rows[c] = [inv * a for a in rows[c]]
-            for i in range(n):
-                if i != c and rows[i][c]:
-                    f = rows[i][c]
-                    ri, rc = rows[i], rows[c]
-                    rows[i] = [
-                        ri[j] - f * rc[j] if rc[j] else ri[j]
-                        for j in range(2 * n)
-                    ]
-        return Matrix(
-            self.field,
-            tuple(tuple(r[n:]) for r in rows),
-            trusted=True,
-        )
+        R, pivots = Matrix.from_blocks(
+            self.field, [[self, Matrix.identity(self.field, n)]]
+        ).rref()
+        if pivots != list(range(n)):
+            raise NotInvertible("matrix is singular")
+        return R.submatrix(range(n), range(n, 2 * n))
 
     def solve(self, b):
         """One solution of M x = b, or None if inconsistent."""

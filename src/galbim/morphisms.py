@@ -7,12 +7,15 @@ layers the caller leaves out map canonically.  Application is
 their own generators) is left to coercion.  Composition reads left to
 right: (f * g)(x) = g(f(x)).
 
-Automorphism enumeration works by backtracking over layer generators:
-candidate images are drawn from a finite pool (tower generators, their
-negatives, supplied hints, two rounds of pairwise products, and a
-sum-of-roots completion), filtered by the mapped relation at each node.
-When the caller states an expected order and fewer maps are found, the
-search reports failure rather than returning a silently partial group.
+Automorphism enumeration works by backtracking over layer generators.
+At each node the generator's images are the roots of the mapped
+relation, found by ``_roots_in_pool``: a scan of a finite candidate pool
+(tower generators, their negatives, supplied hints and two rounds of
+pairwise products) that divides each root out, then factors what is
+left where the codomain allows it.  ``fieldops.locate_roots`` runs the
+same scan.  When the caller states an expected order and fewer maps are
+found, the search reports failure rather than returning a silently
+partial group.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     UnsupportedBase,
 )
 from .factor import _elem_sort_key, roots_in_coefficient_field
+from .poly import Polynomial
 from .towers import (
     ExtensionField,
     RationalFunctionField,
@@ -343,6 +347,39 @@ def _candidate_pool(field, hints):
     return list(pool.values())
 
 
+def _roots_in_pool(f, E, pool):
+    """Roots of f in E, found by scanning ``pool`` in order and dividing
+    each root out to its full multiplicity.
+
+    A leftover of degree >= 2 is factored where E supports it; a linear
+    leftover gives its root directly.  Returns (found, remaining):
+    (root, multiplicity) pairs with distinct roots, and the factor of f
+    that no root accounts for."""
+    remaining = f
+    found = []
+    for r in pool:
+        if remaining.degree < 1:
+            break
+        mult = 0
+        while not remaining.evaluate(r):
+            remaining = remaining // Polynomial(E, [-r, E.one()])
+            mult += 1
+        if mult:
+            found.append((r, mult))
+    if remaining.degree >= 2:
+        try:
+            located = roots_in_coefficient_field(remaining)
+        except UnsupportedBase:
+            located = []
+        for r, mult in located:
+            found.append((r, mult))
+            remaining = remaining // Polynomial(E, [-r, E.one()]) ** mult
+    if remaining.degree == 1:
+        found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
+        remaining = Polynomial.one(E)
+    return found, remaining
+
+
 def _enumerate_maps(domain, codomain, fixed, hints):
     layers = chain(domain)
     if not any(layer is fixed for layer in layers):
@@ -376,37 +413,8 @@ def _enumerate_maps(domain, codomain, fixed, hints):
             codomain,
             lambda c: evaluate(c, layer.base, images, codomain.coerce),
         )
-        roots = []
-        seen_rk = set()
-        for r in pool:
-            if not rel.evaluate(r):
-                k = _elem_sort_key(r)
-                if k not in seen_rk:
-                    seen_rk.add(k)
-                    roots.append(r)
-        if len(roots) == rel.degree - 1:
-            # sum of roots completes the last one; verify before use
-            cand = -rel.coeff(rel.degree - 1)
-            for r in roots:
-                cand = cand - r
-            if not rel.evaluate(cand):
-                k = _elem_sort_key(cand)
-                if k not in seen_rk:
-                    seen_rk.add(k)
-                    roots.append(cand)
-        if len(roots) < rel.degree:
-            # pool missed some root; fall back to real factorization
-            # where the codomain supports it
-            try:
-                located = roots_in_coefficient_field(rel)
-            except UnsupportedBase:
-                located = []
-            for r, _mult in located:
-                k = _elem_sort_key(r)
-                if k not in seen_rk:
-                    seen_rk.add(k)
-                    roots.append(r)
-        for r in roots:
+        roots, _ = _roots_in_pool(rel, codomain, pool)
+        for r, _mult in roots:
             images[layer] = r
             place(idx + 1, images)
             del images[layer]

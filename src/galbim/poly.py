@@ -142,14 +142,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Polynomial.one(self.field))
 
     def divmod(self, other):
         other = self._check(other)
@@ -430,17 +423,22 @@ def resultant(f: Polynomial, g: Polynomial):
         if (a.degree * b.degree) % 2 == 1:
             sign = -sign
         lb = b.leading()
-        acc = acc * _power(lb, a.degree - r.degree, one)
+        acc = acc * power(lb, a.degree - r.degree, one)
         a, b = b, r
     # b is a nonzero constant
-    acc = acc * _power(b.leading(), a.degree, one)
+    acc = acc * power(b.leading(), a.degree, one)
     return sign * acc
 
 
-def _power(c, n, one):
+def power(x, n, one):
+    """x**n for n >= 0 by binary powering, starting from ``one``."""
     out = one
-    for _ in range(n):
-        out = out * c
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
     return out
 
 
@@ -577,15 +575,7 @@ class RationalFunction:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):

@@ -46,6 +46,7 @@ from .poly import (
     RationalFunction,
     format_poly,
     poly_ext_gcd,
+    power,
 )
 
 DEFAULT_TOWER_CAP = 64
@@ -203,15 +204,7 @@ class ExtElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:
@@ -498,11 +491,11 @@ def tower_basis(field, down_to):
     below = tower_basis(field.base, down_to)
     gen = field.gen()
     out = []
-    power = field.one()
+    gen_power = field.one()
     for _j in range(field.degree):
         for b in below:
-            out.append(power * field.coerce(b))
-        power = power * gen
+            out.append(gen_power * field.coerce(b))
+        gen_power = gen_power * gen
     return out
 
 

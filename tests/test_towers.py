@@ -21,6 +21,7 @@ from galbim.errors import (
     ResolutionError,
     UnsupportedBase,
 )
+from galbim.factor import roots_in_coefficient_field
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import (
     Subfield,
@@ -37,6 +38,8 @@ from galbim.fieldops import (
 from galbim.morphisms import (
     AutomorphismGroup,
     FieldMorphism,
+    _candidate_pool,
+    _roots_in_pool,
     automorphisms_over,
     identity_morphism,
 )
@@ -371,6 +374,50 @@ def test_locate_roots_failure_is_loud():
     x = Polynomial.x(QQ)
     with pytest.raises(ResolutionError):
         locate_roots(x**2 - 3, Qi)
+
+
+def test_roots_in_pool_splits_with_multiplicity():
+    Qi = make_qi()
+    i = Qi.gen()
+    x = Polynomial.x(Qi)
+    pool = _candidate_pool(Qi, ())
+    f = (x - i) ** 2 * (x + i) * (x - 1)
+    found, remaining = _roots_in_pool(f, Qi, pool)
+    assert found == [(i, 2), (-i, 1), (Qi.one(), 1)]
+    assert remaining.degree == 0
+    # 2 and 3 are not in the pool: the quadratic leftover is factored
+    found, remaining = _roots_in_pool(
+        (x - 2) * (x - 3) * (x - i) ** 2, Qi, pool
+    )
+    assert sorted((repr(r), m) for r, m in found) == [
+        ("2", 1), ("3", 1), ("i", 2)
+    ]
+    assert remaining.degree == 0
+
+
+def test_roots_in_pool_completes_a_linear_leftover():
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    x = Polynomial.x(Qt)
+    f = (x - 1) ** 2 * (x - t)
+    with pytest.raises(UnsupportedBase):
+        roots_in_coefficient_field(f)
+    found, remaining = _roots_in_pool(f, Qt, _candidate_pool(Qt, [1]))
+    assert found == [(Qt.one(), 2), (t, 1)]
+    assert remaining.degree == 0
+    assert locate_roots(f, Qt, hints=[1]) == found
+
+
+def test_roots_in_pool_reports_what_it_missed():
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    x = Polynomial.x(Qt)
+    f = (x - 1) * (x - t) * (x + t)
+    found, remaining = _roots_in_pool(f, Qt, _candidate_pool(Qt, [1]))
+    assert found == [(Qt.one(), 1)]
+    assert remaining == x**2 - t**2
+    with pytest.raises(ResolutionError, match="2 degrees unaccounted"):
+        locate_roots(f, Qt, hints=[1])
 
 
 def test_inseparable_degree():
