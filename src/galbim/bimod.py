@@ -64,6 +64,7 @@ from .matrix import Matrix
 from .morphisms import (
     AutomorphismGroup,
     FieldMorphism,
+    _divide_out,
     automorphisms_over,
     embeddings_over,
 )
@@ -1015,7 +1016,7 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
     tracked = {}
     for g in _tower_generators(L):
         mu = min_poly_right(P, g)
-        remainders.append(_scan_remaining(mu, pool))
+        remainders.append(_divide_out(mu, pool)[1])
         tracked[_elem_sort_key(g)] = (g, mu)
     E = L
     step = 0
@@ -1035,11 +1036,11 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
         pool = _probe_pool(w, hints)
         fresh = [r for r in pool if any(r.coords[1:])]   # not from E
         remainders = [
-            _scan_remaining(rem.map_coeffs(w, w.coerce), fresh)
+            _divide_out(rem.map_coeffs(w, w.coerce), fresh)[1]
             for rem in remainders
         ]
         lineage_w = lineage.map_coeffs(w, w.coerce)
-        remainders.append(_scan_remaining(lineage_w, pool))
+        remainders.append(_divide_out(lineage_w, pool)[1])
         gen = w.coerce(w.gen())
         tracked = {
             _elem_sort_key(w.coerce(v)): (w.coerce(v),
@@ -1063,13 +1064,9 @@ def _probe_pool(E, hints):
     return pool
 
 
-def _scan_remaining(f: Polynomial, roots) -> Polynomial:
-    """f with each of ``roots`` divided out to its full multiplicity."""
-    E = f.field
-    for r in roots:
-        while f.degree >= 1 and not f.evaluate(r):
-            f = f // Polynomial(E, [-r, E.one()])
-    return f
+def _first_root(g: Polynomial, pool):
+    """The first element of ``pool`` that is a root of g, or None."""
+    return next((r for r in pool if not g.evaluate(r)), None)
 
 
 def _peel_binomial(rem: Polynomial, E, tracked, pool):
@@ -1093,18 +1090,14 @@ def _peel_binomial(rem: Polynomial, E, tracked, pool):
     if g.degree == 1:
         c = -g.coeff(0)
     else:
-        c = None
-        for r in pool:
-            if not g.evaluate(r):
-                c = r
-                break
+        c = _first_root(g, pool)
         if c is None:
             raise ResolutionError(
                 "splitting probe only follows binomial ladders"
             )
     m = k
     while m % 2 == 0 and m > 2:
-        half = _scan_root_of_square(c, pool)
+        half = _first_root(Polynomial(E, [-c, E.zero(), E.one()]), pool)
         if half is None:
             break
         m //= 2
@@ -1131,9 +1124,3 @@ def _peel_binomial(rem: Polynomial, E, tracked, pool):
         "splitting probe cannot bound the spectrum of the required root"
     )
 
-
-def _scan_root_of_square(c, pool):
-    for r in pool:
-        if r * r == c:
-            return r
-    return None

@@ -43,7 +43,7 @@ from .errors import (
     Violated,
 )
 from .fieldops import splitting_field, verify_splitting
-from .hopf import HopfAlgebra, dual, lincomb, sparse_product, tensor_product
+from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
 from .matrix import Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
 from .towers import (
@@ -858,21 +858,22 @@ def semisimple_bound(C, declared=None):
     """dim A^K times dim H against dim A, for H the dual of K.
 
     The inequality is a theorem only for semisimple H; semisimplicity
-    is decided by the dual's own criterion unless ``declared``
-    overrides it.  Both sides are always reported, so fixtures with
-    nonsemisimple H document that the hypothesis matters.
+    is decided by K's trace criterion, which is H's (the antipode of H
+    is the transpose of K's, and tr((S^T)^2) = tr(S^2)), unless
+    ``declared`` overrides it.  Both sides are always reported, so
+    fixtures with nonsemisimple H document that the hypothesis matters.
     """
     if C.kind != "finite":
         raise UnsupportedBase("the bound compares finite dimensions")
-    H = dual(C.hopf)
-    applicable = H.is_semisimple() if declared is None else bool(declared)
+    K = C.hopf
+    applicable = K.is_semisimple() if declared is None else bool(declared)
     inv_dim = len(invariants(C))
-    lhs = inv_dim * H.dim
+    lhs = inv_dim * K.dim
     rhs = len(C.unit)
     return SemisimpleBound(
         applicable=applicable,
         invariant_dim=inv_dim,
-        hopf_dim=H.dim,
+        hopf_dim=K.dim,
         algebra_dim=rhs,
         holds=lhs >= rhs,
     )

@@ -42,7 +42,7 @@ from .poly import (
 DEFAULT_DEGREE_CAP = 24
 
 
-def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP, seed: int = 0):
+def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP):
     """(leading coefficient, [(monic irreducible, multiplicity), ...]).
 
     Factors are sorted by degree, then by a deterministic coefficient
@@ -69,26 +69,26 @@ def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP, seed: int =
     out = []
     for g, mult in squarefree:
         if kind == "finite":
-            parts = _factor_finite_squarefree(g, seed)
+            parts = _factor_finite_squarefree(g, seed=0)
         elif kind == "rational":
             parts = _factor_rational_squarefree(g)
         else:
-            parts = _factor_tower_squarefree(g, max_degree, seed)
+            parts = _factor_tower_squarefree(g, max_degree)
         out.extend((h, mult) for h in parts)
     out.sort(key=lambda pair: _poly_sort_key(pair[0]))
     return lead, out
 
 
-def is_irreducible(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> bool:
+def is_irreducible(f: Polynomial) -> bool:
     if f.degree < 1:
         return False
-    _, factors = factor_poly(f, max_degree=max_degree, seed=seed)
+    _, factors = factor_poly(f)
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def roots_in_coefficient_field(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP, seed: int = 0):
+def roots_in_coefficient_field(f: Polynomial):
     """Roots of f inside its own coefficient field, with multiplicity."""
-    _, factors = factor_poly(f, max_degree=max_degree, seed=seed)
+    _, factors = factor_poly(f)
     out = []
     for g, mult in factors:
         if g.degree == 1:
@@ -429,7 +429,7 @@ def _recombine(target, lifted, pk):
 # -------------------------------------------------- towers over Q (Trager)
 
 
-def _factor_tower_squarefree(f: Polynomial, max_degree: int, seed: int):
+def _factor_tower_squarefree(f: Polynomial, max_degree: int):
     """Irreducible monic factors of a squarefree f over an algebraic
     extension K = base(alpha), by norm descent to the base."""
     K = f.field
@@ -449,7 +449,7 @@ def _factor_tower_squarefree(f: Polynomial, max_degree: int, seed: int):
         if shift > 4 * f.degree * mu.degree + 4:
             raise UnsupportedBase("no squarefree norm shift found")
     _, norm_factors = factor_poly(
-        norm, max_degree=max(max_degree, norm.degree), seed=seed
+        norm, max_degree=max(max_degree, norm.degree)
     )
     out = []
     alpha = K.gen()

@@ -34,12 +34,6 @@ class Field:
         field; raise FieldMismatch if it does not embed canonically."""
         raise NotImplementedError
 
-    # Containers call this instead of bool(x) so the convention is in
-    # one place: every element class makes bool(x) False iff x == 0.
-    @staticmethod
-    def is_zero(x) -> bool:
-        return not x
-
 
 class RationalField(Field):
     """The field of rational numbers; elements are Fraction."""

@@ -144,7 +144,7 @@ def element_matrix(ambient, sigma: FieldMorphism, f0=None) -> Matrix:
     return Matrix.from_cols(f0, cols)
 
 
-def fixed_field(ambient, morphisms, budget=PRIMITIVE_BUDGET) -> Subfield:
+def fixed_field(ambient, morphisms) -> Subfield:
     """Common fixed subfield of a set of automorphisms, as a Subfield.
 
     Prefers recognizing the fixed space as an existing tower layer;
@@ -168,10 +168,10 @@ def fixed_field(ambient, morphisms, budget=PRIMITIVE_BUDGET) -> Subfield:
     stack = Matrix(f0, rows, ncols=n)
     kernel = stack.kernel()
     vectors = [from_coords_over(ambient, v, f0) for v in kernel]
-    return subfield_from_vectors(ambient, vectors, budget=budget)
+    return subfield_from_vectors(ambient, vectors)
 
 
-def subfield_from_vectors(ambient, vectors, budget=PRIMITIVE_BUDGET):
+def subfield_from_vectors(ambient, vectors):
     """Present the span of the given elements as a Subfield.
 
     The span must actually be a subfield; the caller is responsible for
@@ -197,7 +197,7 @@ def subfield_from_vectors(ambient, vectors, budget=PRIMITIVE_BUDGET):
     rng = random.Random(20200 + n)
     candidates = list(vectors)
     attempts = 0
-    while attempts < budget:
+    while attempts < PRIMITIVE_BUDGET:
         if candidates:
             v = candidates.pop(0)
         else:
@@ -218,11 +218,12 @@ def subfield_from_vectors(ambient, vectors, budget=PRIMITIVE_BUDGET):
             )
             return Subfield(ambient, presented, embedding)
     raise PrimitiveElementNotFound(
-        "no primitive element for the subfield within %d attempts" % budget
+        "no primitive element for the subfield within %d attempts"
+        % PRIMITIVE_BUDGET
     )
 
 
-def primitive_element_over(ambient, sub: Subfield, budget=PRIMITIVE_BUDGET):
+def primitive_element_over(ambient, sub: Subfield):
     """An element of the ambient field generating it over the subfield.
 
     Tries tower generators first, then small integer combinations."""
@@ -237,7 +238,7 @@ def primitive_element_over(ambient, sub: Subfield, budget=PRIMITIVE_BUDGET):
         if min_poly_over(ambient, g, sub).degree == n:
             return g
     rng = random.Random(31100 + n)
-    while tried < budget:
+    while tried < PRIMITIVE_BUDGET:
         weights = [rng.randint(-2, 2) for _ in gens]
         v = ambient.zero()
         for w, g in zip(weights, gens):
@@ -249,7 +250,8 @@ def primitive_element_over(ambient, sub: Subfield, budget=PRIMITIVE_BUDGET):
         if min_poly_over(ambient, v, sub).degree == n:
             return v
     raise PrimitiveElementNotFound(
-        "no primitive element over the subfield within %d attempts" % budget
+        "no primitive element over the subfield within %d attempts"
+        % PRIMITIVE_BUDGET
     )
 
 
@@ -301,9 +303,7 @@ class SplittingData:
 
 
 def splitting_field(
-    f: Polynomial,
-    max_degree: int = DEFAULT_TOWER_CAP,
-    var_prefix: str = "r",
+    f: Polynomial, max_degree: int = DEFAULT_TOWER_CAP
 ) -> SplittingData:
     """Build a splitting field of f over its coefficient field by
     repeatedly adjoining a root of a nonlinear irreducible factor.
@@ -343,8 +343,7 @@ def splitting_field(
         counter += 1
         g = nonlinear[0]
         E = extend(
-            E, g, "%s%d" % (var_prefix, counter), max_degree=max_degree,
-            validate=False,
+            E, g, "r%d" % counter, max_degree=max_degree, validate=False,
         )
 
 

@@ -127,9 +127,6 @@ class Matrix:
     def col(self, j):
         return [row[j] for row in self.rows]
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def submatrix(self, row_idx, col_idx):
         return Matrix(
             self.field,

@@ -11,10 +11,11 @@ Automorphism enumeration works by backtracking over layer generators.
 At each node the generator's images are the roots of the mapped
 relation, found by ``_roots_in_pool``: a scan of a finite candidate pool
 (tower generators, their negatives, supplied hints and two rounds of
-pairwise products) that divides each root out, then factors what is
-left where the codomain allows it.  ``fieldops.locate_roots`` runs the
-same scan.  When the caller states an expected order and fewer maps are
-found, the search reports failure rather than returning a silently
+pairwise products) that divides each root out (``_divide_out``), then
+factors what is left where the codomain allows it.
+``fieldops.locate_roots`` runs the same search and ``bimod.split_probe``
+the same scan.  When the caller states an expected order and fewer maps
+are found, the search reports failure rather than returning a silently
 partial group.
 """
 
@@ -235,7 +236,7 @@ class AutomorphismGroup:
             tab[i][j] == tab[j][i] for i in range(n) for j in range(i)
         )
 
-    def subgroup_closure(self, indices, bound=CLOSURE_BOUND):
+    def subgroup_closure(self, indices):
         tab = self.table()
         out = {0}
         out.update(indices)
@@ -248,9 +249,10 @@ class AutomorphismGroup:
                         if k not in out:
                             out.add(k)
                             new.append(k)
-                if len(out) > bound:
+                if len(out) > CLOSURE_BOUND:
                     raise ClosureBound(
-                        "subgroup closure exceeded %d elements" % bound
+                        "subgroup closure exceeded %d elements"
+                        % CLOSURE_BOUND
                     )
             frontier = new
         return sorted(out)
@@ -347,14 +349,11 @@ def _candidate_pool(field, hints):
     return list(pool.values())
 
 
-def _roots_in_pool(f, E, pool):
-    """Roots of f in E, found by scanning ``pool`` in order and dividing
-    each root out to its full multiplicity.
-
-    A leftover of degree >= 2 is factored where E supports it; a linear
-    leftover gives its root directly.  Returns (found, remaining):
-    (root, multiplicity) pairs with distinct roots, and the factor of f
-    that no root accounts for."""
+def _divide_out(f, pool):
+    """Scan ``pool`` in order and divide each root of f out to its full
+    multiplicity, with no factoring.  Returns (found, remaining):
+    (root, multiplicity) pairs with distinct roots, and what is left."""
+    E = f.field
     remaining = f
     found = []
     for r in pool:
@@ -366,6 +365,15 @@ def _roots_in_pool(f, E, pool):
             mult += 1
         if mult:
             found.append((r, mult))
+    return found, remaining
+
+
+def _roots_in_pool(f, E, pool):
+    """Roots of f in E: ``_divide_out`` over ``pool``, then a leftover
+    of degree >= 2 is factored where E supports it and a linear leftover
+    gives its root directly.  Returns (found, remaining) as
+    ``_divide_out`` does, with the factor of f no root accounts for."""
+    found, remaining = _divide_out(f, pool)
     if remaining.degree >= 2:
         try:
             located = roots_in_coefficient_field(remaining)

@@ -315,35 +315,15 @@ def poly_lcm(f, g):
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors of f (monic).
-
-    In characteristic p, if f' == 0 then f = g(x^p); recurse on the
-    p-th root exponent pattern.
-    """
-    if f.is_zero() or f.is_constant():
-        return Polynomial.one(f.field)
-    d = f.derivative()
-    if d.is_zero():
-        # f = g(x^p); over a perfect field f = h(x)^p with h carrying the
-        # p-th roots of g's coefficients.  Imperfect fields have no such
-        # h and the notion needs the caller's inseparability handling.
-        p = f.field.characteristic
-        root = getattr(f.field, "pth_root", None)
-        if root is None:
-            raise UnsupportedBase(
-                "squarefree part of an inseparable polynomial over an "
-                "imperfect field"
-            )
-        coeffs = [root(f.coeffs[i]) for i in range(0, len(f.coeffs), p)]
-        return squarefree_part(Polynomial(f.field, coeffs))
-    g = poly_gcd(f, d)
-    sf = (f // g).monic()
-    if g.is_constant():
-        return sf
-    # factors of f killed in f//g by multiplicity p need recovering
-    rest = squarefree_part(g)
-    extra = (rest // poly_gcd(rest, sf)).monic()
-    return (sf * extra).monic()
+    """Product of the distinct irreducible factors of f (monic): the
+    product of the parts of ``squarefree_decomposition``, 1 when f is
+    zero or constant."""
+    out = Polynomial.one(f.field)
+    if f.degree < 1:
+        return out
+    for g, _ in squarefree_decomposition(f)[1]:
+        out = out * g
+    return out
 
 
 def squarefree_decomposition(f: Polynomial):

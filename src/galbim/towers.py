@@ -372,13 +372,6 @@ class ExtensionField(Field):
             raise UnsupportedBase("p-th roots need a finite field")
         return self.coerce(x) ** (q // self.characteristic)
 
-    def elements(self):
-        q = self.finite_size
-        if q is None:
-            raise UnsupportedBase("cannot enumerate an infinite field")
-        for k in range(q):
-            yield self.element_from_index(k)
-
 
 def _validate_irreducible(relation: Polynomial) -> bool:
     """True if verified irreducible; False if the base does not support

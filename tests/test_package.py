@@ -7,7 +7,11 @@ import importlib
 import inspect
 import pathlib
 import re
-import tomllib
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10, where pytest installs tomli
+    import tomli as tomllib
 
 import galbim
 from galbim import errors
