@@ -59,7 +59,7 @@ from .fieldops import (
     subfield_from_vectors,
     verify_splitting,
 )
-from .linalg import center_kernel, stack_kernel
+from .linalg import center_kernel, joint_eigenspace
 from .matrix import Matrix
 from .morphisms import (
     AutomorphismGroup,
@@ -721,14 +721,13 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             "composition factors account for %d of %d dimensions; "
             "characters are missing (supply root hints)" % (total, d)
         )
-    # completeness of the character list against mu itself
-    rem = mu_L
-    for f in out_factors:
-        while rem.degree >= f.min_poly.degree and (
-            rem % f.min_poly
-        ).is_zero():
-            rem = rem // f.min_poly
-    if rem.degree != 0:
+    # completeness of the character list against mu itself: the factors
+    # are coprime, so they exhaust mu_L when their degrees add up to it
+    covered = sum(
+        f.min_poly.degree * _multiplicity_in(mu_L, f.min_poly)
+        for f in out_factors
+    )
+    if covered != mu_L.degree:
         raise ResolutionError(
             "the located characters do not exhaust the minimal "
             "polynomial; supply root hints"
@@ -885,8 +884,20 @@ class Classification:
     multiplicity: int    # r with the bimodule ~ r * (L (x)_F L)
 
 
-def classify(P: Bimodule, analysis=None, regular_analysis=None,
-             **kw) -> Classification:
+def _multiplicity_in(f: Polynomial, g: Polynomial) -> int:
+    """The largest m with g^m dividing f (f nonzero, g nonconstant)."""
+    m, (quotient, rest) = 0, f.divmod(g)
+    while rest.is_zero():
+        m, (quotient, rest) = m + 1, quotient.divmod(g)
+    return m
+
+
+def classify(P: Bimodule, analysis=None, **kw) -> Classification:
+    """Recognize P as r copies of the regular bimodule L (x)_F L.
+
+    L (x)_F L is L[x]/(mu_L), the primitive element acting as x, so each
+    factor occurs in it with its multiplicity in mu_L; P must have r
+    times that, for r = rank / [L : F]."""
     an = analysis if analysis is not None else analyze(P, **kw)
     d = P.rank
     n = an.center.degree_in_ambient()
@@ -895,25 +906,13 @@ def classify(P: Bimodule, analysis=None, regular_analysis=None,
             "rank %d is not a multiple of the center degree %d" % (d, n)
         )
     r = d // n
-    if regular_analysis is None:
-        reg = regular_over(P.field, an.center)
-        rkw = dict(kw)
-        rkw["E"] = an.splitting.field
-        regular_analysis = analyze(reg, **rkw)
-    reg_by_poly = {
-        f.min_poly: f.multiplicity for f in regular_analysis.factors
-    }
+    mu_L = an.min_poly.map_coeffs(P.field, an.center.embedding.apply)
     for f in an.factors:
-        want = reg_by_poly.get(f.min_poly)
-        if want is None:
-            raise ClassificationFailed(
-                "factor %r is missing from the regular bimodule"
-                % f.min_poly
-            )
-        if f.multiplicity != r * want:
+        want = r * _multiplicity_in(mu_L, f.min_poly)
+        if f.multiplicity != want:
             raise ClassificationFailed(
                 "factor %r has multiplicity %d, expected %d"
-                % (f.min_poly, f.multiplicity, r * want)
+                % (f.min_poly, f.multiplicity, want)
             )
     return Classification(center=an.center, degree=n, multiplicity=r)
 
@@ -942,24 +941,17 @@ def split_analysis(P: Bimodule, analysis=None, **kw) -> SplitData:
     the embedded field's stabilizer is normal in that subgroup.  For
     weakly Galois bimodules the last flag agrees with is_split."""
     an = analysis if analysis is not None else analyze(P, **kw)
-    L = P.field
-    d = P.rank
-    gens = _tower_generators(L)
-    mats = [
-        P.phi(g) - Matrix.identity(L, d).scale(g) for g in gens
-    ]
-    ker = stack_kernel(mats)
+    gens = _tower_generators(P.field)
+    ker = joint_eigenspace([P.phi(g) for g in gens], gens)
     witness = ker[0] if ker else None
     E = an.splitting.field
     targets = [an.iota.apply(x) for x in gens]
     for f in an.factors:
         if f.multiplicity:
             targets.extend(g.apply(an.primitive) for g in f.characters)
-    stab = [
-        sigma for sigma in an.gamma
-        if all(sigma.apply(t) == t for t in targets)
-    ]
-    minimal = fixed_field(E, stab)
+    minimal = fixed_field(
+        E, [an.gamma[i] for i in an.gamma.pointwise_stabilizer(targets)]
+    )
     _, supp = _support(an)
     seed = [gi for gi, ci in enumerate(an.rho) if ci in supp]
     closure = an.gamma.subgroup_closure(

@@ -42,7 +42,12 @@ from .errors import (
     UnsupportedBase,
     Violated,
 )
-from .fieldops import splitting_field, verify_splitting
+from .fieldops import (
+    cached_basis,
+    kernel_over,
+    splitting_field,
+    verify_splitting,
+)
 from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
 from .matrix import Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
@@ -50,9 +55,7 @@ from .towers import (
     DEFAULT_TOWER_CAP,
     ExtensionField,
     algebraic_degree,
-    coords_over,
     is_layer_of,
-    tower_basis,
 )
 
 
@@ -390,20 +393,13 @@ def invariants(C):
 
 
 def _invariants_field(C):
-    L, K, B = C.field, C.hopf, C.base
-    n, d = L.degree, K.dim
-    z = L.gen()
-    # rows: one per (K leg, L coordinate); columns: coefficient of z^j
-    rows = [[B.zero()] * n for _ in range(d * n)]
-    zj = L.one()
-    for j, power in enumerate(_rho_powers(C, n)):
+    L = C.field
+    # the value at z^j is rho(z^j) - z^j (x) 1, one entry per K leg
+    images = []
+    for zj, power in zip(cached_basis(L, C.base), _rho_powers(C, L.degree)):
         delta = lincomb([*power.items(), *_tk_const(C, -zj).items()])
-        for t, c in delta.items():
-            for l, cl in enumerate(L.coords(c)):
-                rows[t * n + l][j] = cl
-        zj = zj * z
-    kernel = Matrix(B, rows).kernel()
-    basis = [L.from_coords(vec) for vec in kernel]
+        images.append([delta.get(t, L.zero()) for t in range(C.hopf.dim)])
+    basis = kernel_over(L, C.base, images)
     for a in basis:
         for b in basis:
             ab = a * b
@@ -763,25 +759,20 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None,
             "is not normal or the hints were insufficient"
             % (G.order, deg)
         )
-    basis = tower_basis(Efld, B)
-    rows = []
-    for sigma in G:
-        for e in basis:
-            rows.append(coords_over(Efld, sigma.apply(e) - e, B))
-    cols = [list(col) for col in zip(*rows)]
-    fixed_dim = len(Matrix.from_cols(B, cols).kernel())
-    if fixed_dim != 1:
+    fixed = kernel_over(
+        Efld, B,
+        [[sigma.apply(e) - e for sigma in G] for e in cached_basis(Efld, B)],
+    )
+    if len(fixed) != 1:
         raise ResolutionError(
             "the fixed field of the automorphism group has dimension %d "
-            "over the base" % fixed_dim
+            "over the base" % len(fixed)
         )
-    roots = data.root_list()
-    for sigma in G.elements[1:]:
-        if all(sigma.apply(r) == r for r in roots):
-            raise ResolutionError(
-                "the supplied tower strictly exceeds the splitting field "
-                "of the relation"
-            )
+    if G.pointwise_stabilizer(data.root_list()) != [0]:
+        raise ResolutionError(
+            "the supplied tower strictly exceeds the splitting field "
+            "of the relation"
+        )
     return G
 
 

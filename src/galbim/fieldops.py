@@ -5,6 +5,8 @@ Everything here reduces to linear algebra over the ambient tower's
 field, or a rational function field).  All layers above it are finite
 algebraic extensions, so the ambient field is a finite-dimensional
 vector space over the scalar layer and subfields become subspaces.
+Fixed spaces (centers, coaction invariants, fixed fields) are all
+kernels of maps linear over a sublayer, solved by ``kernel_over``.
 
 A Subfield packages a presented field together with an embedding
 morphism into the ambient tower; when the subfield happens to be an
@@ -25,7 +27,6 @@ from .errors import (
 )
 from .matrix import Matrix
 from .morphisms import (
-    AutomorphismGroup,
     FieldMorphism,
     _candidate_pool,
     _roots_in_pool,
@@ -134,41 +135,35 @@ def min_poly_over(ambient, x, sub) -> Polynomial:
         powers.append(xk)
 
 
-def element_matrix(ambient, sigma: FieldMorphism, f0=None) -> Matrix:
-    """Matrix of the morphism on the ambient field, in the tower basis
-    over the scalar layer (columns are images of basis vectors)."""
-    if f0 is None:
-        f0 = scalar_layer(ambient)
-    basis = cached_basis(ambient, f0)
-    cols = [coords_over(ambient, sigma.apply(b), f0) for b in basis]
-    return Matrix.from_cols(f0, cols)
+def kernel_over(field, down, images):
+    """Basis of the elements of ``field`` that a map linear over the
+    sublayer ``down`` sends to 0.  ``images[k]`` lists the map's values
+    (elements of ``field``, equally many for every k) at
+    ``cached_basis(field, down)[k]``."""
+    columns = [
+        [c for value in values for c in coords_over(field, value, down)]
+        for values in images
+    ]
+    kernel = Matrix(down, list(zip(*columns)), ncols=len(columns)).kernel()
+    return [from_coords_over(field, v, down) for v in kernel]
 
 
 def fixed_field(ambient, morphisms) -> Subfield:
     """Common fixed subfield of a set of automorphisms, as a Subfield.
 
-    Prefers recognizing the fixed space as an existing tower layer;
-    otherwise synthesizes a primitive element, presenting the subfield
-    as a fresh simple extension of the scalar layer."""
-    if isinstance(morphisms, AutomorphismGroup):
-        morphisms = list(morphisms)
-    f0 = scalar_layer(ambient)
-    n = algebraic_degree(ambient, f0)
-    basis = cached_basis(ambient, f0)
-    rows = []
-    for sigma in morphisms:
-        if sigma.is_identity():
-            continue
-        M = element_matrix(ambient, sigma, f0)
-        I = Matrix.identity(f0, n)
-        delta = M - I
-        rows.extend(delta.rows)
-    if not rows:
+    The fixed space is the kernel of b -> (sigma(b) - b), sigma != id.
+    Prefers recognizing it as an existing tower layer; otherwise
+    synthesizes a primitive element, presenting the subfield as a fresh
+    simple extension of the scalar layer."""
+    moving = [sigma for sigma in morphisms if not sigma.is_identity()]
+    if not moving:
         return Subfield(ambient, ambient, identity_morphism(ambient))
-    stack = Matrix(f0, rows, ncols=n)
-    kernel = stack.kernel()
-    vectors = [from_coords_over(ambient, v, f0) for v in kernel]
-    return subfield_from_vectors(ambient, vectors)
+    f0 = scalar_layer(ambient)
+    images = [
+        [sigma.apply(b) - b for sigma in moving]
+        for b in cached_basis(ambient, f0)
+    ]
+    return subfield_from_vectors(ambient, kernel_over(ambient, f0, images))
 
 
 def subfield_from_vectors(ambient, vectors):

@@ -195,29 +195,20 @@ def center_kernel(field, phi):
     ``phi`` maps field elements to square matrices over the field and
     must be linear over the scalar layer (the caller checks that the
     scalar-layer generators map to scalar matrices before calling).
+    The basis is ``fieldops.kernel_over`` the scalar layer, with the
+    entries of phi(b) - b * Id as the values at each basis element b.
     The solution space is verified to be closed under products, since
     downstream code treats it as a subfield."""
-    from .fieldops import cached_basis, scalar_layer
-    from .towers import algebraic_degree, coords_over, from_coords_over
+    from .fieldops import cached_basis, kernel_over, scalar_layer
+    from .towers import coords_over
 
     f0 = scalar_layer(field)
-    n = algebraic_degree(field, f0)
-    basis = cached_basis(field, f0)
-    phis = [phi(b) for b in basis]
-    d = phis[0].nrows
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            cols = []
-            for b, M in zip(basis, phis):
-                entry = M.rows[i][j]
-                if i == j:
-                    entry = entry - field.coerce(b)
-                cols.append(coords_over(field, entry, f0))
-            for r in range(n):
-                rows.append([col[r] for col in cols])
-    kernel = Matrix(f0, rows, ncols=n).kernel()
-    vectors = [from_coords_over(field, v, f0) for v in kernel]
+    images = [
+        [entry - b if i == j else entry
+         for i, row in enumerate(phi(b).rows) for j, entry in enumerate(row)]
+        for b in cached_basis(field, f0)
+    ]
+    vectors = kernel_over(field, f0, images)
     span = Matrix.from_cols(f0, [coords_over(field, v, f0) for v in vectors])
     for i, a in enumerate(vectors):
         for b in vectors[i:]:

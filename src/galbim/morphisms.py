@@ -318,6 +318,18 @@ class AutomorphismGroup:
 
 
 def _candidate_pool(field, hints):
+    """The root search pool of ``field`` for these hints, as a tuple,
+    memoized on the field handle like ``fieldops.cached_basis`` so one
+    analysis builds it once and it is freed together with its tower."""
+    hints = [field.coerce(h) for h in hints]
+    cache = vars(field).setdefault("_pool_cache", {})
+    key = tuple(_elem_sort_key(h) for h in hints)
+    if key not in cache:
+        cache[key] = _build_pool(field, hints)
+    return cache[key]
+
+
+def _build_pool(field, hints):
     gens = []
     for layer in chain(field):
         if isinstance(layer, ExtensionField):
@@ -333,7 +345,6 @@ def _candidate_pool(field, hints):
         add(g)
         add(-g)
     for h in hints:
-        h = field.coerce(h)
         add(h)
         add(-h)
     # two rounds of products against the generators
@@ -346,7 +357,7 @@ def _candidate_pool(field, hints):
                 p = a * g
                 add(p)
                 add(-p)
-    return list(pool.values())
+    return tuple(pool.values())
 
 
 def _divide_out(f, pool):

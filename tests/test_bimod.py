@@ -278,6 +278,27 @@ def test_group_bimodule_multiplicity_function(quad):
         bimodule_of_group(L, G, multiplicity=[1])
 
 
+@pytest.mark.parametrize("mults, got", [([3, 1], 3), ([1, 3], 1)])
+def test_classify_compares_each_factor_multiplicity(quad, mults, got):
+    # rank 4 = 2 * [L : Q] passes the rank check, so each factor must
+    # occur twice, as in two copies of L (x)_Q L
+    L, G = quad
+    P = bimodule_of_group(L, G, multiplicity=mults)
+    an = analyze(P)
+    with pytest.raises(
+        ClassificationFailed,
+        match="has multiplicity %d, expected 2" % got,
+    ):
+        classify(P, analysis=an)
+
+
+def test_classify_constant_group_multiplicity(quad):
+    L, G = quad
+    P = bimodule_of_group(L, G, multiplicity=[2, 2])
+    c = classify(P, analysis=analyze(P))
+    assert (c.degree, c.multiplicity) == (2, 2)
+
+
 def test_min_poly_right_central_check(quad):
     L, G = quad
     r = L.coerce(L.gen())
@@ -377,7 +398,7 @@ def test_quartic_nonnormal_regular_and_double(quartic_tower):
     assert gotP == [("x + z", 2), ("x - z", 2), ("x^2 + z^2 + 2", 2)]
     assert is_weakly_galois(P, analysis=anP) is True
     assert is_galois(P, analysis=anP) is True
-    c = classify(P, analysis=anP, regular_analysis=an)
+    c = classify(P, analysis=anP)
     assert (c.degree, c.multiplicity) == (4, 2)
 
 
@@ -396,7 +417,7 @@ def test_quartic_twisted_column_not_galois(quartic_tower):
     assert is_weakly_galois(P, analysis=an) is True
     assert is_galois(P, analysis=an) is False
     with pytest.raises(ClassificationFailed):
-        classify(P, analysis=an, regular_analysis=analyze(R, E=E))
+        classify(P, analysis=an)
 
 
 # --------------------------------------------- inseparable towers
@@ -423,6 +444,34 @@ def test_inseparable_regular(p):
     assert is_galois(P, analysis=an) is True
     c = classify(P, analysis=an, hints=[u])
     assert (c.degree, c.multiplicity) == (p, 1)
+
+
+def test_inseparable_descent_in_regular_bimodule():
+    # over F2(t), mu = x^4 + t x^2 + t factors over L as
+    # (x + a)^2 (x^2 + a^2 + t); the second factor is the square of
+    # (x + a + r) with r^2 = t, so its orbit polynomial descends to L
+    # only after one Frobenius step
+    F2 = GF(2)
+    Ft = RationalFunctionField(F2, "t")
+    t = Ft.gen()
+    L = extend(Ft, Polynomial(Ft, [t, Ft.zero(), t, Ft.zero(), Ft.one()]), "a")
+    N = extend(L, Polynomial(L, [L.coerce(t), L.zero(), L.one()]), "r")
+    a, r = N.coerce(L.gen()), N.coerce(N.gen())
+    hints = [a, a + r, r]
+    P = regular_over(L, Subfield.from_layer(L, Ft))
+    an = analyze(P, E=N, hints=hints)
+    assert an.gamma.order == 2
+    got = [
+        (str(f.min_poly), f.multiplicity, f.insep_exponent)
+        for f in an.factors
+    ]
+    assert got == [("x + a", 2, 0), ("x^2 + a^2 + t", 1, 1)]
+    assert an.semisimple is False
+    c = classify(P, analysis=an, hints=hints)
+    assert (c.degree, c.multiplicity) == (4, 1)
+    Q = direct_sum(P, P)
+    c = classify(Q, analysis=analyze(Q, E=N, hints=hints), hints=hints)
+    assert (c.degree, c.multiplicity) == (4, 2)
 
 
 # --------------------------------------------- base change fixtures

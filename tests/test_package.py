@@ -1,9 +1,11 @@
-"""Package hygiene: the package docstring and the install entry points
-name only modules that exist, every library exception has a raise site
-in the package, and no module imports a name it never uses."""
+"""Package hygiene: the package docstring, the install entry points and
+the benchmark's per-layer trace targets name only things that exist,
+every library exception has a raise site in the package, and no module
+imports a name it never uses."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -18,6 +20,7 @@ from galbim import errors
 
 SRC = pathlib.Path(galbim.__file__).parent
 PYPROJECT = SRC.parent.parent / "pyproject.toml"
+LAYERTRACE = SRC.parent.parent / "perfbench" / "layertrace.py"
 
 
 def test_documented_modules_import():
@@ -33,6 +36,21 @@ def test_entry_points_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert hasattr(importlib.import_module(module), attr), target
+
+
+def test_layertrace_targets_resolve():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = []
+    for fns in layertrace.TARGETS.values():
+        for target in fns.values():
+            importlib.import_module("galbim." + target.partition(":")[0])
+            try:
+                assert callable(layertrace._resolve(target)), target
+            except KeyError:
+                missing.append(target)
+    assert missing == []
 
 
 def test_every_error_is_raised():
