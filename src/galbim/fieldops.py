@@ -25,6 +25,7 @@ from .errors import (
     ResolutionError,
     UnsupportedBase,
 )
+from .factor import _elem_sort_key, _poly_sort_key, factor_poly
 from .matrix import Matrix
 from .morphisms import (
     FieldMorphism,
@@ -303,43 +304,62 @@ def splitting_field(
     """Build a splitting field of f over its coefficient field by
     repeatedly adjoining a root of a nonlinear irreducible factor.
 
+    Cofactor invariant: over the current field E, f is the product of
+    the linear factors x - r of the roots found so far and of the
+    still-unsplit irreducible factors, each kept with its multiplicity.
+    Adjoining a root r of the first unsplit factor g (in factor_poly's
+    order) and dividing g by x - r leaves only that cofactor and the
+    other unsplit factors to factor over the new field, so f itself is
+    factored once, over its coefficient field.  The tower and the root
+    order are those of refactoring f over every layer.  When the field
+    is new (never f's own coefficient field), the roots are recorded on
+    it, and ``morphisms._build_pool`` seeds its candidate pool with them.
+
     Supported for coefficient towers over the rationals or a prime
     field (anything factor_poly handles); raises DegreeBound when the
     tower would outgrow the cap."""
-    from .factor import factor_poly
-
     base = f.field
-    if f.degree == 1:
-        root = -f.coeff(0) / f.coeff(1)
-        return SplittingData(
-            polynomial=f,
-            base=base,
-            field=base,
-            roots=[(root, 1)],
-            verified_split=True,
-            minimal=True,
-        )
+    roots, unsplit = [], []
+
+    def sort_in(h, mult):
+        # a linear h gives its root; only a nonlinear one is factored
+        parts = [(h.monic(), 1)] if h.degree == 1 else factor_poly(
+            h, max_degree=max(f.degree, 1))[1]
+        for g, m in parts:
+            if g.degree == 1:
+                roots.append((-g.coeff(0), mult * m))
+            else:
+                unsplit.append((g, mult * m))
+
+    sort_in(f, 1)
     E = base
     counter = 0
-    while True:
-        fE = f.map_coeffs(E, E.coerce) if E is not base else f
-        _, factors = factor_poly(fE, max_degree=max(f.degree, 1))
-        nonlinear = [g for g, _ in factors if g.degree > 1]
-        if not nonlinear:
-            roots = [(-g.coeff(0), m) for g, m in factors]
-            return SplittingData(
-                polynomial=f,
-                base=base,
-                field=E,
-                roots=roots,
-                verified_split=True,
-                minimal=True,
-            )
+    while unsplit:
+        unsplit.sort(key=lambda pair: _poly_sort_key(pair[0]))
+        (g, mult), rest = unsplit[0], unsplit[1:]
         counter += 1
-        g = nonlinear[0]
         E = extend(
             E, g, "r%d" % counter, max_degree=max_degree, validate=False,
         )
+        r = E.gen()
+        roots.append((r, mult))
+        unsplit.clear()
+        cofactor = g.map_coeffs(E, E.coerce) // Polynomial(E, [-r, E.one()])
+        for h, m in [(cofactor, mult)] + rest:
+            sort_in(h.map_coeffs(E, E.coerce), m)
+    if E is not base:
+        roots = [(E.coerce(s), m) for s, m in roots]
+        # factor_poly's order of the linear factors x - r
+        roots.sort(key=lambda pair: _elem_sort_key(-pair[0]))
+        vars(E)["_split_roots"] = tuple(r for r, _ in roots)
+    return SplittingData(
+        polynomial=f,
+        base=base,
+        field=E,
+        roots=roots,
+        verified_split=True,
+        minimal=True,
+    )
 
 
 def locate_roots(f: Polynomial, E, hints=()):

@@ -10,9 +10,10 @@ right: (f * g)(x) = g(f(x)).
 Automorphism enumeration works by backtracking over layer generators.
 At each node the generator's images are the roots of the mapped
 relation, found by ``_roots_in_pool``: a scan of a finite candidate pool
-(tower generators, their negatives, supplied hints and two rounds of
-pairwise products) that divides each root out (``_divide_out``), then
-factors what is left where the codomain allows it.
+(tower generators, their negatives, supplied hints, the roots a computed
+splitting field recorded on its field, and two rounds of pairwise
+products) that divides each root out (``_divide_out``), then factors
+what is left where the codomain allows it.
 ``fieldops.locate_roots`` runs the same search and ``bimod.split_probe``
 the same scan.  When the caller states an expected order and fewer maps
 are found, the search reports failure rather than returning a silently
@@ -320,7 +321,15 @@ class AutomorphismGroup:
 def _candidate_pool(field, hints):
     """The root search pool of ``field`` for these hints, as a tuple,
     memoized on the field handle like ``fieldops.cached_basis`` so one
-    analysis builds it once and it is freed together with its tower."""
+    analysis builds it once and it is freed together with its tower.
+
+    A field built by ``fieldops.splitting_field`` carries the roots it
+    split off its cofactors (``_split_roots``); they are seeded right
+    after the hints, so the automorphisms and embeddings of a splitting
+    field are found by the scan without refactoring.  The seed moves
+    where a root is found, not which roots there are: groups and
+    embedding lists, sorted by key, are unchanged, while
+    ``locate_roots`` lists roots in scan order."""
     hints = [field.coerce(h) for h in hints]
     cache = vars(field).setdefault("_pool_cache", {})
     key = tuple(_elem_sort_key(h) for h in hints)
@@ -347,6 +356,8 @@ def _build_pool(field, hints):
     for h in hints:
         add(h)
         add(-h)
+    for r in vars(field).get("_split_roots", ()):
+        add(r)
     # two rounds of products against the generators
     for _ in range(2):
         current = list(pool.values())

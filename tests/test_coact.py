@@ -255,6 +255,18 @@ def test_intermediate_invariants_refused():
         co.galois_group_of_coaction(C)
 
 
+def test_cyclic_cubic_galois_group_computed():
+    # Fun(Z/3) coacting on Q[z]/(z^3 - 3z - 1) through sigma: z -> 2 - z^2,
+    # the cyclic group of the cubic; its splitting closure is L itself
+    L = extend(QQ, [-1, -3, 0, 1], "z")
+    z = L.gen()
+    K = dual(group_algebra(QQ, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
+    C = co.field_coaction(L, K, {0: z, 1: 2 - z**2, 2: z**2 - z - 2})
+    co.verify_coaction(C)
+    assert len(co.invariants(C)) == 1
+    assert co.galois_group_of_coaction(C).order == 3
+
+
 def test_field_coaction_validation():
     L = extend(QQ, [-2, 0, 1], "t")
     K = group_algebra(QQ, Z2_TABLE)

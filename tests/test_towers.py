@@ -12,6 +12,7 @@ import weakref
 import pytest
 from fractions import Fraction
 
+from galbim import fieldops, morphisms
 from galbim.errors import (
     DegreeBound,
     FieldMismatch,
@@ -21,7 +22,7 @@ from galbim.errors import (
     ResolutionError,
     UnsupportedBase,
 )
-from galbim.factor import roots_in_coefficient_field
+from galbim.factor import factor_poly, roots_in_coefficient_field
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import (
     Subfield,
@@ -354,6 +355,137 @@ def test_splitting_field_x4_plus_1():
     data = splitting_field(x**4 + 1)
     assert algebraic_degree(data.field, QQ) == 4
     assert sum(m for _, m in data.roots) == 4
+
+
+# Frozen presentations of computed splitting fields: for each polynomial
+# (coefficient field, coefficients from the constant term up), the
+# adjoined relations bottom up and the (root, multiplicity) list.  The
+# tower and the root order are part of the output callers index by.
+SPLITTING_PRESENTATIONS = [
+    ("QQ", [-2, 0, 0, 1], ["x^3 - 2", "x^2 + r1*x + r1^2"],
+     [("r1", 1), ("r2", 1), ("-r2 - r1", 1)]),
+    ("QQ", [1, 0, 0, 0, 1], ["x^4 + 1"],
+     [("r1", 1), ("r1^3", 1), ("-r1^3", 1), ("-r1", 1)]),
+    ("QQ", [-2, 0, 0, 0, 1], ["x^4 - 2", "x^2 + r1^2"],
+     [("r1", 1), ("r2", 1), ("-r2", 1), ("-r1", 1)]),
+    ("QQ", [-1, -3, 0, 1], ["x^3 - 3*x - 1"],
+     [("-r1^2 + 2", 1), ("r1", 1), ("r1^2 - r1 - 2", 1)]),
+    ("QQ", [-1, 0, 0, 0, 0, 1], ["x^4 + x^3 + x^2 + x + 1"],
+     [("1", 1), ("r1", 1), ("r1^2", 1), ("r1^3", 1),
+      ("-r1^3 - r1^2 - r1 - 1", 1)]),
+    ("QQ", [1, 0, 0, 1, 0, 0, 1], ["x^6 + x^3 + 1"],
+     [("r1", 1), ("r1^2", 1), ("r1^4", 1), ("r1^5", 1),
+      ("-r1^5 - r1^2", 1), ("-r1^4 - r1", 1)]),
+    ("QQ", [-1, -1, 0, 1], ["x^3 - x - 1", "x^2 + r1*x + r1^2 - 1"],
+     [("r1", 1), ("r2", 1), ("-r2 - r1", 1)]),
+    ("QQ", [-1, 0, -1, 0, 1], ["x^4 - x^2 - 1", "x^2 + r1^2 - 1"],
+     [("r1", 1), ("r2", 1), ("-r2", 1), ("-r1", 1)]),
+    # (x^2 - 2)^2 and x^5 - 2x^2: repeated factors
+    ("QQ", [4, 0, -4, 0, 1], ["x^2 - 2"], [("r1", 2), ("-r1", 2)]),
+    ("QQ", [0, 0, -2, 0, 0, 1], ["x^3 - 2", "x^2 + r1*x + r1^2"],
+     [("r1", 1), ("r2", 1), ("0", 2), ("-r2 - r1", 1)]),
+    # (x^2 + 1)(x^2 + 4): the second factor splits over the first layer
+    ("QQ", [4, 0, 5, 0, 1], ["x^2 + 1"],
+     [("2*r1", 1), ("r1", 1), ("-r1", 1), ("-2*r1", 1)]),
+    # (x^2 + x + 1)(x^3 + x + 1) over F_2
+    ("GF2", [1, 0, 0, 0, 1, 1], ["x^2 + x + 1", "x^3 + x + 1"],
+     [("r2^2", 1), ("r2", 1), ("r2^2 + r2", 1), ("r1", 1), ("r1 + 1", 1)]),
+    # (x^2 + 1)(x^3 - x + 1) over F_3
+    ("GF3", [1, 2, 1, 0, 0, 1], ["x^2 + 1", "x^3 + 2*x + 1"],
+     [("r2", 1), ("2*r1", 1), ("r1", 1), ("r2 + 2", 1), ("r2 + 1", 1)]),
+    # (x^2 + 1)(x^2 + x + 2) over F_3, both split over F_9
+    ("GF3", [2, 1, 0, 1, 1], ["x^2 + 1"],
+     [("2*r1", 1), ("r1", 1), ("2*r1 + 1", 1), ("r1 + 1", 1)]),
+    # (x^2 + 2)^2 (x^3 + x + 1) over F_5
+    ("GF5", [4, 4, 4, 3, 1, 0, 0, 1], ["x^2 + 2", "x^3 + x + 1"],
+     [("r2", 1), ("4*r1", 2), ("r1", 2), ("r2^2 + 3*r2 + 4", 1),
+      ("4*r2^2 + r2 + 1", 1)]),
+]
+
+COEFFICIENT_FIELDS = {"QQ": QQ, "GF2": GF(2), "GF3": GF(3), "GF5": GF(5)}
+
+
+@pytest.mark.parametrize(
+    "name, coeffs, relations, roots", SPLITTING_PRESENTATIONS
+)
+def test_splitting_field_presentation_frozen(name, coeffs, relations, roots):
+    F = COEFFICIENT_FIELDS[name]
+    data = splitting_field(Polynomial(F, [F.coerce(c) for c in coeffs]))
+    adjoined = chain(data.field)[1:]
+    assert [repr(layer.relation) for layer in adjoined] == relations
+    assert [(repr(r), m) for r, m in data.roots] == roots
+
+
+@pytest.mark.parametrize(
+    "coeffs, calls",
+    [
+        # x^3 - 2: f over Q, then the quadratic cofactor over Q(r1); the
+        # last cofactor is linear, so Q(r1, r2) is never factored over
+        ([-2, 0, 0, 1], [(0, 3), (1, 2)]),
+        # x^6 + x^3 + 1 splits over Q(r1): only the quintic cofactor is
+        # factored there, never f itself
+        ([1, 0, 0, 1, 0, 0, 1], [(0, 6), (1, 5)]),
+    ],
+    ids=["x^3-2", "x^6+x^3+1"],
+)
+def test_splitting_field_factors_only_the_unsplit_cofactors(
+    monkeypatch, coeffs, calls
+):
+    seen = []
+
+    def recording(h, *args, **kwargs):
+        seen.append((h.field, h.degree))
+        return factor_poly(h, *args, **kwargs)
+
+    monkeypatch.setattr(fieldops, "factor_poly", recording)
+    f = Polynomial(QQ, coeffs)
+    layers = chain(splitting_field(f).field)
+    assert [(layers.index(F), n) for F, n in seen] == calls
+
+
+@pytest.mark.parametrize(
+    "coeffs, degree",
+    [
+        ([-2, 0, 0, 1], 6),
+        ([-2, 0, 0, 0, 1], 8),
+        ([1, 0, 0, 1, 0, 0, 1], 6),
+        ([1, 1, 0, 0, 0, 1], 12),
+        ([1, 1, 0, 0, 1], 24),      # group S_4
+    ],
+    ids=["x^3-2", "x^4-2", "x^6+x^3+1", "x^5+x+1", "x^4+x+1"],
+)
+def test_splitting_field_automorphisms_come_from_its_roots(
+    monkeypatch, coeffs, degree
+):
+    f = Polynomial(QQ, coeffs)
+    data = splitting_field(f)
+    E = data.field
+    assert algebraic_degree(E, QQ) == degree
+    x = Polynomial.x(E)
+    product = Polynomial.one(E)
+    for r, m in data.roots:
+        product = product * (x - r) ** m
+    assert product == f.map_coeffs(E, E.coerce)
+    fallbacks = []
+    original = morphisms.roots_in_coefficient_field
+    monkeypatch.setattr(
+        morphisms, "roots_in_coefficient_field",
+        lambda h: fallbacks.append(h) or original(h),
+    )
+    assert automorphisms_over(E, QQ).order == degree
+    assert fallbacks == []
+
+
+def test_splitting_field_leaves_a_splitting_base_alone():
+    Qi = make_qi()
+    i = Qi.gen()
+    x = Polynomial.x(Qi)
+    data = splitting_field((x - i) * (x + 1))
+    assert data.field is Qi
+    assert sorted(repr(r) for r in data.root_list()) == ["-1", "i"]
+    linear = splitting_field(2 * x - i)
+    assert linear.field is Qi and linear.roots == [(i / 2, 1)]
+    assert "_split_roots" not in vars(Qi)
 
 
 def test_verify_splitting_in_supplied_tower():
