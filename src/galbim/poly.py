@@ -4,7 +4,8 @@ Coefficients live in a single field handle carried by the container;
 they are stored low degree first and trimmed.  The zero polynomial has
 degree -1.  Rational functions keep a monic denominator coprime to the
 numerator; operations take fast paths while denominators are 1 so that
-polynomial-only computations never pay for gcds.
+polynomial-only computations never pay for gcds, and adding zero costs
+nothing.
 """
 
 from __future__ import annotations
@@ -453,7 +454,10 @@ class RationalFunction:
     The ``field`` slot points to the owning RationalFunctionField, which
     supplies its constants, zero and one.  Whether den is 1 is tested
     once, when the value is built; callers that know it pass
-    ``polynomial``.
+    ``polynomial``.  A sum with a zero operand returns the other
+    operand, coerced into the field when it is a plain constant, with
+    no gcd; the field check runs first, so mixing fields still raises
+    FieldMismatch.
 
     A constant hashes as its coefficient, so it agrees with the equal
     element of the coefficient field.
@@ -486,6 +490,10 @@ class RationalFunction:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
         if self._polynomial and other._polynomial:
             return RationalFunction(
                 self.field, self.num + other.num, self.den, trusted=True,

@@ -110,14 +110,19 @@ class ExtElement:
     """Element of an algebraic extension, stored as coordinates over the
     base in the power basis of the generator.
 
+    Whether it is zero is read off the coordinates once, when it is
+    built, so ``bool`` costs O(1) at any depth.  A sum of two elements
+    of one field with a zero operand returns the other operand itself.
+
     An element of the base layer hashes as its coordinate there, so it
     agrees with the equal element of any lower layer."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_nonzero")
 
     def __init__(self, field, coords):
         self.field = field
         self.coords = coords
+        self._nonzero = any(coords)
 
     def _lift_pair(self, other):
         """(self, other) lifted into a common field, or None.
@@ -139,6 +144,10 @@ class ExtElement:
 
     def __add__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:
+            if not other._nonzero:
+                return self
+            if not self._nonzero:
+                return other
             return ExtElement(
                 self.field,
                 tuple(a + b for a, b in zip(self.coords, other.coords)),
@@ -224,7 +233,7 @@ class ExtElement:
         return hash(("ext", self.field.var, self.coords))
 
     def __bool__(self):
-        return any(self.coords)
+        return self._nonzero
 
     def __repr__(self):
         return format_poly(

@@ -1,15 +1,17 @@
 """The polynomial kernel's fast paths: a rational function knows whether
-its denominator is 1 without testing it again, division by a monic
-polynomial takes no inverse, and both give the same values as the
-general paths."""
+its denominator is 1 without testing it again, adding zero to it takes
+no gcd, division by a monic polynomial takes no inverse, and all give
+the same values as the general paths."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from galbim import poly
+from galbim.errors import FieldMismatch
 from galbim.fieldbase import GF, QQ
-from galbim.poly import Polynomial
+from galbim.poly import Polynomial, poly_gcd
 from galbim.towers import RationalFunctionField, extend
 
 
@@ -56,6 +58,63 @@ def test_polynomial_flag_follows_every_operation(base):
             assert _flag_matches(x * y)
             if y:
                 assert _flag_matches(x / y)
+
+
+def _proper_fractions(Ft, rng):
+    out = []
+    while len(out) < 6:
+        x = _random_ratfunc(Ft, rng)
+        if not x.is_polynomial():
+            out.append(x)
+    return out
+
+
+def _normalised(x):
+    return (
+        x.den.leading() == x.den.field.one()
+        and poly_gcd(x.num, x.den).is_one()
+        and _flag_matches(x)
+    )
+
+
+@pytest.mark.parametrize("base", [QQ, GF(3)], ids=repr)
+def test_adding_zero_returns_the_normalised_fraction(base):
+    Ft = RationalFunctionField(base, "t")
+    rng = random.Random(7600 + base.characteristic)
+    zero = Ft.zero()
+    for x in _proper_fractions(Ft, rng):
+        for total in (zero + x, x + zero, 0 + x, x + 0, x - zero):
+            assert total == x and _normalised(total)
+    for total in (zero + 2, 2 + zero, zero + Ft.coerce(2)):
+        assert total == Ft.coerce(2) and _normalised(total)
+    assert _normalised(zero + zero) and not zero + zero
+
+
+def test_adding_zero_from_another_field_still_raises():
+    Fs = RationalFunctionField(QQ, "s")
+    Ft = RationalFunctionField(QQ, "t")
+    x = Ft.gen() / (Ft.gen() + 1)
+    for a, b in ((Fs.zero(), x), (x, Fs.zero()), (Fs.zero(), Ft.zero())):
+        with pytest.raises(FieldMismatch):
+            a + b
+
+
+@pytest.mark.parametrize("base", [QQ, GF(3)], ids=repr)
+def test_adding_zero_takes_no_gcd(base, monkeypatch):
+    Ft = RationalFunctionField(base, "t")
+    xs = _proper_fractions(Ft, random.Random(7700 + base.characteristic))
+    calls = []
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(poly, "poly_gcd", counting_gcd)
+    zero = Ft.zero()
+    sums = [(x, [zero + x, x + zero, 0 + x, x + 0]) for x in xs]
+    assert calls == []
+    for x, totals in sums:
+        assert all(total is x for total in totals)
 
 
 def _fields():
