@@ -256,9 +256,9 @@ def verify_coaction(C):
     tower generator (both sides are algebra maps over the base, so the
     generator decides them), and the defining relation of the generator
     must map to zero in L (x) K; the relation expansion is returned in
-    the report.  Finite kind: unit, multiplicativity, counit and
-    coassociativity are checked on every basis tuple.  Raises
-    AxiomViolation naming the failing identity.
+    the report.  Finite kind: every law on every basis tuple, not on the
+    generators of A as in HopfAlgebra, since that needs A associative,
+    which is not checked.  Raises AxiomViolation naming the failing law.
     """
     if C.kind == "field":
         return _verify_field(C)

@@ -9,7 +9,7 @@ small inputs rather than trusting one code path.
 from __future__ import annotations
 
 from .errors import EigenvalueOutsideField, NotAField
-from .matrix import Matrix
+from .matrix import Echelon, Matrix
 
 
 def stack_kernel(matrices):
@@ -65,16 +65,15 @@ def restriction_matrix(M: Matrix, basis) -> Matrix:
 
 def extend_to_basis(field, vectors, n):
     """Complete independent vectors to a basis with standard vectors."""
+    span = Echelon(field)
     cols = list(vectors)
-    zero, one = field.zero(), field.one()
+    for v in cols:
+        span.insert(v)
     for j in range(n):
-        e = [zero] * n
-        e[j] = one
-        trial = Matrix.from_cols(field, cols + [e])
-        if trial.rank() == len(cols) + 1:
+        e = [field.zero()] * n
+        e[j] = field.one()
+        if span.insert(e):
             cols.append(e)
-        if len(cols) == n:
-            break
     return cols
 
 

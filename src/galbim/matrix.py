@@ -9,7 +9,7 @@ Hessenberg reduction; minimal polynomials through Krylov chains.
 from __future__ import annotations
 
 from .errors import FieldMismatch, NotInvertible
-from .poly import Polynomial, poly_gcd, poly_lcm, power
+from .poly import Polynomial, poly_lcm, power
 
 
 class Matrix:
@@ -209,8 +209,22 @@ class Matrix:
         return Matrix(self.field, tuple(out), trusted=True)
 
     def __truediv__(self, other):
-        """self * other^-1; raises NotInvertible when other is singular."""
-        return self * other.inverse()
+        """self * other^-1 from one rref of [other^T | self^T]; raises
+        NotInvertible when other is singular or not square."""
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        n = other.nrows
+        if not other.is_square():
+            raise NotInvertible("division by a non-square matrix")
+        if self.ncols != n:
+            raise ValueError("matrix dimensions do not match")
+        R, pivots = Matrix.from_blocks(
+            self.field, [[other.transpose(), self.transpose()]]
+        ).rref()
+        if pivots[:n] != list(range(n)):
+            raise NotInvertible("matrix is singular")
+        return R.submatrix(range(n), range(n, n + self.nrows)).transpose()
 
     def mul_vec(self, v):
         if len(v) != self.ncols:
@@ -233,7 +247,8 @@ class Matrix:
         return power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self):
-        return Matrix(self.field, tuple(zip(*self.rows)), trusted=True)
+        rows = tuple(zip(*self.rows)) or ((),) * self.ncols
+        return Matrix(self.field, rows, trusted=True, ncols=self.nrows)
 
     def map_entries(self, fn, field=None):
         if field is None:
@@ -252,17 +267,8 @@ class Matrix:
         return all(not a for row in self.rows for a in row)
 
     def is_identity(self):
-        if not self.is_square():
-            return False
-        one = self.field.one()
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if i == j:
-                    if a != one:
-                        return False
-                elif a:
-                    return False
-        return True
+        return self.is_square() and self == Matrix.identity(
+            self.field, self.nrows)
 
     def __eq__(self, other):
         return (
@@ -345,44 +351,21 @@ class Matrix:
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = len(rows)
-        sign = 1
+        span = Echelon(self.field)
         acc = self.field.one()
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
+        for row in self.rows:
+            lead = span.insert(row)
+            if lead is None:
                 return self.field.zero()
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                sign = -sign
-            lead = rows[c][c]
             acc = acc * lead
-            inv = self.field.one() / lead
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    ri, rc = rows[i], rows[c]
-                    rows[i] = [
-                        ri[j] - f * rc[j] if rc[j] else ri[j]
-                        for j in range(n)
-                    ]
-        return acc if sign == 1 else -acc
+        # triangular once columns are sorted by pivot; inversions flip sign
+        pivots = [piv for piv, _ in span.rows]
+        swaps = sum(a > b for i, a in enumerate(pivots)
+                    for b in pivots[i + 1:])
+        return -acc if swaps % 2 else acc
 
     def inverse(self):
-        if not self.is_square():
-            raise NotInvertible("inverse of a non-square matrix")
-        n = self.nrows
-        R, pivots = Matrix.from_blocks(
-            self.field, [[self, Matrix.identity(self.field, n)]]
-        ).rref()
-        if pivots != list(range(n)):
-            raise NotInvertible("matrix is singular")
-        return R.submatrix(range(n), range(n, 2 * n))
+        return Matrix.identity(self.field, self.nrows) / self
 
     def solve(self, b):
         """One solution of M x = b, or None if inconsistent."""
@@ -462,32 +445,13 @@ class Matrix:
             return Polynomial.one(field)
         zero, one = field.zero(), field.one()
         mu = Polynomial.one(field)
-        # echelonized span of all Krylov vectors seen so far; once a basis
-        # vector is already inside, its chain divides the current lcm
-        seen_rows = []  # list of (pivot_index, vector)
-
-        def reduce_vec(v):
-            v = list(v)
-            for piv, w in seen_rows:
-                if v[piv]:
-                    f = v[piv]
-                    v = [a - f * b if b else a for a, b in zip(v, w)]
-            return v
-
-        def insert_vec(v):
-            v = reduce_vec(v)
-            for piv in range(n):
-                if v[piv]:
-                    inv = one / v[piv]
-                    v = [inv * a for a in v]
-                    seen_rows.append((piv, v))
-                    return True
-            return False
-
+        # span of all Krylov vectors seen so far; once a basis vector is
+        # already inside, its chain divides the current lcm
+        seen = Echelon(field)
         for i in range(n):
             e = [zero] * n
             e[i] = one
-            if not insert_vec(e):
+            if not seen.insert(e):
                 continue
             chain = [e]
             v = e
@@ -502,30 +466,39 @@ class Matrix:
                     mu = poly_lcm(mu, f)
                     break
                 chain.append(v)
-                insert_vec(v)
+                seen.insert(v)
             if mu.degree == n:
                 break
         return mu.monic()
 
 
-def mat_is_semisimple(M: Matrix) -> bool:
-    """Whether M is diagonalizable over the algebraic closure, tested as
-    squarefreeness of the minimal polynomial (valid in characteristic 0
-    and whenever gcd with the derivative detects repeated factors)."""
-    mu = M.minpoly()
-    d = mu.derivative()
-    if d.is_zero():
-        # inseparable minimal polynomial: a p-th power pattern
-        return False
-    return poly_gcd(mu, d).is_constant()
+class Echelon:
+    """A subspace of F^n grown one vector at a time, as rows
+    (pivot, vector) with vector[pivot] = 1, each row zero at the pivots
+    of the rows before it."""
 
+    __slots__ = ("one", "rows")
 
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product (A tensor B), blocks A[i][j] * B."""
-    if A.field is not B.field:
-        raise FieldMismatch("kronecker product over different fields")
-    blocks = [
-        [B.scale(A.rows[i][j]) for j in range(A.ncols)]
-        for i in range(A.nrows)
-    ]
-    return Matrix.from_blocks(A.field, blocks)
+    def __init__(self, field):
+        self.one = field.one()
+        self.rows = []
+
+    def reduce(self, v):
+        """v less a combination of the rows: zero iff v is in the span."""
+        v = list(v)
+        for piv, w in self.rows:
+            f = v[piv]
+            if f:
+                v = [a - f * b if b else a for a, b in zip(v, w)]
+        return v
+
+    def insert(self, v):
+        """Add v to the span and return the pivot entry of its reduced
+        form, or None when v was already inside."""
+        v = self.reduce(v)
+        for piv, a in enumerate(v):
+            if a:
+                inv = self.one / a
+                self.rows.append((piv, [inv * b for b in v]))
+                return a
+        return None

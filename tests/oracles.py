@@ -1,0 +1,140 @@
+"""Reference implementations that the tests compare the library with.
+
+``kron`` and ``mat_is_semisimple`` are second algorithms for answers
+the library computes another way; only the tests call them.
+
+``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
+tuple: associativity on all d^3 triples, and the multiplicativity of the
+coproduct and the counit on all d^2 pairs.  ``HopfAlgebra._verify``
+checks these product laws with a generator as left factor only.  Both
+check the axiom families in the same order and raise the same messages;
+the coproduct is checked on every pair before the counit.
+"""
+
+from galbim.errors import AxiomViolation, FieldMismatch
+from galbim.hopf import lincomb, sparse_product, tensor_product
+from galbim.matrix import Matrix
+from galbim.poly import poly_gcd
+
+
+def mat_is_semisimple(M: Matrix) -> bool:
+    """Whether M is diagonalizable over the algebraic closure, tested as
+    squarefreeness of the minimal polynomial (valid in characteristic 0
+    and whenever gcd with the derivative detects repeated factors)."""
+    mu = M.minpoly()
+    d = mu.derivative()
+    if d.is_zero():
+        # inseparable minimal polynomial: a p-th power pattern
+        return False
+    return poly_gcd(mu, d).is_constant()
+
+
+def kron(A: Matrix, B: Matrix) -> Matrix:
+    """Kronecker product (A tensor B), blocks A[i][j] * B."""
+    if A.field is not B.field:
+        raise FieldMismatch("kronecker product over different fields")
+    blocks = [
+        [B.scale(A.rows[i][j]) for j in range(A.ncols)]
+        for i in range(A.nrows)
+    ]
+    return Matrix.from_blocks(A.field, blocks)
+
+
+def exhaustive_hopf_check(H):
+    """Raise AxiomViolation naming the first axiom H breaks."""
+    F = H.field
+    d = H.dim
+    mult = H.mult
+    one = {u: c for u, c in enumerate(H.unit) if c}
+    for i in range(d):
+        e = {i: F.one()}
+        if (sparse_product(mult, one, e) != e
+                or sparse_product(mult, e, one) != e):
+            raise AxiomViolation("unit law fails at basis %d" % i)
+    for i in range(d):
+        for j in range(d):
+            ij = H.basis_product(i, j)
+            for k in range(d):
+                jk = H.basis_product(j, k)
+                left = lincomb(
+                    (u, c * cu)
+                    for l, c in ij for u, cu in mult.get((l, k), ())
+                )
+                right = lincomb(
+                    (u, c * cu)
+                    for l, c in jk for u, cu in mult.get((i, l), ())
+                )
+                if left != right:
+                    raise AxiomViolation(
+                        "associativity fails at (%d, %d, %d)" % (i, j, k)
+                    )
+    if H.counit_of(H.unit) != F.one():
+        raise AxiomViolation("counit of the unit is not 1")
+    for i in range(d):
+        terms = H.coprod[i]
+        left = lincomb((k, c * H.counit[j]) for j, k, c in terms)
+        right = lincomb((j, c * H.counit[k]) for j, k, c in terms)
+        e = {i: F.one()}
+        if left != e or right != e:
+            raise AxiomViolation("counit law fails at basis %d" % i)
+    for i in range(d):
+        terms = H.coprod[i]
+        left = lincomb(
+            ((a, b, k), c * cc)
+            for j, k, c in terms for a, b, cc in H.coprod[j]
+        )
+        right = lincomb(
+            ((j, a, b), c * cc)
+            for j, k, c in terms for a, b, cc in H.coprod[k]
+        )
+        if left != right:
+            raise AxiomViolation("coassociativity fails at basis %d" % i)
+    delta_one = lincomb(
+        ((j, k), ci * c)
+        for i, ci in one.items() for j, k, c in H.coprod[i]
+    )
+    unit_sparse = {
+        (j, k): cj * ck for j, cj in one.items() for k, ck in one.items()
+    }
+    if delta_one != unit_sparse:
+        raise AxiomViolation("coproduct of the unit is not 1 (x) 1")
+    deltas = [H.coproduct_sparse(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            want = lincomb(
+                ((a, b), c * cc)
+                for k, c in H.basis_product(i, j)
+                for a, b, cc in H.coprod[k]
+            )
+            if tensor_product(mult, mult, deltas[i], deltas[j]) != want:
+                raise AxiomViolation(
+                    "coproduct is not multiplicative at (%d, %d)" % (i, j)
+                )
+    for i in range(d):
+        for j in range(d):
+            eps = sum((c * H.counit[k] for k, c in H.basis_product(i, j)),
+                      F.zero())
+            if eps != H.counit[i] * H.counit[j]:
+                raise AxiomViolation(
+                    "counit is not multiplicative at (%d, %d)" % (i, j)
+                )
+    S = [
+        {u: c for u, c in enumerate(H.antipode.col(j)) if c}
+        for j in range(d)
+    ]
+    for i in range(d):
+        left = lincomb(
+            (u, c * s * cu)
+            for j, k, c in H.coprod[i]
+            for l, s in S[j].items()
+            for u, cu in mult.get((l, k), ())
+        )
+        right = lincomb(
+            (u, c * s * cu)
+            for j, k, c in H.coprod[i]
+            for l, s in S[k].items()
+            for u, cu in mult.get((j, l), ())
+        )
+        want = lincomb((u, H.counit[i] * c) for u, c in one.items())
+        if left != want or right != want:
+            raise AxiomViolation("antipode identity fails at basis %d" % i)

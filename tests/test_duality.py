@@ -15,6 +15,8 @@ from galbim.hopf import (
 )
 from galbim.matrix import Matrix
 
+from oracles import exhaustive_hopf_check
+
 ONE = QQ.one()
 
 Z2 = [[0, 1], [1, 0]]
@@ -41,6 +43,7 @@ def s3_table():
 def test_dual_satisfies_every_axiom(build):
     H = build()
     dual(H)._verify()
+    exhaustive_hopf_check(dual(H))
     assert dual(dual(H)).structure_key() == H.structure_key()
 
 

@@ -1,6 +1,8 @@
 """Hopf algebra constructors, duality, antipode derivation and the
 action-to-coaction bridge."""
 
+import re
+
 import pytest
 
 from galbim.errors import (
@@ -21,6 +23,8 @@ from galbim.hopf import (
 from galbim.matrix import Matrix
 from galbim.poly import Polynomial, qbinom
 from galbim.towers import extend
+
+from oracles import exhaustive_hopf_check
 
 ONE = QQ.one()
 ZERO = QQ.zero()
@@ -416,3 +420,97 @@ def test_adjoint_helpers_match_inline_construction(nich):
                 out = out + (rep[j] * Mb * rep_of(nich.antipode.col(k))).scale(c)
             cols.append([out[0, 0], out[0, 1], out[1, 0], out[1, 1]])
         assert packaged[i] == Matrix.from_cols(QQ, cols)
+
+
+# ------------------------------------------ reduced against exhaustive
+
+
+def _family(build):
+    """The axiom family ``build()`` reports broken, or None."""
+    try:
+        build()
+    except AxiomViolation as exc:
+        return re.sub(r" at .*", "", str(exc))
+    return None
+
+
+def _rebuild(H, mult, coprod, check):
+    return HopfAlgebra(QQ, H.names, mult, coprod, H.counit, H.unit,
+                       antipode=H.antipode, check=check)
+
+
+def _corruptions(H):
+    """Every single-entry corruption of the multiplication and coproduct
+    tables: one product or one coproduct dropped, doubled, or moved to
+    the next basis index (a zero product becomes its left factor)."""
+    d = H.dim
+    for key in sorted(H.mult) + [(i, j) for i in range(d)
+                                 for j in range(d) if (i, j) not in H.mult]:
+        terms = H.mult.get(key, ())
+        for new in (
+            (),
+            tuple((k, 2 * c) for k, c in terms),
+            tuple(((k + 1) % d, c) for k, c in terms) or ((key[0], ONE),),
+        ):
+            if new != terms:
+                yield {**H.mult, key: new}, H.coprod
+    for i, legs in enumerate(H.coprod):
+        for new in (
+            legs[:-1],
+            tuple((j, k, 2 * c) for j, k, c in legs),
+            tuple((j, (k + 1) % d, c) for j, k, c in legs),
+        ):
+            coprod = list(H.coprod)
+            coprod[i] = new
+            yield H.mult, coprod
+
+
+CORPUS = {
+    "Z2": lambda: group_algebra(QQ, Z2),
+    "Z3": lambda: group_algebra(QQ, Z3),
+    "S3": lambda: group_algebra(QQ, s3_table()[0]),
+    "Z2*": lambda: dual(group_algebra(QQ, Z2)),
+    "Z3*": lambda: dual(group_algebra(QQ, Z3)),
+    "S3*": lambda: dual(group_algebra(QQ, s3_table()[0])),
+    "taft22": lambda: taft(QQ, 2, 2, QQ.from_int(-1)),
+    "nichols16": lambda: nichols16(QQ),
+}
+
+
+def test_reduced_verify_matches_exhaustive_oracle():
+    families = set()
+    for name in sorted(CORPUS):
+        H = CORPUS[name]()
+        for mult, coprod in _corruptions(H):
+            want = _family(lambda: exhaustive_hopf_check(
+                _rebuild(H, mult, coprod, False)))
+            got = _family(lambda: _rebuild(H, mult, coprod, True))
+            assert got == want, name
+            families.add(want)
+    assert {"associativity fails", "coproduct is not multiplicative",
+            "counit is not multiplicative"} <= families
+
+
+def test_corrupted_product_of_non_generators_is_caught(taft22):
+    # Taft(2,2) is generated by x and g; g^2, g^3, g x and g^3 x are not
+    # generators, so no check takes them as left factor
+    T = taft22
+    x, g, gx, g2, g3, g3x = 1, 2, 3, 4, 6, 7
+    assert T._generators() == [x, g]
+    assert T.basis_product(g3, g3) == ((g2, ONE),)
+    assert T.basis_product(g2, gx) == ((g3x, ONE),)
+    # g^3 g^3 = 2 g^2 breaks associativity
+    mult = {**T.mult, (g3, g3): ((g2, 2 * ONE),)}
+    # Delta(g^3 x) = g^3 x (x) g^2 + g^3 (x) g^3 x in place of
+    # g^3 x (x) 1 + g^3 (x) g^3 x is still coassociative with counit,
+    # and g^3 x is a leg of no other coproduct: only the coproduct of
+    # g^2 . g x breaks
+    coprod = list(T.coprod)
+    coprod[g3x] = ((g3, g3x, ONE), (g3x, g2, ONE))
+    for broken, family in [
+        ((mult, T.coprod), "associativity fails"),
+        ((T.mult, coprod), "coproduct is not multiplicative"),
+    ]:
+        assert _family(lambda: exhaustive_hopf_check(
+            _rebuild(T, *broken, False))) == family
+        assert _family(lambda: _rebuild(T, *broken, True)) == family

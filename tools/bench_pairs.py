@@ -1,0 +1,161 @@
+"""Alternating parent/change benchmark pairs, summarised as BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workloads coaction,radical --seeds 31 --pairs 10 --seconds 5 \\
+        --claim coaction:solve_s --out BENCH_11.json
+
+Each checkout must hold ``perfbench/run.py`` and ``BENCHMARK.json``; each
+run is ``run.py --workload W --seed S --seconds T --trace 0`` started in
+that checkout.  Pair i runs both sides back to back, the parent first on
+even i and the change first on odd i, so a drift in host speed does not
+favour one side.  For every end-to-end metric of BENCHMARK.json the file
+records each side's median and quartiles (statistics.quantiles, method
+'inclusive'), the number of pairs the change wins (ties count for
+neither) and the change of the median in percent.
+
+An existing ``--out`` file is updated in place: the header is rewritten
+and each measured seed and workload replaces its old entry, so keys
+added by hand (trace numbers, notes) survive.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result line of one untraced run.py run in ``checkout``."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("run.py failed in %s (%s, seed %d):\n%s"
+                 % (checkout, workload, seed, proc.stderr))
+    lines = proc.stdout.strip().splitlines()
+    details, result = json.loads(lines[0]), json.loads(lines[-1])
+    return details, result
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "iqr": round(q3 - q1, 4)}
+
+
+def compare(parent, change, lower_is_better):
+    sign = 1 if lower_is_better else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    out = {"parent": summary(parent), "change": summary(change),
+           "change_better_pairs": wins}
+    base = out["parent"]["median"]
+    out["median_delta_pct"] = round(
+        100 * (statistics.median(change) - statistics.median(parent)) / base,
+        1)
+    return out
+
+
+def measure(args, workload, seed, metrics):
+    sides = {"parent": args.parent, "change": args.change}
+    samples = {side: {m: [] for m in metrics} for side in sides}
+    correct, failed, commits = True, 0, {}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            details, result = run_once(sides[side], workload, seed,
+                                       args.seconds)
+            commits[side] = (details["commit"] or "")[:7] or \
+                details["source_sha256"]
+            correct = correct and result["correct"]
+            failed += result["failed"]
+            for m in metrics:
+                samples[side][m].append(result["metrics"][m]["value"])
+        print("%s seed %d pair %d/%d: %s" % (
+            workload, seed, i + 1, args.pairs, ", ".join(
+                "%s %.4f/%.4f" % (m, samples["parent"][m][-1],
+                                  samples["change"][m][-1])
+                for m in metrics)), file=sys.stderr)
+    entry = {"pairs": args.pairs, "correct": correct, "failed": failed}
+    for m, lower in metrics.items():
+        entry[m] = compare(samples["parent"][m], samples["change"][m], lower)
+    return entry, commits
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="parent checkout")
+    ap.add_argument("--change", required=True, help="changed checkout")
+    ap.add_argument("--workloads", required=True,
+                    help="comma-separated workload names")
+    ap.add_argument("--seeds", required=True,
+                    help="comma-separated workload seeds")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=5)
+    ap.add_argument("--claim", required=True,
+                    help="WORKLOAD:METRIC the change claims to improve")
+    ap.add_argument("--description", default=None,
+                    help="one line saying what the change does")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    metrics = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    claim_workload, claim_metric = args.claim.split(":")
+
+    bench = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            bench = json.load(fh)
+    pairs = bench.pop("pairs", {})
+    commits = {}
+    for seed in (int(s) for s in args.seeds.split(",")):
+        for workload in args.workloads.split(","):
+            entry, commits = measure(args, workload, seed, metrics)
+            pairs.setdefault("seed_%d" % seed, {})[workload] = entry
+            if workload == claim_workload:
+                got = entry[claim_metric]
+                sign = 1 if metrics[claim_metric] else -1
+                gain = sign * (got["parent"]["median"]
+                               - got["change"]["median"])
+                met = (got["change_better_pairs"] >= 0.9 * args.pairs
+                       and gain > got["parent"]["iqr"])
+                print("claim %s on %s, seed %d: %s" % (
+                    claim_metric, workload, seed,
+                    "met" if met else "not met"), file=sys.stderr)
+
+    header = {
+        "change": args.description or bench.get("change"),
+        "parent": commits.get("parent", bench.get("parent")),
+        "host": "%d-CPU %s, Python %s; times are seconds at the harness's "
+                "reference host speed" % (
+                    len(os.sched_getaffinity(0)), platform.system(),
+                    platform.python_version()),
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   "--seconds %g --trace 0" % args.seconds,
+        "method": "%d pairs per workload, parent and change each run from "
+                  "its own checkout; the side that runs first alternates "
+                  "from pair to pair; quartiles by statistics.quantiles("
+                  "method='inclusive'); change_better_pairs counts pairs "
+                  "where the change reads better, ties counting for "
+                  "neither" % args.pairs,
+        "claim": {
+            "metric": claim_metric,
+            "workload": claim_workload,
+            "rule": "change better in >= 9/10 pairs and the median gain "
+                    "larger than the parent's IQR",
+        },
+    }
+    bench = {**header, **{k: v for k, v in bench.items()
+                          if k not in header}, "pairs": pairs}
+    with open(args.out, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
