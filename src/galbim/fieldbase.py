@@ -6,10 +6,18 @@ implement Python arithmetic operators; containers (polynomials,
 matrices) carry a single field handle rather than tagging every entry.
 Rationals are plain ``fractions.Fraction`` values, which are already in
 canonical form (reduced, positive denominator).
+
+Small finite fields are tables.  A prime field F_p with p at most
+``TABLE_CAP`` builds its p residues once, the first time it does
+arithmetic, and from then on every operation returns one of them instead
+of allocating; above the cap (a large modulus) it never builds the list.
+towers.py does the same for finite extension towers of at most
+``TABLE_CAP`` elements, with log, antilog and Zech tables.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import FieldMismatch, NotInvertible
@@ -69,6 +77,14 @@ QQ = RationalField()
 class PrimeFieldElement:
     """Residue in F_p.  Immutable; arithmetic stays in one field.
 
+    For p up to ``TABLE_CAP`` the field keeps its p residues as interned
+    elements, built the first time it does arithmetic, and every result
+    (sums, differences, products, negation, inverses, powers,
+    ``from_int``, ``coerce``, ``element_from_index``) is one of them, so
+    arithmetic allocates nothing.  Above the cap every result is a new
+    element.  ``==`` and ``hash`` compare field and value, not identity,
+    so an element built directly equals its interned twin.
+
     ``GF(p)(3) == 3`` holds, and so does ``GF(p)(3) == 3 + p``, because
     ints compare mod p.  No hash agrees with both 3 and 3 + p, so an
     element and an equal int may hash differently: do not mix them as
@@ -83,37 +99,53 @@ class PrimeFieldElement:
     def _check(self, other):
         if not isinstance(other, PrimeFieldElement):
             if isinstance(other, int):
-                return PrimeFieldElement(self.field, other)
+                return self.field._residue(other)
             return None
         if other.field is not self.field:
             raise FieldMismatch("elements of different prime fields")
         return other
 
+    # The hot operators test for an element of the same field inline and
+    # index the interned residues themselves: a call per operation to
+    # _check or _residue costs a third of the operation.
+
     def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value + other.value)
+        f = self.field
+        if other.__class__ is not PrimeFieldElement or other.field is not f:
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
+        v = self.value + other.value
+        els = f._els
+        return PrimeFieldElement(f, v) if els is None else els[v % f.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value - other.value)
+        f = self.field
+        if other.__class__ is not PrimeFieldElement or other.field is not f:
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
+        v = self.value - other.value
+        els = f._els
+        return PrimeFieldElement(f, v) if els is None else els[v % f.p]
 
     def __rsub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return PrimeFieldElement(self.field, other.value - self.value)
+        return self.field._residue(other.value - self.value)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value * other.value)
+        f = self.field
+        if other.__class__ is not PrimeFieldElement or other.field is not f:
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
+        v = self.value * other.value
+        els = f._els
+        return PrimeFieldElement(f, v) if els is None else els[v % f.p]
 
     __rmul__ = __mul__
 
@@ -130,17 +162,20 @@ class PrimeFieldElement:
         return other * self.inverse()
 
     def __neg__(self):
-        return PrimeFieldElement(self.field, -self.value)
+        els = self.field._els
+        if els is None:
+            return PrimeFieldElement(self.field, -self.value)
+        return els[-self.value]
 
     def inverse(self):
         if self.value == 0:
             raise NotInvertible("division by zero in F_%d" % self.field.p)
-        return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
+        return self.field._residue(pow(self.value, -1, self.field.p))
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return PrimeFieldElement(self.field, pow(self.value, n, self.field.p))
+        return self.field._residue(pow(self.value, n, self.field.p))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -161,6 +196,12 @@ class PrimeFieldElement:
         return str(self.value)
 
 
+# Finite fields of at most this many elements compute on tables of
+# interned elements: a prime field's residues here, the log, antilog and
+# Zech tables of an ExtensionField in towers.py.
+TABLE_CAP = 4096
+
+
 class PrimeField(Field):
     """F_p for a prime p."""
 
@@ -172,6 +213,21 @@ class PrimeField(Field):
         self._zero = PrimeFieldElement(self, 0)
         self._one = PrimeFieldElement(self, 1)
 
+    @functools.cached_property
+    def _els(self):
+        """The p residues, interned, with zero() and one() among them;
+        built on first use, None when p exceeds TABLE_CAP."""
+        if self.p > TABLE_CAP:
+            return None
+        return [self._zero, self._one] + [
+            PrimeFieldElement(self, v) for v in range(2, self.p)
+        ]
+
+    def _residue(self, n):
+        """The element n mod p: interned up to the cap, new above it."""
+        els = self._els
+        return PrimeFieldElement(self, n) if els is None else els[n % self.p]
+
     def zero(self):
         return self._zero
 
@@ -179,7 +235,7 @@ class PrimeField(Field):
         return self._one
 
     def from_int(self, n):
-        return PrimeFieldElement(self, n)
+        return self._residue(n)
 
     def coerce(self, x):
         if isinstance(x, PrimeFieldElement):
@@ -187,13 +243,11 @@ class PrimeField(Field):
                 return x
             raise FieldMismatch("element of a different prime field")
         if isinstance(x, int):
-            return PrimeFieldElement(self, x)
+            return self._residue(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise FieldMismatch("denominator divisible by %d" % self.p)
-            return PrimeFieldElement(self, x.numerator) / PrimeFieldElement(
-                self, x.denominator
-            )
+            return self._residue(x.numerator) / self._residue(x.denominator)
         raise FieldMismatch("cannot coerce %r into F_%d" % (x, self.p))
 
     # Frobenius is the identity on F_p, so every element is its own
@@ -205,7 +259,7 @@ class PrimeField(Field):
     finite_size = property(lambda self: self.p)
 
     def element_from_index(self, k):
-        return PrimeFieldElement(self, k)
+        return self._residue(k)
 
     def __repr__(self):
         return "F_%d" % self.p
@@ -213,7 +267,7 @@ class PrimeField(Field):
     def elements(self):
         """Iterate over all p elements (used by exhaustive oracles)."""
         for v in range(self.p):
-            yield PrimeFieldElement(self, v)
+            yield self._residue(v)
 
 
 _prime_fields: dict[int, PrimeField] = {}

@@ -498,7 +498,9 @@ class Echelon:
         v = self.reduce(v)
         for piv, a in enumerate(v):
             if a:
-                inv = self.one / a
-                self.rows.append((piv, [inv * b for b in v]))
+                if a != self.one:
+                    inv = self.one / a
+                    v = [inv * b for b in v]
+                self.rows.append((piv, v))
                 return a
         return None

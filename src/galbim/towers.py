@@ -11,6 +11,13 @@ supports factorization and record ``validated=False`` otherwise (the
 caller is then vouching for the relation, which is how externally
 supplied splitting data enters).
 
+A finite extension of at most ``TABLE_CAP`` elements (GF(4), GF(9),
+GF(27), GF(81) as GF(3)[j][k], ...) computes by tables from its first
+product on: interned elements that know their index, a primitive
+element's log and antilog tables, and Zech logarithms for sums (see
+``ExtensionField``).  Fields that never multiply, and larger ones,
+keep the coordinate arithmetic: convolution, then reduction.
+
 A ring map out of a tower is fixed by its generator images, and
 ``evaluate(x, layer, images, lift)`` is the one evaluator for all of
 them: field morphisms, the left actions phi: L -> Mat_d(L) of
@@ -33,6 +40,8 @@ bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     DegreeBound,
     FieldMismatch,
@@ -40,7 +49,7 @@ from .errors import (
     Reducible,
     UnsupportedBase,
 )
-from .fieldbase import Field, QQ
+from .fieldbase import TABLE_CAP, Field, PrimeFieldElement, QQ
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -115,14 +124,23 @@ class ExtElement:
     of one field with a zero operand returns the other operand itself.
 
     An element of the base layer hashes as its coordinate there, so it
-    agrees with the equal element of any lower layer."""
+    agrees with the equal element of any lower layer.
 
-    __slots__ = ("field", "coords", "_nonzero")
+    In a finite field of at most ``TABLE_CAP`` elements, once its tables
+    exist (see ``ExtensionField``), sums, differences, negations, products
+    and inverses are the field's interned elements, each holding its
+    index (as ``element_from_index`` counts) in ``_index``.  Any other
+    element of such a field gets its index computed from its coordinates
+    the first time it meets the tables, and keeps it.  ``coords``, ``==``
+    and ``hash`` do not depend on whether an element is interned."""
+
+    __slots__ = ("field", "coords", "_nonzero", "_index")
 
     def __init__(self, field, coords):
         self.field = field
         self.coords = coords
         self._nonzero = any(coords)
+        self._index = None
 
     def _lift_pair(self, other):
         """(self, other) lifted into a common field, or None.
@@ -148,9 +166,11 @@ class ExtElement:
                 return self
             if not self._nonzero:
                 return other
+            f = self.field
+            if f._exp is not None:
+                return f._sum(self, other, 0)
             return ExtElement(
-                self.field,
-                tuple(a + b for a, b in zip(self.coords, other.coords)),
+                f, tuple(a + b for a, b in zip(self.coords, other.coords))
             )
         pair = self._lift_pair(other)
         if pair is None:
@@ -161,13 +181,18 @@ class ExtElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElement(self.field, tuple(-a for a in self.coords))
+        f = self.field
+        if f._exp is not None:
+            return f._sum(f._zero, self, f._half)
+        return ExtElement(f, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:
+            f = self.field
+            if f._exp is not None:
+                return f._sum(self, other, f._half)
             return ExtElement(
-                self.field,
-                tuple(a - b for a, b in zip(self.coords, other.coords)),
+                f, tuple(a - b for a, b in zip(self.coords, other.coords))
             )
         pair = self._lift_pair(other)
         if pair is None:
@@ -184,7 +209,10 @@ class ExtElement:
 
     def __mul__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:
-            return self.field._mul(self, other)
+            f = self.field
+            if f._small:
+                return f._table_mul(self, other)
+            return f._mul(self, other)
         pair = self._lift_pair(other)
         if pair is None:
             return NotImplemented
@@ -242,7 +270,22 @@ class ExtElement:
 
 
 class ExtensionField(Field):
-    """Algebraic extension base[x]/(relation), relation monic."""
+    """Algebraic extension base[x]/(relation), relation monic.
+
+    A finite field of at most ``TABLE_CAP`` elements (every layer finite,
+    q = p^n) builds tables on its first product or inverse: its q
+    elements, interned, in ``element_from_index`` order; a primitive
+    element g with the log and antilog tables of its powers; and the
+    Zech logarithms z(n) = log(1 + g^n), so a sum costs three lookups
+    and needs no q x q table.  From then on every product, inverse,
+    sum, difference and negation, and ``coerce``, ``from_coords`` and
+    ``element_from_index``, return interned elements.  ``zero()``,
+    ``one()`` and ``gen()`` are interned as they are.  A field that
+    never multiplies builds nothing, and one above the cap keeps the
+    coordinate arithmetic.  A relation passed with ``validate=False``
+    that factors gives a ring with zero divisors: the search for g
+    finds that out and the ring keeps the coordinate arithmetic too.
+    """
 
     def __init__(self, base, relation: Polynomial, var: str, validate=True):
         if relation.field is not base:
@@ -281,6 +324,10 @@ class ExtensionField(Field):
                 ]
             rows.append(tuple(shifted))
         self._reduction = rows
+        size = getattr(base, "finite_size", None)
+        # tables: built by _tabulate; _exp is set last and marks them built
+        self._small = size is not None and size**d <= TABLE_CAP
+        self._els = self._log = self._exp = self._zech = None
 
     # ----------------------------------------------------------- handle
 
@@ -300,6 +347,8 @@ class ExtensionField(Field):
         if isinstance(x, ExtElement) and x.field is self:
             return x
         c = self.base.coerce(x)
+        if self._els is not None:
+            return self._els[_index(c)]
         return ExtElement(
             self,
             (c,) + (self.base.zero(),) * (self.degree - 1),
@@ -310,7 +359,10 @@ class ExtensionField(Field):
         if len(coords) > self.degree:
             raise ValueError("too many coordinates")
         coords += [self.base.zero()] * (self.degree - len(coords))
-        return ExtElement(self, tuple(coords))
+        x = ExtElement(self, tuple(coords))
+        if self._els is not None:
+            return self._els[self._index_of(x)]
+        return x
 
     def coords(self, x):
         return self.coerce(x).coords
@@ -325,6 +377,7 @@ class ExtensionField(Field):
     # ------------------------------------------------------- arithmetic
 
     def _mul(self, a: ExtElement, b: ExtElement):
+        """a * b from the coordinates: convolution, then reduction."""
         d = self.degree
         zero_b = self.base.zero()
         conv = [zero_b] * (2 * d - 1)
@@ -348,6 +401,11 @@ class ExtensionField(Field):
     def _inverse(self, a: ExtElement):
         if not a:
             raise NotInvertible("division by zero in %r" % self)
+        if self._small and (self._exp is not None or self._tabulate()):
+            ia = a._index
+            if ia is None:
+                ia = self._index_of(a)
+            return self._exp[len(self._log) - 1 - self._log[ia]]
         poly_a = Polynomial(self.base, a.coords)
         d, s, _t = poly_ext_gcd(poly_a, self.relation)
         if not d.is_one():
@@ -357,6 +415,97 @@ class ExtensionField(Field):
             )
         s = s % self.relation
         return self.from_coords(list(s.coeffs))
+
+    # ------------------------------------------------------------ tables
+
+    def _index_of(self, a: ExtElement):
+        """a's index, as element_from_index counts; kept on a."""
+        size = self.base.finite_size
+        k = 0
+        for c in reversed(a.coords):
+            k = k * size + _index(c)
+        a._index = k
+        return k
+
+    def _table_mul(self, a: ExtElement, b: ExtElement):
+        """a * b from the tables, which the first product builds."""
+        if self._exp is None and not self._tabulate():
+            return self._mul(a, b)
+        ia, ib = a._index, b._index
+        if ia is None:
+            ia = self._index_of(a)
+        if ib is None:
+            ib = self._index_of(b)
+        if not (ia and ib):
+            return self._zero
+        log = self._log
+        return self._exp[log[ia] + log[ib]]
+
+    def _sum(self, a: ExtElement, b: ExtElement, shift):
+        """a + g^shift * b from the tables: a + b for shift 0, a - b
+        for shift _half (g^_half = -1).  With la = log a, lb = log b,
+        a + g^shift b = g^(la + z(lb + shift - la))."""
+        ia, ib = a._index, b._index
+        if ia is None:
+            ia = self._index_of(a)
+        if ib is None:
+            ib = self._index_of(b)
+        log = self._log
+        if not ib:
+            return self._els[ia]
+        if not ia:
+            return self._exp[log[ib] + shift]
+        la = log[ia]
+        z = self._zech[log[ib] + shift - la]
+        return self._zero if z is None else self._exp[la + z]
+
+    def _tabulate(self):
+        """Build the tables (see the class docstring); True when built.
+        False, for good, when the ring is not a field."""
+        base = self.base
+        if isinstance(base, ExtensionField) and base._exp is None and not (
+            base._small and base._tabulate()
+        ):
+            self._small = False
+            return False
+        size = base.finite_size
+        # index k = sum of the base indices of coords[i] times size^i,
+        # so the first coordinate runs fastest
+        els = [
+            ExtElement(self, coords[::-1])
+            for coords in itertools.product(base._els, repeat=self.degree)
+        ]
+        els[0], els[1], els[size] = self._zero, self._one, self._gen
+        for k, x in enumerate(els):
+            x._index = k
+        q, one = len(els), self._one
+        # g is the first element whose powers run through all q - 1
+        # units.  In a field the powers of each candidate come back to 1;
+        # in a ring with zero divisors, those of some candidate never do.
+        for g in els[2:]:
+            exp, x = [], one
+            while len(exp) < q:
+                exp.append(els[self._index_of(x)])
+                x = self._mul(x, g)
+                if x == one:
+                    break
+            if x != one:
+                self._small = False
+                return False
+            if len(exp) == q - 1:
+                break
+        log = [None] * q
+        for n, x in enumerate(exp):
+            log[x._index] = n
+        one_b = base.one()
+        zech = []
+        for x in exp:
+            c = x.coords[0]
+            zech.append(log[x._index - _index(c) + _index(c + one_b)])
+        self._half = (q - 1) // 2 if self.characteristic != 2 else 0
+        self._els, self._log, self._zech = els, log, zech + zech
+        self._exp = exp + exp
+        return True
 
     # ------------------------------------------------- finite field hooks
 
@@ -368,6 +517,8 @@ class ExtensionField(Field):
         return base_size**self.degree
 
     def element_from_index(self, k):
+        if self._els is not None:
+            return self._els[k % len(self._els)]
         base_size = self.base.finite_size
         coords = []
         for _ in range(self.degree):
@@ -380,6 +531,14 @@ class ExtensionField(Field):
         if q is None:
             raise UnsupportedBase("p-th roots need a finite field")
         return self.coerce(x) ** (q // self.characteristic)
+
+
+def _index(x):
+    """The index of an element of a finite field, as
+    ``element_from_index`` counts."""
+    if isinstance(x, PrimeFieldElement):
+        return x.value
+    return x._index if x._index is not None else x.field._index_of(x)
 
 
 def _validate_irreducible(relation: Polynomial) -> bool:

@@ -9,6 +9,10 @@ coproduct and the counit on all d^2 pairs.  ``HopfAlgebra._verify``
 checks these product laws with a generator as left factor only.  Both
 check the axiom families in the same order and raise the same messages;
 the coproduct is checked on every pair before the counit.
+
+``TowerArithmetic`` multiplies in a finite tower by coordinates:
+convolution, then reduction by each layer's relation, on nested tuples
+of ints.  The library does its small finite fields by tables instead.
 """
 
 from galbim.errors import AxiomViolation, FieldMismatch
@@ -138,3 +142,63 @@ def exhaustive_hopf_check(H):
         want = lincomb((u, H.counit[i] * c) for u, c in one.items())
         if left != want or right != want:
             raise AxiomViolation("antipode identity fails at basis %d" % i)
+
+
+def tower_ints(x):
+    """An element of a finite tower as nested tuples of ints: its value
+    in the prime field, or the tuple of its coordinates' tuples."""
+    coords = getattr(x, "coords", None)
+    return x.value if coords is None else tuple(tower_ints(c) for c in coords)
+
+
+class TowerArithmetic:
+    """Sums and products in a finite tower F over GF(p) on the nested
+    int tuples of ``tower_ints``: coordinatewise sums, and products by
+    convolution followed by reduction with x^d = -(r_0 + ... + r_{d-1}
+    x^{d-1}) for the layer's monic relation, from the top degree down."""
+
+    def __init__(self, F):
+        self.relations = []
+        while hasattr(F, "relation"):
+            rel = [tower_ints(c) for c in F.relation.coeffs]
+            self.relations.insert(0, rel)
+            F = F.base
+        self.p = F.p
+        self.depth = len(self.relations)
+
+    def zero(self, level):
+        if level == 0:
+            return 0
+        return (self.zero(level - 1),) * (len(self.relations[level - 1]) - 1)
+
+    def add(self, a, b, level=None):
+        level = self.depth if level is None else level
+        if level == 0:
+            return (a + b) % self.p
+        return tuple(self.add(x, y, level - 1) for x, y in zip(a, b))
+
+    def neg(self, a, level=None):
+        level = self.depth if level is None else level
+        if level == 0:
+            return -a % self.p
+        return tuple(self.neg(x, level - 1) for x in a)
+
+    def mul(self, a, b, level=None):
+        level = self.depth if level is None else level
+        if level == 0:
+            return a * b % self.p
+        below = level - 1
+        rel = self.relations[below]
+        d = len(rel) - 1
+        conv = [self.zero(below)] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] = self.add(conv[i + j], self.mul(x, y, below),
+                                       below)
+        for k in range(2 * d - 2, d - 1, -1):
+            c = conv[k]
+            for i in range(d):
+                conv[k - d + i] = self.add(
+                    conv[k - d + i],
+                    self.neg(self.mul(c, rel[i], below), below), below)
+        return tuple(conv[:d])

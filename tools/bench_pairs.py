@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workloads coaction,radical --seeds 31 --pairs 10 --seconds 5 \\
-        --claim coaction:solve_s --out BENCH_11.json
+        --claim coaction:solve_s --trace-seed 1 --out BENCH_11.json
 
 Each checkout must hold ``perfbench/run.py`` and ``BENCHMARK.json``; each
 run is ``run.py --workload W --seed S --seconds T --trace 0`` started in
@@ -13,9 +13,16 @@ records each side's median and quartiles (statistics.quantiles, method
 'inclusive'), the number of pairs the change wins (ties count for
 neither) and the change of the median in percent.
 
+``--trace-seed S`` adds one ``run.py --seed S --seconds 0 --trace 1``
+pass per side and workload and records, under ``trace_seed_S``, each
+side's ``correct``, every count (``.calls``, ``.raised``) that differs
+between the sides, and every ``.self_s`` (with ``trace.solve_s``) that
+moves by at least SELF_S_MIN_DELTA seconds, as [parent, change] pairs.
+``--pairs 0`` runs the trace passes alone.
+
 An existing ``--out`` file is updated in place: the header is rewritten
 and each measured seed and workload replaces its old entry, so keys
-added by hand (trace numbers, notes) survive.  Standard library only.
+added by hand (notes) survive.  Standard library only.
 """
 
 import argparse
@@ -26,12 +33,14 @@ import statistics
 import subprocess
 import sys
 
+SELF_S_MIN_DELTA = 0.01     # seconds; smaller self-time moves are noise
 
-def run_once(checkout, workload, seed, seconds):
-    """The result line of one untraced run.py run in ``checkout``."""
+
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The details and result lines of one run.py run in ``checkout``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit("run.py failed in %s (%s, seed %d):\n%s"
@@ -85,6 +94,29 @@ def measure(args, workload, seed, metrics):
     return entry, commits
 
 
+def trace_diff(args, workload, seed):
+    """One traced pass per side: the per-layer metrics that moved."""
+    results = {side: run_once(path, workload, seed, 0, trace=1)[1]
+               for side, path in (("parent", args.parent),
+                                  ("change", args.change))}
+    parent = results["parent"]["metrics"]
+    change = results["change"]["metrics"]
+    self_s, counts = {}, {}
+    for name in sorted(parent):
+        p, c = parent[name]["value"], change[name]["value"]
+        if name == "trace.solve_s" or (name.endswith(".self_s") and abs(
+                c - p) >= SELF_S_MIN_DELTA):
+            self_s[name] = [round(p, 3), round(c, 3)]
+        elif name.endswith((".calls", ".raised")) and p != c:
+            counts[name] = [p, c]
+    print("%s trace seed %d: %d counts and %d self times moved"
+          % (workload, seed, len(counts), len(self_s)), file=sys.stderr)
+    return {"correct": [results["parent"]["correct"],
+                        results["change"]["correct"]],
+            "self_s_parent_change": self_s,
+            "counts_that_changed_parent_change": counts}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent checkout")
@@ -93,7 +125,12 @@ def main():
                     help="comma-separated workload names")
     ap.add_argument("--seeds", required=True,
                     help="comma-separated workload seeds")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating pairs per seed and workload; 0 runs "
+                         "only the --trace-seed passes")
+    ap.add_argument("--trace-seed", type=int, default=None,
+                    help="also record one traced pass per side and "
+                         "workload at this seed")
     ap.add_argument("--seconds", type=float, default=5)
     ap.add_argument("--claim", required=True,
                     help="WORKLOAD:METRIC the change claims to improve")
@@ -113,7 +150,8 @@ def main():
             bench = json.load(fh)
     pairs = bench.pop("pairs", {})
     commits = {}
-    for seed in (int(s) for s in args.seeds.split(",")):
+    seeds = [int(s) for s in args.seeds.split(",")] if args.pairs else []
+    for seed in seeds:
         for workload in args.workloads.split(","):
             entry, commits = measure(args, workload, seed, metrics)
             pairs.setdefault("seed_%d" % seed, {})[workload] = entry
@@ -150,6 +188,12 @@ def main():
                     "larger than the parent's IQR",
         },
     }
+    if not args.pairs:   # a trace-only run keeps the pairs' header
+        header = {k: bench.get(k, v) for k, v in header.items()}
+    if args.trace_seed is not None:
+        bench["trace_seed_%d" % args.trace_seed] = {
+            workload: trace_diff(args, workload, args.trace_seed)
+            for workload in args.workloads.split(",")}
     bench = {**header, **{k: v for k, v in bench.items()
                           if k not in header}, "pairs": pairs}
     with open(args.out, "w") as fh:
