@@ -14,9 +14,12 @@ bimodule decomposes along the irreducible factors mu_k over L of the
 minimal polynomial mu of a primitive element a_prim of L/F, and the
 multiplicity of each factor is read off from the (generalized) kernel
 of mu_k(phi(a_prim)) without ever triangularizing over the splitting
-field.  The splitting field only contributes its root layout: the
-factor/character correspondence comes from grouping embeddings of L by
-orbits of the stabilizer of the embedded copy of L.
+field E.  E contributes its group Gamma = Aut(E/F) and one embedding
+iota of L: E is normal over F, so the characters, the embeddings of L
+in E over F, are the maps iota * sigma for sigma in Gamma.  They match
+the cosets H * sigma of the stabilizer H of iota(L), and each factor
+mu_k is one H-orbit of characters, those whose values at a_prim are
+its roots.
 """
 
 from __future__ import annotations
@@ -65,15 +68,14 @@ from .morphisms import (
     AutomorphismGroup,
     FieldMorphism,
     _divide_out,
+    _enumerate_maps,
     automorphisms_over,
-    embeddings_over,
 )
 from .poly import Polynomial
 from .towers import (
     DEFAULT_TOWER_CAP,
     ExtensionField,
     algebraic_degree,
-    chain,
     coords_over,
     evaluate,
     extend,
@@ -545,10 +547,6 @@ class BimoduleAnalysis:
     is_split: bool
     h_normal: bool
 
-    def characters(self):
-        return [(g, f.multiplicity) for f in self.factors
-                for g in f.characters]
-
     def support(self):
         return [g for f in self.factors if f.multiplicity
                 for g in f.characters]
@@ -578,7 +576,11 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     function fields cannot be factored, so there the caller supplies a
     tower E (built over the same center layer) together with optional
     root hints, and everything found inside it is verified rather than
-    trusted."""
+    trusted.
+
+    ``iota_images`` fixes the embedding iota of L in E, one image per
+    tower layer; the map must fix the center, or ResolutionError is
+    raised.  Without it iota is the character of least key."""
     L = P.field
     d = P.rank
     center, exact = P.center()
@@ -602,82 +604,34 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     gamma = automorphisms_over(
         Efield, center.field, hints=hints, expected=expected_gamma
     )
-    # characters: embeddings of L into E over the center
-    chars = _characters(L, Efield, center, hints)
-    if not chars:
-        raise ResolutionError("no embeddings of the field were found; "
-                              "supply root hints")
-    if iota_images is not None:
-        iota = FieldMorphism(L, Efield, dict(iota_images), check=True)
-        keys = {c.key(): i for i, c in enumerate(chars)}
-        if iota.key() not in keys:
-            raise ResolutionError(
-                "the supplied embedding is not among the located "
-                "characters"
-            )
-        iota_index = keys[iota.key()]
-    else:
-        iota, iota_index = chars[0], 0
-    gen_elems = _tower_generators(L)
-    char_sigs = {}
-    for idx, g in enumerate(chars):
-        sig = tuple(_elem_sort_key(g.apply(x)) for x in gen_elems)
-        char_sigs[sig] = idx
-    iota_gens = [iota.apply(x) for x in gen_elems]
-    rho = []
-    for sigma in gamma:
-        sig = tuple(_elem_sort_key(sigma.apply(v)) for v in iota_gens)
-        if sig not in char_sigs:
-            raise ResolutionError(
-                "an automorphism restricts to an unlisted character; "
-                "supply root hints"
-            )
-        rho.append(char_sigs[sig])
-    for idx in range(len(chars)):
-        if idx not in rho:
-            raise ResolutionError(
-                "character %d has no extension in the automorphism "
-                "group; the group is under-resolved" % idx
-            )
-    h_indices = [i for i, r in enumerate(rho) if r == iota_index]
-    # orbits of characters under post-composition with the stabilizer
-    roots = [g.apply(a) for g in chars]
-    root_keys = {_elem_sort_key(r): i for i, r in enumerate(roots)}
-    if len(root_keys) != len(chars):
-        raise ResolutionError("distinct characters share a root; the "
-                              "primitive element is not primitive")
+    iota = _embedding(L, Efield, center, iota_images, hints)
+    # E is normal over the center, so the characters are the distinct
+    # iota * sigma, sorted by key; rho sends sigma to its character
+    extended = [iota * sigma for sigma in gamma]
+    chars = sorted({g.key(): g for g in extended}.values(),
+                   key=FieldMorphism.key)
+    index = {g.key(): i for i, g in enumerate(chars)}
+    rho = [index[g.key()] for g in extended]
+    tab = gamma.table()
+    if iota_images is None:
+        # move a found iota to the least character, iota * gamma[g0]
+        g0 = rho.index(0)
+        iota = chars[0]
+        rho = [rho[tab[g0][g]] for g in range(len(rho))]
+    h_indices = [g for g, r in enumerate(rho) if r == rho[0]]
+    # the H-orbit of the character of gamma[g]: those of g * h, h in H
+    orbits = sorted({tuple(sorted({rho[tab[g][h]] for h in h_indices}))
+                     for g in range(len(rho))})
     L_sub = Subfield(Efield, L, iota)
-    seen = set()
     factors = []
     p = L.characteristic
     mu_L = mu.map_coeffs(L, center.embedding.apply)
     M = P.phi(a)
     kernel_dims_power1 = 0
-    for idx in range(len(chars)):
-        if idx in seen:
-            continue
-        orbit = set()
-        frontier = [idx]
-        while frontier:
-            i = frontier.pop()
-            if i in orbit:
-                continue
-            orbit.add(i)
-            for h in h_indices:
-                img = gamma[h].apply(roots[i])
-                j = root_keys.get(_elem_sort_key(img))
-                if j is None:
-                    raise ResolutionError(
-                        "stabilizer element moved a root outside the "
-                        "located set"
-                    )
-                if j not in orbit:
-                    frontier.append(j)
-        seen.update(orbit)
-        orbit = sorted(orbit)
+    for orbit in orbits:
         q = Polynomial.one(Efield)
         for i in orbit:
-            q = q * Polynomial(Efield, [-roots[i], Efield.one()])
+            q = q * Polynomial(Efield, [-chars[i].apply(a), Efield.one()])
         e = 0
         while True:
             pulled = _pull_back_poly(q, L_sub)
@@ -738,9 +692,8 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         f.min_poly.degree == 1 for f in out_factors if f.multiplicity
     )
     h_normal = gamma.is_normal_subgroup(h_indices)
-    # reindex rho from the located characters to factor order
-    order = [i for _, _, _, orbit, _ in factors for i in orbit]
-    position = {i: k for k, i in enumerate(order)}
+    # reindex rho from key order to factor order
+    position = {i: k for k, i in enumerate(sum(orbits, ()))}
     analysis = BimoduleAnalysis(
         bimodule=P,
         center=center,
@@ -759,20 +712,27 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     return analysis
 
 
-def _characters(L, Efield, center: Subfield, hints):
-    f0 = scalar_layer(L)
-    if any(layer is center.field for layer in chain(L)):
-        return embeddings_over(L, Efield, center.field, hints=hints)
-    raw = embeddings_over(L, Efield, f0, hints=hints)
-    out = []
-    cb = cached_basis(center.field, scalar_layer(center.field))
-    targets = [
-        (center.embed(b), Efield.coerce(b)) for b in cb
-    ]
-    for g in raw:
-        if all(g.apply(src) == want for src, want in targets):
-            out.append(g)
-    return out
+def _embedding(L, Efield, center: Subfield, iota_images, hints):
+    """iota: L -> E over the center, from the supplied images or else
+    the first map the enumeration finds that fixes the center."""
+    gens = _tower_generators(center.field)
+
+    def fixes_center(g):
+        return all(g.apply(center.embed(x)) == Efield.coerce(x)
+                   for x in gens)
+
+    if iota_images is not None:
+        iota = FieldMorphism(L, Efield, dict(iota_images), check=True)
+        if not fixes_center(iota):
+            raise ResolutionError("the supplied embedding moves the center")
+        return iota
+    fixed = center.field if is_layer_of(center.field, L) else scalar_layer(L)
+    found = _enumerate_maps(L, Efield, fixed, hints)
+    iota = next((g for g in found if fixes_center(g)), None)
+    if iota is None:
+        raise ResolutionError("no embeddings of the field were found; "
+                              "supply root hints")
+    return iota
 
 
 def _pull_back_poly(q: Polynomial, L_sub: Subfield):
@@ -791,32 +751,24 @@ def _pull_back_poly(q: Polynomial, L_sub: Subfield):
 
 
 def _support(an: BimoduleAnalysis):
-    """(multiplicities, supported indices) of the characters in factor
-    order, the order ``an.rho`` indexes."""
+    """U: the indices of the elements of gamma whose characters are
+    supported."""
     mults = [f.multiplicity for f in an.factors for _ in f.characters]
-    return mults, {i for i, m in enumerate(mults) if m}
+    return [gi for gi, ci in enumerate(an.rho) if mults[ci]]
 
 
 def is_weakly_galois(P: Bimodule, analysis=None, **kw):
     """True/False when decidable, None when the analysis cannot be
-    completed with the given data (tri-state)."""
+    completed with the given data (tri-state).  Weakly Galois means
+    that U, the elements of gamma with supported characters, has
+    U * U inside U."""
     try:
         an = analysis if analysis is not None else analyze(P, **kw)
     except ANALYSIS_OBSTRUCTIONS:
         return None
-    _, supp = _support(an)
-    rho = an.rho
-    ext = {}
-    for gi, ci in enumerate(rho):
-        ext.setdefault(ci, []).append(gi)
+    U = set(_support(an))
     tab = an.gamma.table()
-    for a in supp:
-        for b in supp:
-            for ga in ext[a]:
-                for gb in ext[b]:
-                    if rho[tab[ga][gb]] not in supp:
-                        return False
-    return True
+    return all(tab[a][b] in U for a in U for b in U)
 
 
 def is_galois(P: Bimodule, analysis=None, **kw):
@@ -829,11 +781,9 @@ def is_galois(P: Bimodule, analysis=None, **kw):
     wg = is_weakly_galois(P, analysis=an)
     if not wg:
         return wg
-    mults, supp = _support(an)
-    if len({mults[i] for i in supp}) != 1:
+    if len({f.multiplicity for f in an.factors if f.multiplicity}) != 1:
         return False
-    U = [gi for gi, ci in enumerate(an.rho) if ci in supp]
-    return an.gamma.is_subgroup(U)
+    return an.gamma.is_subgroup(_support(an))
 
 
 @dataclass
@@ -952,11 +902,7 @@ def split_analysis(P: Bimodule, analysis=None, **kw) -> SplitData:
     minimal = fixed_field(
         E, [an.gamma[i] for i in an.gamma.pointwise_stabilizer(targets)]
     )
-    _, supp = _support(an)
-    seed = [gi for gi, ci in enumerate(an.rho) if ci in supp]
-    closure = an.gamma.subgroup_closure(
-        list(seed) + list(an.h_indices)
-    )
+    closure = an.gamma.subgroup_closure(_support(an) + an.h_indices)
     tab = an.gamma.table()
     hset = set(an.h_indices)
     normal = all(

@@ -180,11 +180,9 @@ class PrimeFieldElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other % self.field.p
-        return (
-            isinstance(other, PrimeFieldElement)
-            and other.field is self.field
-            and other.value == self.value
-        )
+        if not isinstance(other, PrimeFieldElement):
+            return NotImplemented   # lets a higher layer compare
+        return other.field is self.field and other.value == self.value
 
     def __hash__(self):
         return hash(("pf", self.field.p, self.value))

@@ -7,13 +7,16 @@ layers the caller leaves out map canonically.  Application is
 their own generators) is left to coercion.  Composition reads left to
 right: (f * g)(x) = g(f(x)).
 
-Automorphism enumeration works by backtracking over layer generators.
-At each node the generator's images are the roots of the mapped
-relation, found by ``_roots_in_pool``: a scan of a finite candidate pool
-(tower generators, their negatives, supplied hints, the roots a computed
+Morphism enumeration works by backtracking over layer generators.  At
+each node the generator's images are the roots of the mapped relation,
+found by ``_roots_in_pool``: a scan of a finite candidate pool (tower
+generators, their negatives, supplied hints, the roots a computed
 splitting field recorded on its field, and two rounds of pairwise
 products) that divides each root out (``_divide_out``), then factors
-what is left where the codomain allows it.
+what is left where the codomain allows it.  The enumeration is lazy:
+``_enumerate_maps`` yields each map as it completes it, so
+``bimod.analyze``, which needs one embedding, stops at the first that
+fixes the center.
 ``fieldops.locate_roots`` runs the same search and ``bimod.split_probe``
 the same scan.  When the caller states an expected order and fewer maps
 are found, the search reports failure rather than returning a silently
@@ -411,6 +414,9 @@ def _roots_in_pool(f, E, pool):
 
 
 def _enumerate_maps(domain, codomain, fixed, hints):
+    """The field maps domain -> codomain fixing the layer ``fixed``, as
+    a lazy iterator in backtracking order; the arguments are checked
+    and the pool is built before it is returned."""
     layers = chain(domain)
     if not any(layer is fixed for layer in layers):
         raise FieldMismatch("fixed field is not a layer of the tower")
@@ -430,13 +436,10 @@ def _enumerate_maps(domain, codomain, fixed, hints):
             )
         above.append(layer)
     pool = _candidate_pool(codomain, hints)
-    found = []
 
     def place(idx, images):
         if idx == len(above):
-            found.append(
-                FieldMorphism(domain, codomain, dict(images), check=True)
-            )
+            yield FieldMorphism(domain, codomain, dict(images), check=True)
             return
         layer = above[idx]
         rel = layer.relation.map_coeffs(
@@ -446,11 +449,10 @@ def _enumerate_maps(domain, codomain, fixed, hints):
         roots, _ = _roots_in_pool(rel, codomain, pool)
         for r, _mult in roots:
             images[layer] = r
-            place(idx + 1, images)
+            yield from place(idx + 1, images)
             del images[layer]
 
-    place(0, {})
-    return found
+    return place(0, {})
 
 
 def automorphisms_over(field, fixed, hints=(), expected=None):
@@ -473,9 +475,8 @@ def automorphisms_over(field, fixed, hints=(), expected=None):
 def embeddings_over(domain, codomain, fixed, hints=(), expected=None):
     """All field maps domain -> codomain fixing the shared layer
     ``fixed`` pointwise, sorted by structural key."""
-    found = _enumerate_maps(domain, codomain, fixed, hints)
     seen = {}
-    for m in found:
+    for m in _enumerate_maps(domain, codomain, fixed, hints):
         seen.setdefault(m.key(), m)
     out = sorted(seen.values(), key=lambda m: m.key())
     if expected is not None and len(out) != expected:

@@ -18,12 +18,22 @@ from galbim.errors import (
     UnsupportedBase,
 )
 from galbim.fieldbase import GF, QQ
-from galbim.fieldops import Subfield, verify_splitting
+from galbim.fieldops import (
+    Subfield,
+    scalar_layer,
+    splitting_field,
+    verify_splitting,
+)
 from galbim.linalg import simultaneous_triangularize
 from galbim.matrix import Matrix
-from galbim.morphisms import automorphisms_over
+from galbim.morphisms import automorphisms_over, embeddings_over
 from galbim.poly import Polynomial
-from galbim.towers import RationalFunctionField, extend
+from galbim.towers import (
+    RationalFunctionField,
+    extend,
+    generator_layers,
+    is_layer_of,
+)
 from galbim.bimod import (
     Bimodule,
     analyze,
@@ -44,6 +54,7 @@ from galbim.bimod import (
     twist,
     verify_central_coefficients,
 )
+from golden_analyze import biquadratic
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +429,93 @@ def test_quartic_twisted_column_not_galois(quartic_tower):
     assert is_galois(P, analysis=an) is False
     with pytest.raises(ClassificationFailed):
         classify(P, analysis=an)
+
+
+def test_supplied_iota_must_fix_the_center(quartic_tower):
+    # i -> -i with u and z as before is a field map L -> E, but it
+    # moves the center Q(i)(u), whose basis over its scalar layer is [1]
+    Qi, Fu, L, E, iota_images = quartic_tower
+    R = regular_over(L, Subfield.from_layer(L, Fu))
+    bad = dict(iota_images)
+    bad[Qi] = -iota_images[Qi]
+    with pytest.raises(ResolutionError):
+        analyze(R, E=E, iota_images=bad, expected_gamma=8)
+
+
+# --------------------------------- characters against an oracle
+
+
+def _check_characters(an, iota_supplied):
+    """The characters of ``an`` are the embeddings of L in E over the
+    center, as ``embeddings_over`` enumerates them; each fibre of rho
+    is a right coset H*sigma in the table's left-to-right product; and
+    a found iota is the character of least key."""
+    L, E, center = an.bimodule.field, an.splitting.field, an.center
+    if is_layer_of(center.field, L):
+        want = embeddings_over(L, E, center.field)
+    else:
+        gens = [center.field.coerce(layer.gen())
+                for layer in generator_layers(center.field)]
+        want = [
+            g for g in embeddings_over(L, E, scalar_layer(L))
+            if all(g.apply(center.embed(x)) == E.coerce(x) for x in gens)
+        ]
+    chars = [g for f in an.factors for g in f.characters]
+    assert sorted(g.key() for g in chars) == [g.key() for g in want]
+    for gi, ci in enumerate(an.rho):
+        assert chars[ci] == an.iota * an.gamma[gi]
+    tab = an.gamma.table()
+    for ci in range(len(chars)):
+        fibre = {gi for gi, r in enumerate(an.rho) if r == ci}
+        sigma = min(fibre)
+        assert fibre == {tab[h][sigma] for h in an.h_indices}
+    if not iota_supplied:
+        assert an.iota.key() == min(g.key() for g in chars)
+
+
+def test_quartic_characters_oracle(quartic_tower):
+    Qi, Fu, L, E, iota_images = quartic_tower
+    R = regular_over(L, Subfield.from_layer(L, Fu))
+    conj = next(
+        g for g in automorphisms_over(L, Fu) if not g.is_identity()
+    )
+    for P in (R, direct_sum(R, twist(L, conj))):
+        an = analyze(P, E=E, iota_images=iota_images, expected_gamma=8)
+        _check_characters(an, True)
+    # H is not normal, so the fibres H*sigma are not the cosets sigma*H
+    fibres = sorted(
+        sorted(gi for gi, r in enumerate(an.rho) if r == ci)
+        for ci in set(an.rho)
+    )
+    assert sorted(an.gamma.left_cosets(an.h_indices)) != fibres
+    _check_characters(analyze(R, E=E, expected_gamma=8), False)
+
+
+def test_group_bimodule_characters_oracle():
+    E = splitting_field(Polynomial(QQ, [-2, 0, 0, 1])).field
+    P = bimodule_of_group(E, automorphisms_over(E, QQ))
+    _check_characters(analyze(P), False)
+    L, G = biquadratic()
+    _check_characters(analyze(bimodule_of_group(L, G)), False)
+
+
+def test_center_that_is_not_a_layer():
+    # the fixed field of {id, sigma} on Q(sqrt 2)(sqrt 3) is Q(sqrt 6)
+    L, G = biquadratic()
+    P = bimodule_of_group(L, G)
+    an = analyze(P)
+    F = an.center
+    assert not is_layer_of(F.field, L) and F.field.var == "w2"
+    w = F.embed(F.field.gen())
+    assert w * w == L.from_int(6)
+    assert sum(len(f.characters) for f in an.factors) == 2
+    assert is_weakly_galois(P, analysis=an) is True
+    assert is_galois(P, analysis=an) is True
+    Q = direct_sum(P, twist(L, G[0]))
+    an = analyze(Q)
+    assert [f.multiplicity for f in an.factors] == [2, 1]
+    assert is_weakly_galois(Q, analysis=an) is True
+    assert is_galois(Q, analysis=an) is False
 
 
 # --------------------------------------------- inseparable towers

@@ -132,7 +132,7 @@ def test_cross_layer_hash_contract():
     two = F3.from_int(2)
     for x, up in ((two, F9.coerce(two)), (two, F81.coerce(two)),
                   (F9.gen(), F81.coerce(F9.gen()))):
-        assert up == x and hash(up) == hash(x)
+        assert up == x and x == up and hash(up) == hash(x)
     assert F81.coerce(F9.gen()) is F81.element_from_index(3)
 
 
