@@ -4,9 +4,10 @@ A bimodule of right rank d over a field L is stored as a ring map
 phi: L -> Mat_d(L), given by one matrix per tower layer (generator
 image for algebraic layers, variable image for rational function
 layers) and evaluated by ``towers.evaluate`` with scalars lifted to
-multiples of the identity.  Elements are column vectors; the right
-action is coordinatewise, the left action of a is multiplication by
-phi(a), so split factors are exactly the vectors v with
+multiples of the identity; a tensor product evaluates through its
+factors instead (see ``tensor``).  Elements are column vectors; the
+right action is coordinatewise, the left action of a is multiplication
+by phi(a), so split factors are exactly the vectors v with
 phi(a) v = sigma(a) v for a twisting endomorphism sigma.
 
 The structural analysis works at the L-level.  Over the center F the
@@ -97,7 +98,7 @@ class Bimodule:
     module."""
 
     __slots__ = ("field", "rank", "images", "base", "label", "_phi_cache",
-                 "_center")
+                 "_center", "_factors")
 
     def __init__(self, field, images=None, rank=None, base=None,
                  check=True, label=None):
@@ -134,6 +135,7 @@ class Bimodule:
         self.images = full
         self._phi_cache = {}
         self._center = None
+        self._factors = None    # (P, Q) when built by tensor(P, Q)
         if check:
             self._verify()
 
@@ -164,15 +166,12 @@ class Bimodule:
                         "image of %s violates its defining relation"
                         % layer.var
                     )
-            else:
-                try:
-                    M.inverse()
-                except NotInvertible:
-                    raise NotInvertible(
-                        "image of the variable %s is singular, so the "
-                        "map has no extension to rational functions"
-                        % layer.var
-                    )
+            elif not M.det():
+                raise NotInvertible(
+                    "image of the variable %s is singular, so the "
+                    "map has no extension to rational functions"
+                    % layer.var
+                )
         if self.base is not None:
             for e in _base_elements(self.field, self.base):
                 if not _is_scalar_value(self.phi(e), self.field.coerce(e)):
@@ -183,11 +182,22 @@ class Bimodule:
     # ------------------------------------------------------- evaluation
 
     def phi(self, a):
+        """The left action of ``a``, a d x d matrix.
+
+        A tensor product P (x) Q evaluates through its factors as the
+        block matrix [Q.phi(e)] over the entries e of P.phi(a): the
+        block map X -> [Q.phi(X_ij)] is a ring map, so this is a ring
+        map of L that agrees with the stored images on every tower
+        generator, hence equal to ``evaluate`` on them."""
         a = self.field.coerce(a)
         cached = self._phi_cache.get(a)
         if cached is not None:
             return cached
-        M = evaluate(a, self.field, self.images, self._scalar)
+        if self._factors is None:
+            M = evaluate(a, self.field, self.images, self._scalar)
+        else:
+            P, Q = self._factors
+            M = _blockwise(Q, P.phi(a))
         if len(self._phi_cache) < PHI_CACHE_SIZE:
             self._phi_cache[a] = M
         return M
@@ -227,6 +237,14 @@ class Bimodule:
     def __repr__(self):
         tag = self.label or "bimodule"
         return "<%s of rank %d over %r>" % (tag, self.rank, self.field)
+
+
+def _blockwise(Q, A):
+    """The block matrix [Q.phi(A_ij)]; a zero entry is a zero block."""
+    zero = Matrix.zeros(Q.field, Q.rank)
+    return Matrix.from_blocks(Q.field, [
+        [Q.phi(e) if e else zero for e in row] for row in A.rows
+    ])
 
 
 def _is_scalar_value(M: Matrix, value) -> bool:
@@ -369,21 +387,25 @@ def _module_basis_over(field, sub: Subfield):
 
 
 def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
-    """Tensor product over L: apply Q's action entrywise to P's."""
+    """Tensor product over L: apply Q's action entrywise to P's.
+
+    phi_{P (x) Q}(a) = [Q.phi(P.phi(a)_ij)] for every a, not only the
+    generators: X -> [Q.phi(X_ij)] is a ring map Mat_m(L) ->
+    Mat_mn(L), so a -> [Q.phi(P.phi(a)_ij)] is a ring map L ->
+    Mat_mn(L) that agrees with the images built here on every tower
+    generator, and a ring map out of L is fixed by those values.  The
+    product's ``phi`` evaluates this way, from its factors' cached
+    values."""
     if P.field is not Q.field:
         raise FieldMismatch("tensor factors live over different fields")
     field = P.field
-    images = {}
-    for layer in generator_layers(field):
-        A = P.images[layer]
-        blocks = [
-            [Q.phi(A.rows[i][j]) for j in range(P.rank)]
-            for i in range(P.rank)
-        ]
-        images[layer] = Matrix.from_blocks(field, blocks)
+    images = {layer: _blockwise(Q, P.images[layer])
+              for layer in generator_layers(field)}
     base = P.base if P.base is Q.base else None
-    return Bimodule(field, images, rank=P.rank * Q.rank, base=base,
-                    label="tensor")
+    T = Bimodule(field, images, rank=P.rank * Q.rank, base=base,
+                 label="tensor")
+    T._factors = (P, Q)
+    return T
 
 
 def tensor_power(P: Bimodule, k: int) -> Bimodule:
@@ -546,19 +568,6 @@ class BimoduleAnalysis:
     semisimple: bool
     is_split: bool
     h_normal: bool
-
-    def support(self):
-        return [g for f in self.factors if f.multiplicity
-                for g in f.characters]
-
-    def multiset_key(self):
-        """Canonical hashable form of the character multiset."""
-        items = sorted(
-            (g.key(), f.multiplicity)
-            for f in self.factors
-            for g in f.characters
-        )
-        return tuple(items)
 
     def factor_multiplicities(self):
         return sorted(

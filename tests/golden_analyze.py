@@ -57,11 +57,17 @@ def record(P, an):
     )
 
 
-def records():
-    """The labelled record lines of the whole corpus, in call order."""
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def records():
+    """The labelled record lines of the whole corpus, in call order."""
+    workloads = load_workloads()
     lines = []
     label = None
     analyze = bimod.analyze

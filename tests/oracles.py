@@ -2,6 +2,8 @@
 
 ``kron`` and ``mat_is_semisimple`` are second algorithms for answers
 the library computes another way; only the tests call them.
+``support`` and ``multiset_key`` read the supported characters and the
+character multiset off a ``BimoduleAnalysis``.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -42,6 +44,18 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
         for i in range(A.nrows)
     ]
     return Matrix.from_blocks(A.field, blocks)
+
+
+def support(an):
+    """The characters of the factors of nonzero multiplicity."""
+    return [g for f in an.factors if f.multiplicity for g in f.characters]
+
+
+def multiset_key(an):
+    """Canonical hashable form of the character multiset."""
+    return tuple(sorted(
+        (g.key(), f.multiplicity) for f in an.factors for g in f.characters
+    ))
 
 
 def exhaustive_hopf_check(H):

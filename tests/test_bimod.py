@@ -55,6 +55,7 @@ from galbim.bimod import (
     verify_central_coefficients,
 )
 from golden_analyze import biquadratic
+from oracles import support
 
 
 @pytest.fixture(scope="module")
@@ -586,7 +587,7 @@ def test_base_change_normal_stays_split(quad):
     assert an.gamma.is_abelian()
     assert an.is_split is True
     assert an.h_normal is True
-    assert len(an.support()) == 4
+    assert len(support(an)) == 4
     assert is_galois(Q, analysis=an) is True
     c = classify(Q, analysis=an)
     assert (c.degree, c.multiplicity) == (4, 1)

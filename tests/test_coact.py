@@ -30,6 +30,8 @@ from galbim.matrix import Matrix
 from galbim.morphisms import automorphisms_over
 from galbim.towers import RationalFunctionField, extend
 
+from oracles import multiset_key
+
 Z2_TABLE = [[0, 1], [1, 0]]
 
 
@@ -203,7 +205,7 @@ def test_fun_z2_bimodule_matches_group_bimodule(fun_fix):
     ana = analyze(P)
     L = fun_fix.field
     Pg = bimodule_of_group(L, automorphisms_over(L, QQ))
-    assert ana.multiset_key() == analyze(Pg).multiset_key()
+    assert multiset_key(ana) == multiset_key(analyze(Pg))
     assert is_galois(P, analysis=ana)
 
 

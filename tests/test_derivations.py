@@ -4,20 +4,26 @@ powers, with hand-frozen witness vectors."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from galbim.fieldbase import GF, QQ
+from galbim.fieldops import Subfield
 from galbim.matrix import Matrix
+from galbim.morphisms import automorphisms_over
 from galbim.poly import Polynomial
-from galbim.towers import RationalFunctionField, extend
+from galbim.towers import RationalFunctionField, evaluate, extend
 from galbim.bimod import (
     Bimodule,
+    bimodule_of_group,
     direct_sum,
     min_poly_right,
+    regular_over,
     tensor,
     tensor_power,
+    twist,
 )
 from galbim.derivations import (
     Derivation,
@@ -28,6 +34,7 @@ from galbim.derivations import (
     p_power,
     p_power_compatible,
 )
+from golden_analyze import biquadratic
 
 
 def ratfunc(p):
@@ -320,3 +327,95 @@ def test_symmetric_function_binomials():
         for j in range(1, p):
             assert math.comb(p - 1 + j, j) % p == 0
         assert math.comb(2 * p - 1, p) % p == 1
+
+
+# ------------------------------------- tensor phi through its factors
+
+
+def _fractions(L, rng, n=3):
+    """n elements num/den of F_p(t) with a quadratic denominator."""
+    p = L.coefficient_field.p
+    out = []
+    for _ in range(n):
+        num = Polynomial(GF(p), [rng.randrange(p) for _ in range(3)] + [1])
+        den = Polynomial(GF(p), [rng.randrange(1, p), rng.randrange(p), 1])
+        out.append(L.coerce(num) / L.coerce(den))
+    return out
+
+
+def assert_phi_is_evaluate(T, samples):
+    """T.phi, composed from its factors, equals towers.evaluate on the
+    generator images."""
+    assert T._factors is not None
+    for a in samples:
+        assert T.phi(a) == evaluate(a, T.field, T.images, T._scalar)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("coeff", ["1", "t", "t^2+1"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tensor_power_phi_is_evaluate(p, coeff, k):
+    L = ratfunc(p)
+    t = L.gen()
+    c = {"1": L.one(), "t": t, "t^2+1": t * t + L.one()}[coeff]
+    T = tensor_power(m_of_d(Derivation(L, {L: c})), k)
+    samples = _fractions(L, random.Random(9400 + 10 * p + k))
+    assert any(not a.is_polynomial() for a in samples)
+    assert_phi_is_evaluate(T, samples + [t, L.zero()])
+
+
+def test_fourfold_commutator_tensor_phi_is_evaluate():
+    L = ratfunc(3)
+    X = Derivation(L, {L: L.one()})
+    Y = X.scale(L.gen())
+    T4 = tensor(tensor(tensor(m_of_d(X), m_of_d(Y)), m_of_d(X)), m_of_d(Y))
+    assert_phi_is_evaluate(T4, _fractions(L, random.Random(9431)))
+
+
+def test_two_layer_tensor_phi_is_evaluate():
+    # L = F_3(t)(u) with u^3 = t and D = d/du: both evaluate branches
+    F = ratfunc(3)
+    L = extend(F, Polynomial(F, [-F.gen(), F.zero(), F.zero(), F.one()]),
+               "u")
+    D = Derivation(L, {L: L.one()})
+    T = tensor_power(m_of_d(D), 3)
+    rng = random.Random(9432)
+    x, y, z = (L.from_coords(_fractions(F, rng)) for _ in range(3))
+    assert_phi_is_evaluate(T, [x / y, y / z, z * x])
+
+
+def test_number_field_tensor_phi_is_evaluate():
+    # L = Q(a)(b), a^2 = 2, b^2 = 3, with its four automorphisms
+    L, _ = biquadratic()
+    G = automorphisms_over(L, QQ)
+    rng = random.Random(9433)
+
+    def element():
+        A = L.base
+        return L.from_coords([
+            A.from_coords([QQ.coerce(Fraction(rng.randrange(-9, 10),
+                                              rng.randrange(1, 7)))
+                           for _ in range(2)])
+            for _ in range(2)
+        ])
+
+    samples = [element() / element() for _ in range(3)]
+    for g in G:
+        for h in G:
+            assert_phi_is_evaluate(tensor(twist(L, g), twist(L, h)),
+                                   samples)
+    # factors of different ranks, neither of them diagonal in the first
+    R = regular_over(L, Subfield.from_layer(L, L.base))
+    for T in (tensor(R, bimodule_of_group(L, G)),
+              tensor(bimodule_of_group(L, G[1:3]), R)):
+        assert_phi_is_evaluate(T, samples)
+
+
+def test_unequal_rank_derivation_tensor_phi_is_evaluate():
+    L = ratfunc(3)
+    t = L.gen()
+    X = m_of_d(Derivation(L, {L: t}))
+    Y = m_of_d(Derivation(L, {L: t * t + L.one()}))
+    samples = _fractions(L, random.Random(9434))
+    for T in (tensor(X, tensor_power(Y, 2)), tensor(tensor_power(Y, 2), X)):
+        assert_phi_is_evaluate(T, samples)

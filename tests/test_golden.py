@@ -1,7 +1,14 @@
-"""The analyses of the golden corpus match their recorded lines."""
+"""The records of the golden corpus match their recorded lines."""
 
-from golden_analyze import GOLDEN, records
+import golden_analyze
+import golden_tensor
 
 
 def test_analyze_matches_golden_records():
-    assert records() == GOLDEN.read_text().splitlines()
+    assert golden_analyze.records() == \
+        golden_analyze.GOLDEN.read_text().splitlines()
+
+
+def test_tensor_phi_matches_golden_records():
+    assert golden_tensor.records() == \
+        golden_tensor.GOLDEN.read_text().splitlines()

@@ -11,7 +11,11 @@ even i and the change first on odd i, so a drift in host speed does not
 favour one side.  For every end-to-end metric of BENCHMARK.json the file
 records each side's median and quartiles (statistics.quantiles, method
 'inclusive'), the number of pairs the change wins (ties count for
-neither) and the change of the median in percent.
+neither) and the change of the median in percent.  A metric whose
+median reads worse on the change than on the parent by more than the
+parent's IQR is a regression: it is printed as a ``regressed`` line on
+stderr and listed under ``regressions``, for every seed and workload in
+the file.
 
 ``--trace-seed S`` adds one ``run.py --seed S --seconds 0 --trace 1``
 pass per side and workload and records, under ``trace_seed_S``, each
@@ -65,6 +69,30 @@ def compare(parent, change, lower_is_better):
     out["median_delta_pct"] = round(
         100 * (statistics.median(change) - statistics.median(parent)) / base,
         1)
+    return out
+
+
+def margin(got, lower_is_better):
+    """How much better the change's median reads than the parent's."""
+    sign = 1 if lower_is_better else -1
+    return sign * (got["parent"]["median"] - got["change"]["median"])
+
+
+def regressions(pairs, metrics):
+    """(seed, workload, metric) entries whose change median is worse
+    than the parent's by more than the parent's IQR."""
+    out = []
+    for seed_key, workloads in sorted(pairs.items()):
+        for workload, entry in sorted(workloads.items()):
+            for m, lower in metrics.items():
+                got = entry.get(m)
+                if got and -margin(got, lower) > got["parent"]["iqr"]:
+                    out.append({
+                        "seed": int(seed_key[len("seed_"):]),
+                        "workload": workload, "metric": m,
+                        "parent_median": got["parent"]["median"],
+                        "change_median": got["change"]["median"],
+                        "parent_iqr": got["parent"]["iqr"]})
     return out
 
 
@@ -155,13 +183,18 @@ def main():
         for workload in args.workloads.split(","):
             entry, commits = measure(args, workload, seed, metrics)
             pairs.setdefault("seed_%d" % seed, {})[workload] = entry
+            for r in regressions({"seed_%d" % seed: {workload: entry}},
+                                 metrics):
+                print("regressed %s on %s, seed %d: median %.4f -> %.4f, "
+                      "parent IQR %.4f" % (
+                          r["metric"], workload, seed, r["parent_median"],
+                          r["change_median"], r["parent_iqr"]),
+                      file=sys.stderr)
             if workload == claim_workload:
                 got = entry[claim_metric]
-                sign = 1 if metrics[claim_metric] else -1
-                gain = sign * (got["parent"]["median"]
-                               - got["change"]["median"])
                 met = (got["change_better_pairs"] >= 0.9 * args.pairs
-                       and gain > got["parent"]["iqr"])
+                       and margin(got, metrics[claim_metric])
+                       > got["parent"]["iqr"])
                 print("claim %s on %s, seed %d: %s" % (
                     claim_metric, workload, seed,
                     "met" if met else "not met"), file=sys.stderr)
@@ -194,6 +227,7 @@ def main():
         bench["trace_seed_%d" % args.trace_seed] = {
             workload: trace_diff(args, workload, args.trace_seed)
             for workload in args.workloads.split(",")}
+    bench["regressions"] = regressions(pairs, metrics)
     bench = {**header, **{k: v for k, v in bench.items()
                           if k not in header}, "pairs": pairs}
     with open(args.out, "w") as fh:
