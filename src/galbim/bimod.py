@@ -34,7 +34,6 @@ from .errors import (
     DegreeBound,
     FieldMismatch,
     NotAHomomorphism,
-    NotAPower,
     NotInvertible,
     PrimitiveElementNotFound,
     ResolutionError,
@@ -502,25 +501,6 @@ def min_poly_right(P: Bimodule, a, require_central=False) -> Polynomial:
             )
         verify_central_coefficients(mu, center)
     return mu
-
-
-def char_poly_right(P: Bimodule, a):
-    """(mu, k) with charpoly(phi(a)) = mu^k for the minimal polynomial
-    mu; raises NotAPower when the characteristic polynomial is not a
-    perfect power of it."""
-    M = P.phi(a)
-    chi = M.charpoly()
-    mu = M.minpoly()
-    if mu.degree == 0 or chi.degree % mu.degree:
-        raise NotAPower(
-            "characteristic polynomial is not a power of the minimal one"
-        )
-    k = chi.degree // mu.degree
-    if mu**k != chi:
-        raise NotAPower(
-            "characteristic polynomial is not a power of the minimal one"
-        )
-    return mu, k
 
 
 def verify_central_coefficients(poly: Polynomial, center, label="center"):

@@ -45,11 +45,6 @@ class EigenvalueOutsideField(GalbimError):
     """A triangularization step met an eigenvalue not in the field."""
 
 
-class NotAPower(GalbimError):
-    """A characteristic polynomial is not the expected power of the
-    minimal polynomial."""
-
-
 class ClassificationFailed(GalbimError):
     """classify could not verify the multiple-of-regular structure."""
 

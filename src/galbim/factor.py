@@ -8,11 +8,20 @@ Routes by field:
 * the rationals: squarefree decomposition, reduction mod a good prime,
   Hensel lifting and subset recombination against a Landau-Mignotte
   bound;
-* algebraic extension towers over the rationals: Trager's norm descent
-  (the norm is computed by evaluation at integer points, each value a
-  resultant against the generator's minimal polynomial over the base,
-  and interpolation over the base; factor the norm one level down, pull
-  factors back through gcds).
+* algebraic extension towers over the rationals: Trager's norm descent.
+  The norm of f(x - s*alpha) is evaluated at integer points c, each
+  value the resultant of the generator's minimal polynomial over the
+  base with the coordinates of f(c), found by Horner on the coordinate
+  columns of f's coefficients (no tower products), and interpolated over
+  the base.  Over Q the shift s is chosen mod p = SCREEN_PRIME: the same
+  routine over GF(p) gives the norm reduced mod p, and when that is
+  squarefree, so is the norm over Q (a repeated factor of the monic,
+  p-integral norm is p-integral by Gauss's lemma and survives
+  reduction), so only the accepted shift's norm is computed exactly.
+  Where the screen does not apply (a denominator divisible by p, a norm
+  of degree at least p, a base other than Q) or accepts no shift, each
+  shift's exact norm is tested instead.  The norm is factored one level
+  down and its factors pulled back through gcds.
 
 Coefficient fields containing a rational function field are refused
 with UnsupportedBase: factorization there is not part of the kernel
@@ -32,6 +41,9 @@ from .fieldbase import GF, QQ, PrimeField, RationalField
 from .poly import (
     Polynomial,
     RationalFunction,
+    _int_poly_divmod,
+    _int_poly_mul,
+    _trim_mod,
     poly_ext_gcd,
     poly_gcd,
     poly_pow_mod,
@@ -230,33 +242,6 @@ def _factor_rational_squarefree(f: Polynomial):
     return out
 
 
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _int_poly_divmod(a, b):
-    """Division in Z[x] by a monic b; returns (quotient, remainder)."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [0], a
-    quo = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        q = a[db + k]
-        quo[k] = q
-        if q:
-            for j, cb in enumerate(b):
-                a[j + k] -= q * cb
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return quo, a
-
-
 def _zassenhaus(coeffs):
     """Irreducible integer factors of a primitive squarefree integer
     polynomial (content 1), as coefficient lists."""
@@ -348,7 +333,7 @@ def _hensel_lift_pair(f_int, g_p, h_p, p, k):
         pairs = zip_longest(f_int, _int_poly_mul(g, h), fillvalue=0)
         e = _trim_mod([(a - b) // pj for a, b in pairs], p)
         if e:
-            q, dh = _int_poly_divmod_mod(_int_poly_mul(s, e), h0, p)
+            q, dh = _int_poly_divmod(_int_poly_mul(s, e), h0, p)
             pairs = zip_longest(_int_poly_mul(t, e), _int_poly_mul(q, g0), fillvalue=0)
             dg = _trim_mod([a + b for a, b in pairs], p)
             if len(dg) >= len(g) or len(dh) >= len(h):
@@ -357,29 +342,6 @@ def _hensel_lift_pair(f_int, g_p, h_p, p, k):
             h = _int_poly_addmul(h, dh, pj, pj2)
         pj = pj2
     return g, h
-
-
-def _trim_mod(a, p):
-    """Coefficients of a reduced into 0..p-1, trailing zeros dropped."""
-    out = [c % p for c in a]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _int_poly_divmod_mod(a, b, p):
-    """(quotient, remainder) of a by the monic b over GF(p), as trimmed
-    coefficient lists in 0..p-1."""
-    rem = _trim_mod(a, p)
-    db = len(b) - 1
-    quo = [0] * max(len(rem) - db, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[db + k] % p
-        if c:
-            quo[k] = c
-            for j, cb in enumerate(b):
-                rem[j + k] -= c * cb
-    return quo, _trim_mod(rem[:db], p)
 
 
 def _int_poly_addmul(base, delta, pj, mod):
@@ -414,9 +376,8 @@ def _recombine(target, lifted, pk):
                 continue
             found.append(cand)
             current = quo
-            remaining = [
-                r for i, r in enumerate(remaining) if i not in set(combo)
-            ]
+            used = set(combo)
+            remaining = [r for i, r in enumerate(remaining) if i not in used]
             hit = True
             break
         if not hit:
@@ -428,26 +389,19 @@ def _recombine(target, lifted, pk):
 
 # -------------------------------------------------- towers over Q (Trager)
 
+# The shift screen's prime: the largest one at most TABLE_CAP, so its
+# residues are interned.
+SCREEN_PRIME = 4093
+
 
 def _factor_tower_squarefree(f: Polynomial, max_degree: int):
     """Irreducible monic factors of a squarefree f over an algebraic
     extension K = base(alpha), by norm descent to the base."""
     K = f.field
-    mu = K.relation  # minimal polynomial of the generator over base
     f = f.monic()
     if f.degree == 1:
         return [f]
-
-    shift = 0
-    while True:
-        shifted = _shift_by_generator(f, shift)
-        norm = _norm_to_base(shifted, mu)
-        d = norm.derivative()
-        if not d.is_zero() and poly_gcd(norm, d).is_constant():
-            break
-        shift += 1
-        if shift > 4 * f.degree * mu.degree + 4:
-            raise UnsupportedBase("no squarefree norm shift found")
+    shift, norm = _squarefree_norm(f, K.relation)
     _, norm_factors = factor_poly(
         norm, max_degree=max(max_degree, norm.degree)
     )
@@ -469,6 +423,48 @@ def _factor_tower_squarefree(f: Polynomial, max_degree: int):
     return out
 
 
+def _squarefree_norm(f: Polynomial, mu: Polynomial):
+    """(s, norm of f(x - s*alpha)) for the first shift s = 0, 1, ... that
+    the mod-p screen accepts, else for the first whose norm over the
+    base is squarefree."""
+    shifts = range(4 * f.degree * mu.degree + 5)
+    mu_p = _screen_relation(f, mu)
+    if mu_p is not None:
+        for s in shifts:
+            shifted = _shift_by_generator(f, s)
+            if _screen(shifted, mu_p):
+                return s, _norm_to_base(shifted, mu)
+    for s in shifts:
+        norm = _norm_to_base(_shift_by_generator(f, s), mu)
+        if _is_squarefree(norm):
+            return s, norm
+    raise UnsupportedBase("no squarefree norm shift found")
+
+
+def _screen_relation(f: Polynomial, mu: Polynomial):
+    """mu mod SCREEN_PRIME when the screen decides shifts for f: the base
+    is Q, the norm's degree is below the prime and no denominator of mu
+    or of f's coordinates is divisible by it; None otherwise."""
+    if mu.field is not QQ or f.degree * mu.degree >= SCREEN_PRIME:
+        return None
+    F = GF(SCREEN_PRIME)
+    coords = [c for a in f.coeffs for c in a.coords]
+    if any(c.denominator % SCREEN_PRIME == 0 for c in coords + list(mu.coeffs)):
+        return None
+    return mu.map_coeffs(F, F.coerce)
+
+
+def _screen(shifted: Polynomial, mu_p: Polynomial):
+    """Whether the norm of ``shifted`` reduced mod p is squarefree, which
+    makes the norm over Q squarefree (see ``_norm_to_base``)."""
+    return _is_squarefree(_norm_to_base(shifted, mu_p))
+
+
+def _is_squarefree(g: Polynomial):
+    d = g.derivative()
+    return not d.is_zero() and poly_gcd(g, d).is_constant()
+
+
 def _shift_by_generator(f: Polynomial, s: int):
     """f(x - s*alpha) over the extension field."""
     K = f.field
@@ -480,25 +476,37 @@ def _shift_by_generator(f: Polynomial, s: int):
 
 
 def _norm_to_base(f: Polynomial, mu: Polynomial):
-    """Norm of the monic f from K[x] down to base[x], as a polynomial
-    over the base.
+    """Norm of the monic f from K[x] down to F[x], where F is the field
+    of ``mu``: K's base with mu its relation, or GF(p) with mu the
+    relation reduced mod p, when f's coordinates are reduced too.
 
     The norm Res_y(mu(y), f~(x, y)), where f~ writes each K coefficient
     as a polynomial in y, is monic of degree N = deg f * deg mu.  It is
     evaluated at the integers c = 0..N, each value the resultant of mu
-    against the coordinates of f(c) over the base, and Newton-interpolated
-    over the base.  The nodes are integers, so every division is by an
-    integer."""
+    against the coordinates of f(c) over F, found by Horner on the
+    coordinate columns of f's coefficients, and Newton-interpolated over
+    F.  The nodes are integers, so every division is by an integer.
+
+    Over GF(p) this is the norm over Q reduced mod p, when p divides no
+    denominator and N < p: mu is monic, so Res(mu, g) = prod g(alpha_i)
+    commutes with reduction, and the N + 1 nodes stay distinct.  A
+    repeated factor of the monic, p-integral norm over Q is p-integral by
+    Gauss's lemma and would survive reduction, so a squarefree norm mod p
+    certifies a squarefree norm over Q."""
     K = f.field
-    base = K.base
+    base = mu.field
     n = f.degree * mu.degree
-    coef = [
-        resultant(mu, Polynomial(base, f.evaluate(K.from_int(c)).coords))
-        for c in range(n + 1)
-    ]
+    cols = [[base.coerce(c) for c in K.coords(a)] for a in f.coeffs]
+    coef = []
+    for c in range(n + 1):
+        x = base.from_int(c)
+        acc = cols[-1]
+        for col in reversed(cols[:-1]):
+            acc = [a * x + b for a, b in zip(acc, col)]
+        coef.append(resultant(mu, Polynomial(base, acc)))
     # divided differences: nodes i - j and i are j apart
     for j in range(1, n + 1):
-        inv = Fraction(1, j)
+        inv = base.one() / base.from_int(j)
         for i in range(n, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) * inv
     norm = Polynomial.zero(base)

@@ -148,11 +148,6 @@ class HopfAlgebra:
                 out = out + c * e
         return out
 
-    def tensor_square_product(self, A, B):
-        """Product of sparse elements of the tensor square, given as
-        dicts (i, j) -> coefficient."""
-        return tensor_product(self.mult, self.mult, A, B)
-
     def coproduct_sparse(self, i):
         return {(j, k): c for j, k, c in self.coprod[i]}
 

@@ -284,20 +284,6 @@ class AutomorphismGroup:
                     return False
         return True
 
-    def left_cosets(self, indices):
-        """Partition of the group into left cosets g*H of the subgroup."""
-        s = sorted(set(indices))
-        tab = self.table()
-        seen = set()
-        cosets = []
-        for g in range(len(self.elements)):
-            if g in seen:
-                continue
-            coset = sorted(tab[g][h] for h in s)
-            seen.update(coset)
-            cosets.append(coset)
-        return cosets
-
     def orbit(self, x):
         """Distinct images of a field element under the group."""
         out = []

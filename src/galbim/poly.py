@@ -6,11 +6,18 @@ degree -1.  Rational functions keep a monic denominator coprime to the
 numerator; operations take fast paths while denominators are 1 so that
 polynomial-only computations never pay for gcds, and adding zero costs
 nothing.
+
+Over a prime field, products, division, gcds and modular powers run on
+lists of ints (the ``_int_poly_*`` kernel below), converting once per
+call, and return the field's interned residues, so coefficients, ``==``
+and ``hash`` are those of any other polynomial over F_p.  Hensel lifting
+and recombination in ``factor`` use the same mul and divmod over Z.
 """
 
 from __future__ import annotations
 
 from .errors import FieldMismatch, NotInvertible, UnsupportedBase
+from .fieldbase import PrimeField
 
 
 class Polynomial:
@@ -118,7 +125,12 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(self.field)
-        zero = self.field.zero()
+        field = self.field
+        # a constant factor is a scaling, cheaper on the elements
+        if field.__class__ is PrimeField and len(a) > 1 and len(b) > 1:
+            return _fp_poly(field, _trim_mod(
+                _int_poly_mul(_ints(a), _ints(b)), field.p))
+        zero = field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -128,7 +140,7 @@ class Polynomial:
                     out[i + j] = out[i + j] + ca * cb
         while out and not out[-1]:
             out.pop()
-        return Polynomial(self.field, tuple(out), trusted=True)
+        return Polynomial(field, tuple(out), trusted=True)
 
     __rmul__ = __mul__
 
@@ -151,6 +163,11 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
+        field = self.field
+        if field.__class__ is PrimeField:
+            quo, rem = _int_poly_divmod(
+                _ints(self.coeffs), _ints(other.coeffs), field.p)
+            return _fp_poly(field, quo), _fp_poly(field, rem)
         zero = self.field.zero()
         one = self.field.one()
         rem = list(self.coeffs)
@@ -283,6 +300,10 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
     if f.field is not g.field:
         raise FieldMismatch("gcd of polynomials over different fields")
+    field = f.field
+    if field.__class__ is PrimeField:
+        return _fp_poly(field, _int_poly_gcd(
+            _ints(f.coeffs), _ints(g.coeffs), field.p))
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b
@@ -378,7 +399,11 @@ def squarefree_decomposition(f: Polynomial):
 
 
 def poly_pow_mod(base: Polynomial, n: int, modulus: Polynomial) -> Polynomial:
-    result = Polynomial.one(base.field)
+    field = base.field
+    if field.__class__ is PrimeField and modulus.field is field:
+        return _fp_poly(field, _int_poly_pow_mod(
+            _ints(base.coeffs), n, _ints(modulus.coeffs), field.p))
+    result = Polynomial.one(field)
     base = base % modulus
     while n:
         if n & 1:
@@ -423,26 +448,88 @@ def power(x, n, one):
     return out
 
 
-def qbinom(n: int, i: int, q):
-    """Gaussian binomial coefficient [n choose i]_q.
+# ------------------------------------------------- int-list kernel (GF(p))
+# Polynomials as lists of ints, low degree first.  Over GF(p) a list is
+# *reduced* (entries in 0..p-1) and trimmed (no trailing zero; zero is
+# []); over Z, where Hensel lifting and recombination use the same mul
+# and divmod, entries are any ints.
 
-    q may be an int, Fraction or any field element; the result has the
-    same type.  Built from the q-Pascal recurrence
-    [n i] = [n-1 i-1] + q^i [n-1 i].
-    """
-    if i < 0 or i > n:
-        raise ValueError("q-binomial index out of range")
-    one = 1 if isinstance(q, int) else q ** 0
-    row = [one]
-    for m in range(1, n + 1):
-        new = [one]
-        qpow = one
-        for j in range(1, m):
-            qpow = qpow * q
-            new.append(row[j - 1] + qpow * row[j])
-        new.append(one)
-        row = new
-    return row[i]
+
+def _ints(coeffs):
+    return [c.value for c in coeffs]
+
+
+def _fp_poly(field, ints):
+    """The polynomial over the prime field with a reduced, trimmed list:
+    interned residues up to the table cap."""
+    els = field._els
+    get = field._residue if els is None else els.__getitem__
+    return Polynomial(field, tuple(map(get, ints)), trusted=True)
+
+
+def _trim_mod(a, p):
+    """a reduced into 0..p-1, trailing zeros dropped (a new list)."""
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_poly_mul(a, b):
+    """Product over Z (reduce with _trim_mod for GF(p))."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + lb] = [o + c * x for o, x in zip(out[i:i + lb], b)]
+    return out
+
+
+def _int_poly_divmod(a, b, p=None):
+    """(quotient, remainder) of a by b, trimmed: over GF(p), reduced, or
+    over Z when p is None, where b must be monic."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    rem = list(a) if p is None else _trim_mod(a, p)
+    quo = [0] * max(len(rem) - db, 0)
+    inv = 1 if p is None else pow(b[-1], -1, p)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[db + k] if p is None else rem[db + k] * inv % p
+        if c:
+            quo[k] = c
+            rem[k:db + k] = [r - c * x for r, x in zip(rem[k:db + k], b)]
+    if p is not None:
+        return quo, _trim_mod(rem[:db], p)
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _int_poly_gcd(a, b, p):
+    """Monic gcd over GF(p) by the Euclidean algorithm."""
+    while b:
+        a, b = b, _int_poly_divmod(a, b, p)[1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _int_poly_pow_mod(a, n, m, p):
+    """a**n mod m over GF(p) by binary powering; [1] when n is 0."""
+    out = [1]
+    a = _int_poly_divmod(a, m, p)[1]
+    while n:
+        if n & 1:
+            out = _int_poly_divmod(_int_poly_mul(out, a), m, p)[1]
+        n >>= 1
+        if n:
+            a = _int_poly_divmod(_int_poly_mul(a, a), m, p)[1]
+    return out
 
 
 # ------------------------------------------------------ rational functions

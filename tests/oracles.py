@@ -3,7 +3,10 @@
 ``kron`` and ``mat_is_semisimple`` are second algorithms for answers
 the library computes another way; only the tests call them.
 ``support`` and ``multiset_key`` read the supported characters and the
-character multiset off a ``BimoduleAnalysis``.
+character multiset off a ``BimoduleAnalysis``.  ``char_poly_right``,
+``qbinom`` (the Gaussian binomials in ``taft``'s coproduct),
+``tensor_square_product`` and ``left_cosets`` are further answers that
+only the tests ask for.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -56,6 +59,74 @@ def multiset_key(an):
     return tuple(sorted(
         (g.key(), f.multiplicity) for f in an.factors for g in f.characters
     ))
+
+
+class NotAPower(Exception):
+    """A characteristic polynomial is not the expected power of the
+    minimal polynomial."""
+
+
+def char_poly_right(P, a):
+    """(mu, k) with charpoly(phi(a)) = mu^k for the minimal polynomial
+    mu of P.phi(a); raises NotAPower when the characteristic polynomial
+    is not a perfect power of it."""
+    M = P.phi(a)
+    chi = M.charpoly()
+    mu = M.minpoly()
+    if mu.degree == 0 or chi.degree % mu.degree:
+        raise NotAPower(
+            "characteristic polynomial is not a power of the minimal one"
+        )
+    k = chi.degree // mu.degree
+    if mu**k != chi:
+        raise NotAPower(
+            "characteristic polynomial is not a power of the minimal one"
+        )
+    return mu, k
+
+
+def qbinom(n, i, q):
+    """Gaussian binomial coefficient [n choose i]_q.
+
+    q may be an int, Fraction or any field element; the result has the
+    same type.  Built from the q-Pascal recurrence
+    [n i] = [n-1 i-1] + q^i [n-1 i].
+    """
+    if i < 0 or i > n:
+        raise ValueError("q-binomial index out of range")
+    one = 1 if isinstance(q, int) else q ** 0
+    row = [one]
+    for m in range(1, n + 1):
+        new = [one]
+        qpow = one
+        for j in range(1, m):
+            qpow = qpow * q
+            new.append(row[j - 1] + qpow * row[j])
+        new.append(one)
+        row = new
+    return row[i]
+
+
+def tensor_square_product(H, A, B):
+    """Product in H (x) H of sparse elements given as dicts
+    (i, j) -> coefficient."""
+    return tensor_product(H.mult, H.mult, A, B)
+
+
+def left_cosets(G, indices):
+    """Partition of the group G into the left cosets g*S of the subgroup
+    S given by its element indices."""
+    s = sorted(set(indices))
+    tab = G.table()
+    seen = set()
+    cosets = []
+    for g in range(len(G.elements)):
+        if g in seen:
+            continue
+        coset = sorted(tab[g][h] for h in s)
+        seen.update(coset)
+        cosets.append(coset)
+    return cosets
 
 
 def exhaustive_hopf_check(H):

@@ -4,20 +4,29 @@ Oracles: sympy's ``factor_list(..., extension=...)`` for factorizations
 over Q(i), Q(sqrt 2), Q(2^(1/3)) and the depth-2 tower Q(i)(sqrt 2)
 (skipped when sympy is missing); the product f * conj(f) for the norm
 from Q(i); and, for Hensel lifting, the defining congruences checked
-directly on integer lists.
+directly on integer lists.  The mod-p screen that picks Trager's shift
+is checked against the exact norm over Q at every shift it accepts, and
+the exact fallback against the screened factorizations.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from galbim import factor
 from galbim.factor import (
+    SCREEN_PRIME,
     _factor_finite_squarefree,
     _hensel_lift_list,
     _hensel_lift_pair,
     _int_poly_mul,
     _norm_to_base,
+    _screen,
+    _screen_relation,
+    _shift_by_generator,
+    _squarefree_norm,
     factor_poly,
 )
 from galbim.fieldbase import GF, QQ
@@ -61,46 +70,60 @@ def _random_product(K, rng, max_degree):
 CASES = [("i", 6, 6), ("sqrt2", 6, 6), ("cbrt2", 4, 4), ("i_sqrt2", 4, 3)]
 
 
-def test_tower_factoring_matches_sympy():
+SYMPY_EXTENSIONS = {
+    "i": ["I"],
+    "sqrt2": ["sqrt2"],
+    "cbrt2": ["cbrt2"],
+    "i_sqrt2": ["I", "sqrt2"],
+}
+
+
+def _sympy_matcher(name):
+    """A function that takes f over the field ``name`` of ``_fields`` to
+    (our sorted factor list, sympy's sorted factor list), each factor as
+    the string of its coefficients over sympy's algebraic field, high
+    degree first."""
     sp = pytest.importorskip("sympy")
     X = sp.Symbol("x")
-    exts = {
-        "i": [sp.I],
-        "sqrt2": [sp.sqrt(2)],
-        "cbrt2": [sp.cbrt(2)],
-        "i_sqrt2": [sp.I, sp.sqrt(2)],
-    }
+    known = {"I": sp.I, "sqrt2": sp.sqrt(2), "cbrt2": sp.cbrt(2)}
+    exts = [known[e] for e in SYMPY_EXTENSIONS[name]]
+    dom = sp.QQ.algebraic_field(*exts)
+    gens = [dom.from_sympy(g) for g in exts]
 
-    def to_domain(c, dom, gens):
+    def to_domain(c, gens):
         # coordinates over the layer below, in powers of its generator
         if not gens:
             return dom.convert(sp.QQ(c.numerator, c.denominator))
         *below, top = gens
         out = dom.zero
         for j, a in enumerate(c.coords):
-            out += to_domain(a, dom, below) * top**j
+            out += to_domain(a, below) * top**j
         return out
 
+    def dom_coeffs(coeffs):
+        return [to_domain(c, gens) for c in reversed(coeffs)]
+
+    def match(f):
+        lead, factors = factor_poly(f)
+        assert lead == f.field.one()
+        got = sorted((str(dom_coeffs(g.coeffs)), m) for g, m in factors)
+        poly = sp.Poly.from_list(dom_coeffs(f.coeffs), X, domain=dom)
+        want = sorted(
+            (str(g.monic().rep.to_list()), m) for g, m in poly.factor_list()[1]
+        )
+        return got, want
+
+    return match
+
+
+def test_tower_factoring_matches_sympy():
     rng = random.Random(2013)
     fields = _fields()
     for name, count, max_degree in CASES:
-        K = fields[name]
-        dom = sp.QQ.algebraic_field(*exts[name])
-        gens = [dom.from_sympy(g) for g in exts[name]]
-
-        def dom_coeffs(coeffs):
-            # coefficients over dom, high degree first
-            return [to_domain(c, dom, gens) for c in reversed(coeffs)]
-
+        match = _sympy_matcher(name)
         for _ in range(count):
-            f = _random_product(K, rng, max_degree)
-            lead, factors = factor_poly(f)
-            assert lead == K.one()
-            got = sorted((str(dom_coeffs(g.coeffs)), m) for g, m in factors)
-            poly = sp.Poly.from_list(dom_coeffs(f.coeffs), X, domain=dom)
-            want = sorted(
-                (str(g.monic().rep.to_list()), m) for g, m in poly.factor_list()[1]
-            )
+            f = _random_product(fields[name], rng, max_degree)
+            got, want = match(f)
             assert got == want, (name, f)
 
 
@@ -118,6 +141,99 @@ def test_norm_from_gaussian_field_is_f_times_conjugate():
         assert norm.degree == f.degree * K.relation.degree
         assert norm.leading() == 1
         assert norm == Polynomial(QQ, [c.coords[0] for c in product.coeffs])
+
+
+# ------------------------------------------------- the shift screen mod p
+# Trager's method picks the shift s by the norm of f(x - s*alpha) mod p
+# and computes one norm over Q, for the first shift the screen accepts.
+
+
+def _random_squarefree(K, rng, max_degree, rational=False):
+    """A monic squarefree product over K of distinct random monic factors
+    of degree 1 or 2, of degree 2..max_degree; with coefficients in Q
+    when ``rational``, so that its norm at shift 0, a power of f, is not
+    squarefree."""
+    if rational:
+        draw = lambda: K.coerce(_random_element(QQ, rng))
+    else:
+        draw = lambda: _random_element(K, rng)
+    while True:
+        f = Polynomial.one(K)
+        while True:
+            d = rng.randint(1, 2)
+            if f.degree + d > max_degree:
+                break
+            f = f * Polynomial(K, [draw() for _ in range(d)] + [1])
+        if f.degree >= 2 and poly_gcd(f, f.derivative()).is_one():
+            return f
+
+
+@pytest.mark.parametrize("name,max_degree", [("cbrt2", 4), ("i_sqrt2", 4)])
+def test_squarefree_factoring_matches_sympy(name, max_degree):
+    match = _sympy_matcher(name)
+    K = _fields()[name]
+    rng = random.Random(4093)
+    for k in range(6):
+        f = _random_squarefree(K, rng, max_degree, rational=k % 2 == 1)
+        got, want = match(f)
+        assert got == want, (name, f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["i", "sqrt2", "cbrt2"]), st.integers(0, 2**32),
+       st.booleans())
+def test_screen_accepts_only_squarefree_norms(name, seed, rational):
+    K = _fields()[name]
+    mu = K.relation
+    f = _random_squarefree(K, random.Random(seed), 4, rational)
+    mu_p = _screen_relation(f, mu)
+    assert mu_p.field.p == SCREEN_PRIME
+    if rational:
+        assert not _screen(f, mu_p)
+    for s in range(4):
+        shifted = _shift_by_generator(f, s)
+        if _screen(shifted, mu_p):
+            norm = _norm_to_base(shifted, mu)
+            assert poly_gcd(norm, norm.derivative()).is_one(), (f, s)
+    s, norm = _squarefree_norm(f, mu)
+    assert _screen(_shift_by_generator(f, s), mu_p)
+    assert norm == _norm_to_base(_shift_by_generator(f, s), mu)
+
+
+def test_screen_steps_aside_off_its_ground():
+    fields = _fields()
+    # a denominator divisible by the screen's prime
+    K = fields["sqrt2"]
+    f = Polynomial(K, [Fraction(1, SCREEN_PRIME), 0, 1])
+    assert _screen_relation(f, K.relation) is None
+    got, want = _sympy_matcher("sqrt2")(f * (f + 1))
+    assert got == want
+    # a base other than Q
+    L = fields["i_sqrt2"]
+    g = _random_squarefree(L, random.Random(7), 3)
+    assert _screen_relation(g, L.relation) is None
+
+
+def test_exact_fallback_gives_identical_factors(monkeypatch):
+    rng = random.Random(2013)
+    fields = _fields()
+    inputs = [
+        _random_product(fields[name], rng, max_degree)
+        for name, count, max_degree in CASES
+        for _ in range(count)
+    ]
+    inputs += [_random_squarefree(fields[name], rng, 4, rational=True)
+               for name in ("i", "sqrt2", "cbrt2")]
+    want = [repr(factor_poly(f)) for f in inputs]
+    screened = []
+
+    def reject(shifted, mu_p):
+        screened.append(shifted)
+        return False
+
+    monkeypatch.setattr(factor, "_screen", reject)
+    assert [repr(factor_poly(f)) for f in inputs] == want
+    assert screened
 
 
 # ------------------------------------------------------------ Hensel lifting

@@ -18,7 +18,6 @@ from galbim.fieldbase import GF, QQ
 from galbim.matrix import Matrix
 from galbim.poly import (
     Polynomial,
-    qbinom,
     poly_ext_gcd,
     poly_gcd,
     resultant,
@@ -26,7 +25,7 @@ from galbim.poly import (
     squarefree_part,
 )
 
-from oracles import kron, mat_is_semisimple
+from oracles import kron, mat_is_semisimple, qbinom
 
 F5 = GF(5)
 F2 = GF(2)
