@@ -52,6 +52,7 @@ from .factor import _elem_sort_key
 from .fieldops import (
     SplittingData,
     Subfield,
+    _split_data,
     cached_basis,
     fixed_field,
     min_poly_over,
@@ -549,11 +550,6 @@ class BimoduleAnalysis:
     is_split: bool
     h_normal: bool
 
-    def factor_multiplicities(self):
-        return sorted(
-            (f.min_poly.degree, f.multiplicity) for f in self.factors
-        )
-
 
 def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             expected_gamma=None,
@@ -561,11 +557,12 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     """Full composition-series analysis of a bimodule over its center.
 
     In computed mode the splitting tower for the primitive element's
-    minimal polynomial is built by factorization; towers over rational
-    function fields cannot be factored, so there the caller supplies a
-    tower E (built over the same center layer) together with optional
-    root hints, and everything found inside it is verified rather than
-    trusted.
+    minimal polynomial is built by factorization, or, when L is normal
+    over a center layer, read off Aut(L) (``_splitting_by_group``);
+    towers over rational function fields cannot be factored, so there
+    the caller supplies a tower E (built over the same center layer)
+    together with optional root hints, and everything found inside it
+    is verified rather than trusted.
 
     ``iota_images`` fixes the embedding iota of L in E, one image per
     tower layer; the map must fix the center, or ResolutionError is
@@ -582,18 +579,20 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     a = primitive_element_over(L, center)
     mu = min_poly_over(L, a, center)
     if E is None:
-        splitting = splitting_field(mu, max_degree=max_degree)
+        splitting, psi = _splitting_by_group(L, center, a, mu, max_degree) \
+            or (splitting_field(mu, max_degree=max_degree), None)
     else:
         if not is_layer_of(center.field, E):
             raise FieldMismatch(
                 "supplied splitting tower does not extend the center"
             )
-        splitting = verify_splitting(mu, E, hints=hints)
+        splitting, psi = verify_splitting(mu, E, hints=hints), None
     Efield = splitting.field
     gamma = automorphisms_over(
         Efield, center.field, hints=hints, expected=expected_gamma
     )
-    iota = _embedding(L, Efield, center, iota_images, hints)
+    iota = psi if psi is not None and iota_images is None else \
+        _embedding(L, Efield, center, iota_images, hints)
     # E is normal over the center, so the characters are the distinct
     # iota * sigma, sorted by key; rho sends sigma to its character
     extended = [iota * sigma for sigma in gamma]
@@ -699,6 +698,31 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         h_normal=h_normal,
     )
     return analysis
+
+
+def _splitting_by_group(L, center: Subfield, a, mu, max_degree):
+    """(splitting, psi) when L is normal over the center layer K: E is
+    K[r1]/(mu), presented as ``splitting_field(mu)`` presents it, psi:
+    L -> E sends a to r1, and the roots of mu are the psi(sigma(a)) for
+    sigma in Aut(L/K) (Lang, Algebra, V.3).  None when K is not a layer
+    of L, mu is linear or inseparable, or Aut(L/K) is too small."""
+    K, n = center.field, mu.degree
+    if n < 2 or not is_layer_of(K, L) or mu.derivative().is_zero():
+        return None
+    group = automorphisms_over(L, K)
+    if group.order != n:
+        return None
+    E = extend(K, mu, "r1", max_degree=max_degree, validate=False)
+    # each generator of L above K in the power basis of a, by one solve
+    above = [lay for lay in generator_layers(L) if not is_layer_of(lay, K)]
+    X = (Matrix(K, [coords_over(L, lay.gen(), K) for lay in above])
+         / Matrix(K, [coords_over(L, a**i, K) for i in range(n)]))
+    psi = FieldMorphism(L, E, {lay: E.from_coords(list(row))
+                               for lay, row in zip(above, X.rows)})
+    roots = [psi.apply(b) for b in group.orbit(a)]
+    if len(roots) < n or any(mu.evaluate(r, lift=E.coerce) for r in roots):
+        return None
+    return _split_data(mu, E, [(r, 1) for r in roots]), psi
 
 
 def _embedding(L, Efield, center: Subfield, iota_images, hints):

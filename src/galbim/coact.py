@@ -31,7 +31,7 @@ goes through ``lincomb``.
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, gcd
+from math import gcd
 
 from .bimod import Bimodule
 from .errors import (
@@ -981,7 +981,3 @@ def truncated_invariants(C, cap):
         dims=tuple(dims), basis=basis, monomials=tuple(mons)
     )
 
-
-def full_polynomial_dims(nvars, cap):
-    """Dimensions of the degree filtration with no constraints."""
-    return tuple(comb(D + nvars, nvars) for D in range(cap + 1))

@@ -91,13 +91,6 @@ def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP):
     return lead, out
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    if f.degree < 1:
-        return False
-    _, factors = factor_poly(f)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 def roots_in_coefficient_field(f: Polynomial):
     """Roots of f inside its own coefficient field, with multiplicity."""
     _, factors = factor_poly(f)

@@ -30,6 +30,7 @@ from .matrix import Matrix
 from .morphisms import (
     FieldMorphism,
     _candidate_pool,
+    _conjugates,
     _roots_in_pool,
     identity_morphism,
     inclusion_morphism,
@@ -190,33 +191,14 @@ def subfield_from_vectors(ambient, vectors):
             if all(_member_of_layer(ambient, v, layer) for v in vectors):
                 return Subfield.from_layer(ambient, layer)
     # synthesize a primitive element deterministically
-    rng = random.Random(20200 + n)
-    candidates = list(vectors)
-    attempts = 0
-    while attempts < PRIMITIVE_BUDGET:
-        if candidates:
-            v = candidates.pop(0)
-        else:
-            weights = [rng.randint(-3, 3) for _ in vectors]
-            v = ambient.zero()
-            for w, vec in zip(weights, vectors):
-                if w:
-                    v = v + ambient.from_int(w) * vec
-        attempts += 1
-        if not v:
-            continue
+    for v in _trials(ambient, vectors, 20200 + n, 3):
         mu = min_poly_over(ambient, v, f0)
         if mu.degree == d:
-            name = "w%d" % d
-            presented = extend(f0, mu, name, validate=False)
+            presented = extend(f0, mu, "w%d" % d, validate=False)
             embedding = FieldMorphism(
                 presented, ambient, {presented: v}, check=True
             )
             return Subfield(ambient, presented, embedding)
-    raise PrimitiveElementNotFound(
-        "no primitive element for the subfield within %d attempts"
-        % PRIMITIVE_BUDGET
-    )
 
 
 def primitive_element_over(ambient, sub: Subfield):
@@ -228,26 +210,26 @@ def primitive_element_over(ambient, sub: Subfield):
         return ambient.one()
     gens = [ambient.coerce(layer.gen()) for layer in generator_layers(ambient)]
     gens.reverse()  # topmost generators are the most likely to work
-    tried = 0
-    for g in gens:
-        tried += 1
-        if min_poly_over(ambient, g, sub).degree == n:
-            return g
-    rng = random.Random(31100 + n)
-    while tried < PRIMITIVE_BUDGET:
-        weights = [rng.randint(-2, 2) for _ in gens]
-        v = ambient.zero()
-        for w, g in zip(weights, gens):
-            if w:
-                v = v + ambient.from_int(w) * g
-        tried += 1
-        if not v:
-            continue
-        if min_poly_over(ambient, v, sub).degree == n:
-            return v
+    return next(v for v in _trials(ambient, gens, 31100 + n, 2)
+                if min_poly_over(ambient, v, sub).degree == n)
+
+
+def _trials(ambient, elements, seed, span):
+    """The candidates of a primitive element search: the nonzero ones
+    of ``elements``, then of their random combinations with integer
+    weights in [-span, span], PRIMITIVE_BUDGET tries in all."""
+    rng = random.Random(seed)
+    for k in range(PRIMITIVE_BUDGET):
+        if k < len(elements):
+            v = elements[k]
+        else:
+            weights = [rng.randint(-span, span) for _ in elements]
+            v = sum((ambient.from_int(w) * e
+                     for w, e in zip(weights, elements) if w), ambient.zero())
+        if v:
+            yield v
     raise PrimitiveElementNotFound(
-        "no primitive element over the subfield within %d attempts"
-        % PRIMITIVE_BUDGET
+        "no primitive element within %d attempts" % PRIMITIVE_BUDGET
     )
 
 
@@ -308,23 +290,25 @@ def splitting_field(
     the linear factors x - r of the roots found so far and of the
     still-unsplit irreducible factors, each kept with its multiplicity.
     Adjoining a root r of the first unsplit factor g (in factor_poly's
-    order) and dividing g by x - r leaves only that cofactor and the
-    other unsplit factors to factor over the new field, so f itself is
-    factored once, over its coefficient field.  The tower and the root
-    order are those of refactoring f over every layer.  When the field
-    is new (never f's own coefficient field), the roots are recorded on
-    it, and ``morphisms._build_pool`` seeds its candidate pool with them.
+    order) gives E'[r]/(g), where ``morphisms._conjugates`` divides the
+    conjugates of r it finds out of g.  Only the rest of g, unless it
+    is constant, and the other unsplit factors are factored over the
+    new field, so f itself is factored once, over its coefficient
+    field.  The tower and the root order are those of refactoring f
+    over every layer.  When the field is new (never f's own coefficient
+    field), the roots are recorded on it, and ``morphisms._build_pool``
+    seeds its candidate pool with them.
 
     Supported for coefficient towers over the rationals or a prime
     field (anything factor_poly handles); raises DegreeBound when the
     tower would outgrow the cap."""
-    base = f.field
     roots, unsplit = [], []
 
     def sort_in(h, mult):
-        # a linear h gives its root; only a nonlinear one is factored
-        parts = [(h.monic(), 1)] if h.degree == 1 else factor_poly(
-            h, max_degree=max(f.degree, 1))[1]
+        # a linear h gives its root and a constant nothing; only a
+        # nonlinear h is factored
+        parts = [(h.monic(), 1)] * h.degree if h.degree < 2 else \
+            factor_poly(h, max_degree=f.degree)[1]
         for g, m in parts:
             if g.degree == 1:
                 roots.append((-g.coeff(0), mult * m))
@@ -332,7 +316,7 @@ def splitting_field(
                 unsplit.append((g, mult * m))
 
     sort_in(f, 1)
-    E = base
+    E = f.field
     counter = 0
     while unsplit:
         unsplit.sort(key=lambda pair: _poly_sort_key(pair[0]))
@@ -341,20 +325,26 @@ def splitting_field(
         E = extend(
             E, g, "r%d" % counter, max_degree=max_degree, validate=False,
         )
-        r = E.gen()
-        roots.append((r, mult))
         unsplit.clear()
-        cofactor = g.map_coeffs(E, E.coerce) // Polynomial(E, [-r, E.one()])
+        found, cofactor = _conjugates(g.map_coeffs(E, E.coerce), E.gen())
+        roots.extend((y, mult * m) for y, m in found)
         for h, m in [(cofactor, mult)] + rest:
             sort_in(h.map_coeffs(E, E.coerce), m)
-    if E is not base:
-        roots = [(E.coerce(s), m) for s, m in roots]
-        # factor_poly's order of the linear factors x - r
-        roots.sort(key=lambda pair: _elem_sort_key(-pair[0]))
+    return _split_data(f, E, roots)
+
+
+def _split_data(f, E, roots):
+    """The SplittingData of f over E, a field built root by root over
+    f's coefficient field, with its (root, multiplicity) pairs.  When
+    E is new, the roots are sorted in factor_poly's order of the linear
+    factors x - r and recorded on E for ``morphisms._build_pool``."""
+    if E is not f.field:
+        roots = sorted(((E.coerce(s), m) for s, m in roots),
+                       key=lambda pair: _elem_sort_key(-pair[0]))
         vars(E)["_split_roots"] = tuple(r for r, _ in roots)
     return SplittingData(
         polynomial=f,
-        base=base,
+        base=f.field,
         field=E,
         roots=roots,
         verified_split=True,
@@ -395,19 +385,3 @@ def verify_splitting(
         minimal=None,
     )
 
-
-# ------------------------------------------------------- inseparability
-
-
-def inseparable_degree(mu: Polynomial):
-    """(nu, e) with mu(x) = nu(x^(p^e)) and nu separable; e = 0 in
-    characteristic zero."""
-    p = mu.field.characteristic
-    e = 0
-    if p == 0:
-        return mu, 0
-    while mu.derivative().is_zero() and mu.degree > 0:
-        coeffs = [mu.coeffs[i] for i in range(0, len(mu.coeffs), p)]
-        mu = Polynomial(mu.field, coeffs)
-        e += 1
-    return mu, e

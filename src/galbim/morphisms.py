@@ -312,10 +312,11 @@ def _candidate_pool(field, hints):
     memoized on the field handle like ``fieldops.cached_basis`` so one
     analysis builds it once and it is freed together with its tower.
 
-    A field built by ``fieldops.splitting_field`` carries the roots it
-    split off its cofactors (``_split_roots``); they are seeded right
-    after the hints, so the automorphisms and embeddings of a splitting
-    field are found by the scan without refactoring.  The seed moves
+    A splitting field that ``fieldops.splitting_field`` builds, or that
+    ``bimod.analyze`` presents for a normal L from Aut(L), carries its
+    roots (``_split_roots``); they are seeded right after the hints, so
+    the automorphisms and embeddings of a splitting field are found by
+    the scan without refactoring.  The seed moves
     where a root is found, not which roots there are: groups and
     embedding lists, sorted by key, are unchanged, while
     ``locate_roots`` lists roots in scan order."""
@@ -376,6 +377,28 @@ def _divide_out(f, pool):
             mult += 1
         if mult:
             found.append((r, mult))
+    return found, remaining
+
+
+def _conjugates(g, r):
+    """Roots of g, over E = E'[r]/(g), in E: those among +-r^k
+    (0 < k < deg g), closed under the maps r -> y of the roots y so
+    found.  These are E'-automorphisms of E, so they carry roots to
+    roots; each image is still checked as ``_divide_out`` divides it
+    out.  Returns (found, remaining) as ``_divide_out`` does."""
+    E = g.field
+    powers = [r**k for k in range(1, E.degree)]
+    found, remaining = _divide_out(g, powers + [-p for p in powers])
+    images = [y for y, _ in found[1:]]
+    orbit = [r] + images
+    for z in orbit:   # the orbit of r, grown while it is read
+        if remaining.degree < 1:
+            break
+        z = Polynomial(E.base, z.coords)
+        new, remaining = _divide_out(
+            remaining, [z.evaluate(y, lift=E.coerce) for y in images])
+        found += new
+        orbit += [w for w, _ in new]
     return found, remaining
 
 

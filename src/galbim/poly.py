@@ -336,18 +336,6 @@ def poly_lcm(f, g):
     return ((f * g) // poly_gcd(f, g)).monic()
 
 
-def squarefree_part(f: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors of f (monic): the
-    product of the parts of ``squarefree_decomposition``, 1 when f is
-    zero or constant."""
-    out = Polynomial.one(f.field)
-    if f.degree < 1:
-        return out
-    for g, _ in squarefree_decomposition(f)[1]:
-        out = out * g
-    return out
-
-
 def squarefree_decomposition(f: Polynomial):
     """(lead, [(g_i, m_i)]) with f = lead * prod g_i^{m_i}, each g_i
     squarefree monic and the multiplicities distinct.

@@ -6,7 +6,10 @@ the library computes another way; only the tests call them.
 character multiset off a ``BimoduleAnalysis``.  ``char_poly_right``,
 ``qbinom`` (the Gaussian binomials in ``taft``'s coproduct),
 ``tensor_square_product`` and ``left_cosets`` are further answers that
-only the tests ask for.
+only the tests ask for, as are ``factor_multiplicities`` (a summary of an
+analysis), ``full_polynomial_dims`` (the unconstrained dimensions of a
+truncated invariant computation), ``inseparable_degree``,
+``is_irreducible`` and ``squarefree_part``.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -20,10 +23,13 @@ convolution, then reduction by each layer's relation, on nested tuples
 of ints.  The library does its small finite fields by tables instead.
 """
 
+from math import comb
+
 from galbim.errors import AxiomViolation, FieldMismatch
+from galbim.factor import factor_poly
 from galbim.hopf import lincomb, sparse_product, tensor_product
 from galbim.matrix import Matrix
-from galbim.poly import poly_gcd
+from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
 
 
 def mat_is_semisimple(M: Matrix) -> bool:
@@ -59,6 +65,50 @@ def multiset_key(an):
     return tuple(sorted(
         (g.key(), f.multiplicity) for f in an.factors for g in f.characters
     ))
+
+
+def factor_multiplicities(an):
+    """The sorted (degree, multiplicity) pairs of an analysis' factors."""
+    return sorted((f.min_poly.degree, f.multiplicity) for f in an.factors)
+
+
+def full_polynomial_dims(nvars, cap):
+    """Dimensions of the degree filtration with no constraints."""
+    return tuple(comb(D + nvars, nvars) for D in range(cap + 1))
+
+
+def inseparable_degree(mu):
+    """(nu, e) with mu(x) = nu(x^(p^e)) and nu separable; e = 0 in
+    characteristic zero."""
+    p = mu.field.characteristic
+    e = 0
+    if p == 0:
+        return mu, 0
+    while mu.derivative().is_zero() and mu.degree > 0:
+        coeffs = [mu.coeffs[i] for i in range(0, len(mu.coeffs), p)]
+        mu = Polynomial(mu.field, coeffs)
+        e += 1
+    return mu, e
+
+
+def is_irreducible(f):
+    """Whether f is irreducible over its coefficient field."""
+    if f.degree < 1:
+        return False
+    _, factors = factor_poly(f)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def squarefree_part(f):
+    """Product of the distinct irreducible factors of f (monic): the
+    product of the parts of ``squarefree_decomposition``, 1 when f is
+    zero or constant."""
+    out = Polynomial.one(f.field)
+    if f.degree < 1:
+        return out
+    for g, _ in squarefree_decomposition(f)[1]:
+        out = out * g
+    return out
 
 
 class NotAPower(Exception):

@@ -29,6 +29,7 @@ from galbim.morphisms import automorphisms_over, embeddings_over
 from galbim.poly import Polynomial
 from galbim.towers import (
     RationalFunctionField,
+    chain,
     extend,
     generator_layers,
     is_layer_of,
@@ -52,7 +53,7 @@ from galbim.bimod import (
     twist,
     verify_central_coefficients,
 )
-from golden_analyze import biquadratic
+from golden_analyze import biquadratic, record
 from oracles import NotAPower, char_poly_right, left_cosets, support
 
 
@@ -496,6 +497,95 @@ def test_group_bimodule_characters_oracle():
     _check_characters(analyze(P), False)
     L, G = biquadratic()
     _check_characters(analyze(bimodule_of_group(L, G)), False)
+
+
+# ------------------------------------ normal fields: roots by the group
+
+
+def _split(coeffs):
+    return lambda: splitting_field(Polynomial(QQ, coeffs)).field
+
+
+def _q_sqrt2_sqrt_minus3():
+    L = extend(QQ, Polynomial(QQ, [-2, 0, 1]), "r")
+    return extend(L, Polynomial(L, [L.from_int(3), L.zero(), L.one()]), "r3")
+
+
+# every field of these tests that is normal over its bottom field
+NORMAL_FIELDS = {
+    "Q(sqrt2)": lambda: extend(QQ, Polynomial(QQ, [-2, 0, 1]), "r"),
+    "Q(sqrt2,sqrt-3)": _q_sqrt2_sqrt_minus3,
+    "Q(sqrt2,sqrt3)": lambda: biquadratic()[0],
+    "GF9": lambda: extend(GF(3), Polynomial(GF(3), [1, 0, 1]), "j"),
+    "x^3-2": _split([-2, 0, 0, 1]),
+    "x^4+1": _split([1, 0, 0, 0, 1]),
+    "x^5-1": _split([-1, 0, 0, 0, 0, 1]),
+    "x^6+x^3+1": _split([1, 0, 0, 1, 0, 0, 1]),
+    "x^4-2": _split([-2, 0, 0, 0, 1]),
+    "x^4-x^2-1": _split([-1, 0, -1, 0, 1]),
+}
+
+
+def _no_factoring(*args, **kwargs):
+    raise AssertionError("a normal field needs no splitting_field")
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FIELDS))
+def test_computed_mode_matches_a_supplied_splitting_field(monkeypatch, name):
+    # computed mode reads E and iota off Aut(L); supplying the splitting
+    # field of mu instead runs the root search and the embedding
+    # enumeration, and must give the same rho, H, factors and verdicts
+    L = NORMAL_FIELDS[name]()
+    G = automorphisms_over(L, chain(L)[0])
+    P = direct_sum(bimodule_of_group(L, G), twist(L, G[0]))
+    with monkeypatch.context() as patch:
+        patch.setattr(bimod_module, "splitting_field", _no_factoring)
+        an = analyze(P)
+    E = splitting_field(an.min_poly).field
+    assert record(P, an) == record(P, analyze(P, E=E))
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0, 0, 0, 1], [-1, 0, -1, 0, 1]],
+                         ids=["x^4-2", "x^4-x^2-1"])
+def test_dihedral_group_bimodule_is_galois(coeffs):
+    L = _split(coeffs)()
+    P = bimodule_of_group(L, automorphisms_over(L, QQ))
+    an = analyze(P)
+    assert an.gamma.order == 8 and an.is_split
+    assert is_weakly_galois(P, analysis=an) is True
+    assert is_galois(P, analysis=an) is True
+
+
+def test_non_normal_field_still_splits_by_factoring(monkeypatch):
+    # Q(2^(1/3)) has no automorphism but the identity, so mu is split
+    # by splitting_field, with the answers it gave before
+    L = extend(QQ, Polynomial(QQ, [-2, 0, 0, 1]), "c")
+    calls = []
+    real = bimod_module.splitting_field
+    monkeypatch.setattr(bimod_module, "splitting_field",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    R = regular_over(L, QQ)
+    Q = direct_sum(R, twist(L, automorphisms_over(L, QQ)[0]))
+    for P, mults, galois in ((R, [1, 1], True), (Q, [2, 1], False)):
+        an = analyze(P)
+        assert an.gamma.order == 6 and not an.is_split
+        assert [(str(f.min_poly), f.multiplicity) for f in an.factors] == \
+            [("x - c", mults[0]), ("x^2 + c*x + c^2", mults[1])]
+        assert is_weakly_galois(P, analysis=an) is True
+        assert is_galois(P, analysis=an) is galois
+    assert len(calls) == 2
+
+
+def test_normal_over_a_rational_function_field():
+    # Q(t)(sqrt t) is normal over Q(t): computed mode needs no
+    # factoring over Q(t), which is not supported
+    Ft = RationalFunctionField(QQ, "t")
+    L = extend(Ft, Polynomial(Ft, [-Ft.gen(), Ft.zero(), Ft.one()]), "u")
+    P = regular_over(L, Subfield.from_layer(L, Ft))
+    an = analyze(P)
+    assert an.gamma.order == 2 and an.is_split
+    assert sorted(str(f.min_poly) for f in an.factors) == ["x + u", "x - u"]
+    assert is_galois(P, analysis=an) is True
 
 
 def test_center_that_is_not_a_layer():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from galbim.errors import FieldMismatch, NotInvertible, Reducible
-from galbim.factor import factor_poly, is_irreducible, roots_in_coefficient_field
+from galbim.factor import factor_poly, roots_in_coefficient_field
 from galbim.fieldbase import GF, QQ
 from galbim.matrix import Matrix
 from galbim.poly import (
@@ -22,10 +22,15 @@ from galbim.poly import (
     poly_gcd,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
 )
 
-from oracles import kron, mat_is_semisimple, qbinom
+from oracles import (
+    is_irreducible,
+    kron,
+    mat_is_semisimple,
+    qbinom,
+    squarefree_part,
+)
 
 F5 = GF(5)
 F2 = GF(2)

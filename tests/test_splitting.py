@@ -3,18 +3,23 @@ hypothesis property over Q, GF(3) and GF(5) on products of monic factors
 of degree at most 2, drawn with repeated factors.  The returned roots
 reproduce f, the field is built root by root, and it is normal over the
 coefficient field: its automorphism count equals its degree, which also
-runs the root search on the pool the splitting field seeds."""
+runs the root search on the pool the splitting field seeds.
+
+The conjugate step that ``splitting_field`` runs on each adjoined root
+returns only roots: a property over the same fields on the irreducible
+factors of drawn polynomials."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from galbim.factor import factor_poly
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import splitting_field
-from galbim.morphisms import automorphisms_over
+from galbim.morphisms import _conjugates, automorphisms_over
 from galbim.poly import Polynomial
-from galbim.towers import algebraic_degree
+from galbim.towers import algebraic_degree, extend
 
 FIELDS = {"Q": QQ, "GF3": GF(3), "GF5": GF(5)}
 
@@ -54,3 +59,35 @@ def test_every_splitting_field_splits_f(name):
         assert automorphisms_over(E, F).order == degree
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_conjugate_is_a_root(name):
+    F = FIELDS[name]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(low=st.lists(st.integers(-4, 4), min_size=2, max_size=6))
+    # x^5 - 1 and x^9 - 1: the conjugates of r are powers of r, some
+    # found only by the closure (r^4 for the fifth roots of unity)
+    @example(low=[-1, 0, 0, 0, 0])
+    @example(low=[-1, 0, 0, 0, 0, 0, 0, 0, 0])
+    def check(low):
+        f = Polynomial(F, [F.coerce(c) for c in low] + [F.one()])
+        for g, _ in factor_poly(f)[1]:
+            if g.degree < 2:
+                continue
+            E = extend(F, g, "r", validate=False)
+            r = E.gen()
+            gE = g.map_coeffs(E, E.coerce)
+            found, remaining = _conjugates(gE, r)
+            assert found[0] == (r, 1)
+            x = Polynomial.x(E)
+            product = remaining
+            for y, m in found:
+                assert m == 1 and not gE.evaluate(y)
+                product = product * (x - y)
+            assert product == gE
+            assert len({repr(y) for y, _ in found}) == len(found)
+
+    check()
+

@@ -14,8 +14,10 @@ import pytest
 
 from galbim.errors import UnsupportedBase
 from galbim.fieldbase import GF, QQ
-from galbim.poly import Polynomial, squarefree_decomposition, squarefree_part
+from galbim.poly import Polynomial, squarefree_decomposition
 from galbim.towers import RationalFunctionField, extend
+
+from oracles import squarefree_part
 
 
 def test_pth_power_factors_over_an_imperfect_field():

@@ -28,7 +28,6 @@ from galbim.fieldops import (
     Subfield,
     cached_basis,
     fixed_field,
-    inseparable_degree,
     locate_roots,
     min_poly_over,
     scalar_layer,
@@ -56,7 +55,7 @@ from galbim.towers import (
     tower_basis,
 )
 
-from oracles import left_cosets
+from oracles import inseparable_degree, left_cosets
 
 
 def make_qi():
@@ -419,19 +418,29 @@ def test_splitting_field_presentation_frozen(name, coeffs, relations, roots):
 
 
 @pytest.mark.parametrize(
-    "coeffs, calls",
+    "coeffs, calls, relations",
     [
         # x^3 - 2: f over Q, then the quadratic cofactor over Q(r1); the
         # last cofactor is linear, so Q(r1, r2) is never factored over
-        ([-2, 0, 0, 1], [(0, 3), (1, 2)]),
-        # x^6 + x^3 + 1 splits over Q(r1): only the quintic cofactor is
-        # factored there, never f itself
-        ([1, 0, 0, 1, 0, 0, 1], [(0, 6), (1, 5)]),
+        ([-2, 0, 0, 1], [(0, 3), (1, 2)], ["x^3 - 2", "x^2 + r1*x + r1^2"]),
+        # x^6 + x^3 + 1 splits over Q(r1): r1^2 is a root, and the map
+        # r1 -> r1^2 carries it to every other one, so nothing is
+        # factored over Q(r1)
+        ([1, 0, 0, 1, 0, 0, 1], [(0, 6)], ["x^6 + x^3 + 1"]),
+        # no conjugate of r1 among +-r1^k: the cofactor is factored
+        ([-1, -1, 0, 1], [(0, 3), (1, 2)],
+         ["x^3 - x - 1", "x^2 + r1*x + r1^2 - 1"]),
+        # -r1 is a root; the leftover x^2 + r1^2 is factored
+        ([-2, 0, 0, 0, 1], [(0, 4), (1, 2)], ["x^4 - 2", "x^2 + r1^2"]),
+        # S_4: no conjugate found on any layer
+        ([1, 1, 0, 0, 1], [(0, 4), (1, 3), (2, 2)],
+         ["x^4 + x + 1", "x^3 + r1*x^2 + r1^2*x + r1^3 + 1",
+          "x^2 + (r2 + r1)*x + r2^2 + r1*r2 + r1^2"]),
     ],
-    ids=["x^3-2", "x^6+x^3+1"],
+    ids=["x^3-2", "x^6+x^3+1", "x^3-x-1", "x^4-2", "x^4+x+1"],
 )
 def test_splitting_field_factors_only_the_unsplit_cofactors(
-    monkeypatch, coeffs, calls
+    monkeypatch, coeffs, calls, relations
 ):
     seen = []
 
@@ -443,6 +452,7 @@ def test_splitting_field_factors_only_the_unsplit_cofactors(
     f = Polynomial(QQ, coeffs)
     layers = chain(splitting_field(f).field)
     assert [(layers.index(F), n) for F, n in seen] == calls
+    assert [repr(layer.relation) for layer in layers[1:]] == relations
 
 
 @pytest.mark.parametrize(
