@@ -52,6 +52,7 @@ from .factor import _elem_sort_key
 from .fieldops import (
     SplittingData,
     Subfield,
+    _all_roots,
     _split_data,
     cached_basis,
     fixed_field,
@@ -61,7 +62,6 @@ from .fieldops import (
     splitting_field,
     subfield_coords,
     subfield_from_vectors,
-    verify_splitting,
 )
 from .linalg import center_kernel, joint_eigenspace
 from .matrix import Matrix
@@ -70,6 +70,7 @@ from .morphisms import (
     FieldMorphism,
     _divide_out,
     _enumerate_maps,
+    _orbit,
     automorphisms_over,
 )
 from .poly import Polynomial
@@ -562,7 +563,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     towers over rational function fields cannot be factored, so there
     the caller supplies a tower E (built over the same center layer)
     together with optional root hints, and everything found inside it
-    is verified rather than trusted.
+    is verified rather than trusted.  The roots of mu in E are the
+    Gamma-orbit of iota(a) (``morphisms._orbit``); a root outside it is
+    no character's value, so ResolutionError is raised, not factored.
 
     ``iota_images`` fixes the embedding iota of L in E, one image per
     tower layer; the map must fix the center, or ResolutionError is
@@ -581,18 +584,23 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     if E is None:
         splitting, psi = _splitting_by_group(L, center, a, mu, max_degree) \
             or (splitting_field(mu, max_degree=max_degree), None)
+        Efield = splitting.field
+    elif not is_layer_of(center.field, E):
+        raise FieldMismatch(
+            "supplied splitting tower does not extend the center"
+        )
     else:
-        if not is_layer_of(center.field, E):
-            raise FieldMismatch(
-                "supplied splitting tower does not extend the center"
-            )
-        splitting, psi = verify_splitting(mu, E, hints=hints), None
-    Efield = splitting.field
+        splitting, psi, Efield = None, None, E
     gamma = automorphisms_over(
         Efield, center.field, hints=hints, expected=expected_gamma
     )
     iota = psi if psi is not None and iota_images is None else \
         _embedding(L, Efield, center, iota_images, hints)
+    if splitting is None:
+        roots = _all_roots(*_orbit(mu.map_coeffs(Efield, Efield.coerce),
+                                   iota.apply(a), gamma))
+        splitting = SplittingData(mu, center.field, Efield, roots,
+                                  minimal=None)
     # E is normal over the center, so the characters are the distinct
     # iota * sigma, sorted by key; rho sends sigma to its character
     extended = [iota * sigma for sigma in gamma]
@@ -703,14 +711,15 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
 def _splitting_by_group(L, center: Subfield, a, mu, max_degree):
     """(splitting, psi) when L is normal over the center layer K: E is
     K[r1]/(mu), presented as ``splitting_field(mu)`` presents it, psi:
-    L -> E sends a to r1, and the roots of mu are the psi(sigma(a)) for
-    sigma in Aut(L/K) (Lang, Algebra, V.3).  None when K is not a layer
-    of L, mu is linear or inseparable, or Aut(L/K) is too small."""
+    L -> E sends a to r1, and the roots of mu are psi of the orbit of a
+    under Aut(L/K) (``_orbit``; Lang, Algebra, V.3).  None when K is not
+    a layer of L, mu is linear or inseparable, or the orbit is short."""
     K, n = center.field, mu.degree
     if n < 2 or not is_layer_of(K, L) or mu.derivative().is_zero():
         return None
     group = automorphisms_over(L, K)
-    if group.order != n:
+    found, rest = _orbit(mu.map_coeffs(L, L.coerce), a, group)
+    if rest.degree >= 1:
         return None
     E = extend(K, mu, "r1", max_degree=max_degree, validate=False)
     # each generator of L above K in the power basis of a, by one solve
@@ -719,10 +728,7 @@ def _splitting_by_group(L, center: Subfield, a, mu, max_degree):
          / Matrix(K, [coords_over(L, a**i, K) for i in range(n)]))
     psi = FieldMorphism(L, E, {lay: E.from_coords(list(row))
                                for lay, row in zip(above, X.rows)})
-    roots = [psi.apply(b) for b in group.orbit(a)]
-    if len(roots) < n or any(mu.evaluate(r, lift=E.coerce) for r in roots):
-        return None
-    return _split_data(mu, E, [(r, 1) for r in roots]), psi
+    return _split_data(mu, E, [(psi.apply(r), m) for r, m in found]), psi
 
 
 def _embedding(L, Efield, center: Subfield, iota_images, hints):

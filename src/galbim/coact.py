@@ -43,10 +43,11 @@ from .errors import (
     Violated,
 )
 from .fieldops import (
+    SplittingData,
     cached_basis,
     kernel_over,
+    locate_roots,
     splitting_field,
-    verify_splitting,
 )
 from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
 from .matrix import Matrix
@@ -744,13 +745,14 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None,
     f = L.relation
     if E is None:
         data = splitting_field(f, max_degree=max_degree)
-    else:
-        data = verify_splitting(f, E, hints=hints, base=B)
-    Efld = data.field
-    if not is_layer_of(B, Efld):
+    elif not is_layer_of(B, E):
         raise FieldMismatch(
             "the splitting tower must be built over the declared base"
         )
+    else:
+        data = SplittingData(f, B, E, locate_roots(f, E, hints=hints),
+                             minimal=None)
+    Efld = data.field
     G = automorphisms_over(Efld, B, hints=hints, expected=expected)
     deg = algebraic_degree(Efld, B)
     if G.order != deg:

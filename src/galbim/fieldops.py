@@ -260,17 +260,16 @@ def subfield_coords(sub: Subfield, x):
 class SplittingData:
     """A field where a polynomial splits, with located roots.
 
-    ``roots`` lists (root, multiplicity) pairs inside ``field``;
-    ``verified_split`` records that the product of located linear
-    factors reproduces the polynomial; ``minimal`` is True when the
-    field was built root by root (computed mode), None when an
-    externally supplied tower was only verified to contain the roots."""
+    ``roots`` lists (root, multiplicity) pairs inside ``field``, whose
+    linear factors reproduce the polynomial (each root was divided
+    out); ``minimal`` is True when the field was built root by root
+    (computed mode), None when an externally supplied tower was only
+    found to contain the roots."""
 
     polynomial: Polynomial
     base: object
     field: object
     roots: list
-    verified_split: bool
     minimal: object  # True | None
 
     def root_list(self):
@@ -291,7 +290,8 @@ def splitting_field(
     still-unsplit irreducible factors, each kept with its multiplicity.
     Adjoining a root r of the first unsplit factor g (in factor_poly's
     order) gives E'[r]/(g), where ``morphisms._conjugates`` divides the
-    conjugates of r it finds out of g.  Only the rest of g, unless it
+    orbit of r under the maps r -> y (y a root of g among +-r^k) out of
+    g (``morphisms._orbit``).  Only the rest of g, unless it
     is constant, and the other unsplit factors are factored over the
     new field, so f itself is factored once, over its coefficient
     field.  The tower and the root order are those of refactoring f
@@ -347,7 +347,6 @@ def _split_data(f, E, roots):
         base=f.field,
         field=E,
         roots=roots,
-        verified_split=True,
         minimal=True,
     )
 
@@ -358,9 +357,14 @@ def locate_roots(f: Polynomial, E, hints=()):
     f's coefficients live in a sublayer of E (or E itself).  Returns
     (root, multiplicity) pairs; raises ResolutionError if the located
     roots do not fully split f."""
-    found, remaining = _roots_in_pool(
+    return _all_roots(*_roots_in_pool(
         f.map_coeffs(E, E.coerce), E, _candidate_pool(E, hints)
-    )
+    ))
+
+
+def _all_roots(found, remaining):
+    """The roots a search found in a supplied tower, if they split the
+    polynomial (``remaining`` is constant); else ResolutionError."""
     if remaining.degree >= 1:
         raise ResolutionError(
             "could not split the polynomial in the supplied tower; "
@@ -368,20 +372,3 @@ def locate_roots(f: Polynomial, E, hints=()):
             % remaining.degree
         )
     return found
-
-
-def verify_splitting(
-    f: Polynomial, E, hints=(), base=None
-) -> SplittingData:
-    """Verification-mode splitting data: check that f splits inside an
-    externally supplied tower E."""
-    roots = locate_roots(f, E, hints=hints)
-    return SplittingData(
-        polynomial=f,
-        base=base if base is not None else f.field,
-        field=E,
-        roots=roots,
-        verified_split=True,
-        minimal=None,
-    )
-

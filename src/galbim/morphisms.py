@@ -21,6 +21,10 @@ fixes the center.
 the same scan.  When the caller states an expected order and fewer maps
 are found, the search reports failure rather than returning a silently
 partial group.
+
+Where automorphisms are known, ``_orbit`` reads roots off them with
+no pool: ``fieldops.splitting_field`` (``_conjugates``) and
+``bimod.analyze`` (the roots of mu) search no further.
 """
 
 from __future__ import annotations
@@ -284,18 +288,6 @@ class AutomorphismGroup:
                     return False
         return True
 
-    def orbit(self, x):
-        """Distinct images of a field element under the group."""
-        out = []
-        seen = set()
-        for m in self.elements:
-            y = m.apply(x)
-            k = _elem_sort_key(y)
-            if k not in seen:
-                seen.add(k)
-                out.append(y)
-        return out
-
     def pointwise_stabilizer(self, xs):
         return [
             i
@@ -319,7 +311,9 @@ def _candidate_pool(field, hints):
     the scan without refactoring.  The seed moves
     where a root is found, not which roots there are: groups and
     embedding lists, sorted by key, are unchanged, while
-    ``locate_roots`` lists roots in scan order."""
+    ``locate_roots`` lists roots in scan order.  A supplied-mode
+    ``analyze`` scans the pool for Gamma and iota only: the roots of
+    mu are ``_orbit``'s."""
     hints = [field.coerce(h) for h in hints]
     cache = vars(field).setdefault("_pool_cache", {})
     key = tuple(_elem_sort_key(h) for h in hints)
@@ -364,42 +358,52 @@ def _build_pool(field, hints):
 def _divide_out(f, pool):
     """Scan ``pool`` in order and divide each root of f out to its full
     multiplicity, with no factoring.  Returns (found, remaining):
-    (root, multiplicity) pairs with distinct roots, and what is left."""
-    E = f.field
+    (root, multiplicity) pairs with distinct roots, and what is left.
+    A try is one synthetic division by x - r: Horner's partial sums are
+    the quotient and, last, the value at r."""
     remaining = f
     found = []
     for r in pool:
         if remaining.degree < 1:
             break
         mult = 0
-        while not remaining.evaluate(r):
-            remaining = remaining // Polynomial(E, [-r, E.one()])
+        while True:
+            sums = [remaining.coeffs[-1]]
+            for c in reversed(remaining.coeffs[:-1]):
+                sums.append(sums[-1] * r + c)
+            if sums.pop():
+                break
+            remaining = Polynomial(f.field, tuple(reversed(sums)),
+                                   trusted=True)
             mult += 1
         if mult:
             found.append((r, mult))
     return found, remaining
 
 
-def _conjugates(g, r):
-    """Roots of g, over E = E'[r]/(g), in E: those among +-r^k
-    (0 < k < deg g), closed under the maps r -> y of the roots y so
-    found.  These are E'-automorphisms of E, so they carry roots to
-    roots; each image is still checked as ``_divide_out`` divides it
-    out.  Returns (found, remaining) as ``_divide_out`` does."""
-    E = g.field
-    powers = [r**k for k in range(1, E.degree)]
-    found, remaining = _divide_out(g, powers + [-p for p in powers])
-    images = [y for y, _ in found[1:]]
-    orbit = [r] + images
-    for z in orbit:   # the orbit of r, grown while it is read
+def _orbit(f, r, maps):
+    """Roots of f in the orbit of its root r under the group generated
+    by ``maps``, automorphisms of f's field: each image of a root found
+    so far is divided out of f, so every root is checked by exact
+    division.  Returns (found, remaining) as ``_divide_out`` does."""
+    found, remaining = _divide_out(f, [r])
+    for z, _ in found:   # the orbit, grown while it is read
         if remaining.degree < 1:
             break
-        z = Polynomial(E.base, z.coords)
-        new, remaining = _divide_out(
-            remaining, [z.evaluate(y, lift=E.coerce) for y in images])
+        new, remaining = _divide_out(remaining, (m.apply(z) for m in maps))
         found += new
-        orbit += [w for w, _ in new]
     return found, remaining
+
+
+def _conjugates(g, r):
+    """Roots of g, over E = E'[r]/(g), in E: the orbit (``_orbit``) of
+    r under the E'-automorphisms r -> y, one for each root y of g among
+    +-r^k (0 < k < deg g) other than r."""
+    E = g.field
+    powers = [r**k for k in range(1, E.degree)]
+    maps = [FieldMorphism(E, E, {E: y}, check=False)
+            for y in powers[1:] + [-p for p in powers] if not g.evaluate(y)]
+    return _orbit(g, r, maps)
 
 
 def _roots_in_pool(f, E, pool):

@@ -2,7 +2,9 @@
 
 The corpus is every ``analyze`` call that the benchmark's quartic,
 numfield and radical workloads make at seed 1, then the biquadratic
-field below, whose center is not a tower layer.  A line holds the key
+field below, whose center is not a tower layer, then the group
+bimodules of three splitting fields L over Q analysed in a supplied
+tower E = L (``supplied/``).  A line holds the key
 of the embedding iota, rho, H, each factor's multiplicity, inseparable
 exponent and character keys, the semisimple, split and H-normal flags
 and both Galois verdicts; an analysis that raises records the type of
@@ -20,7 +22,12 @@ import pathlib
 
 from galbim import bimod
 from galbim.fieldbase import QQ
-from galbim.morphisms import AutomorphismGroup, FieldMorphism
+from galbim.fieldops import splitting_field
+from galbim.morphisms import (
+    AutomorphismGroup,
+    FieldMorphism,
+    automorphisms_over,
+)
 from galbim.poly import Polynomial
 from galbim.towers import extend
 
@@ -29,6 +36,13 @@ GOLDEN = ROOT / "tests" / "golden" / "analyze.txt"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEED = 1
 CORPUS = ("quartic", "numfield", "radical")
+# polynomials over Q, low coefficient first, whose splitting fields
+# are analysed in supplied mode
+SUPPLIED = {
+    "x^3-2": [-2, 0, 0, 1],
+    "x^4-2": [-2, 0, 0, 0, 1],
+    "x^4-x^2-1": [-1, 0, -1, 0, 1],
+}
 
 
 def biquadratic():
@@ -39,6 +53,17 @@ def biquadratic():
     L = extend(A, Polynomial(A, [A.from_int(-3), A.zero(), A.one()]), "b")
     sigma = FieldMorphism(L, L, {A: -L.coerce(A.gen()), L: -L.gen()})
     return L, AutomorphismGroup(L, [sigma])
+
+
+def supplied_group_bimodules():
+    """(label, P, L) for each SUPPLIED polynomial: L is its splitting
+    field over Q and P the bimodule of Aut(L/Q)."""
+    out = []
+    for label, coeffs in SUPPLIED.items():
+        L = splitting_field(Polynomial(QQ, coeffs)).field
+        P = bimod.bimodule_of_group(L, automorphisms_over(L, QQ))
+        out.append((label, P, L))
+    return out
 
 
 def record(P, an):
@@ -94,6 +119,9 @@ def records():
     Q = bimod.direct_sum(P, bimod.twist(L, G[0]))
     for label, B in (("biquadratic/group", P), ("biquadratic/group+id", Q)):
         lines.append("%s %s" % (label, record(B, bimod.analyze(B))))
+    for label, P, L in supplied_group_bimodules():
+        lines.append("supplied/%s %s"
+                     % (label, record(P, bimod.analyze(P, E=L))))
     return lines
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import galbim.bimod as bimod_module
+from galbim import factor, fieldops, morphisms
 from galbim.errors import (
     ClassificationFailed,
     CoefficientEscapesZ,
@@ -19,9 +20,9 @@ from galbim.errors import (
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import (
     Subfield,
+    locate_roots,
     scalar_layer,
     splitting_field,
-    verify_splitting,
 )
 from galbim.linalg import simultaneous_triangularize
 from galbim.matrix import Matrix
@@ -53,7 +54,12 @@ from galbim.bimod import (
     twist,
     verify_central_coefficients,
 )
-from golden_analyze import biquadratic, record
+from golden_analyze import (
+    GOLDEN,
+    biquadratic,
+    record,
+    supplied_group_bimodules,
+)
 from oracles import NotAPower, char_poly_right, left_cosets, support
 
 
@@ -527,7 +533,7 @@ NORMAL_FIELDS = {
 
 
 def _no_factoring(*args, **kwargs):
-    raise AssertionError("a normal field needs no splitting_field")
+    raise AssertionError("a normal field needs no factoring")
 
 
 @pytest.mark.parametrize("name", sorted(NORMAL_FIELDS))
@@ -554,6 +560,23 @@ def test_dihedral_group_bimodule_is_galois(coeffs):
     assert an.gamma.order == 8 and an.is_split
     assert is_weakly_galois(P, analysis=an) is True
     assert is_galois(P, analysis=an) is True
+
+
+def test_supplied_splitting_field_needs_no_factoring(monkeypatch):
+    # with E = L supplied, the roots of mu are the Gamma-orbit of
+    # iota(a), so no root search factors anything; the answers are the
+    # golden records, made when the roots were still factored
+    golden = dict(line.split(" ", 1)
+                  for line in GOLDEN.read_text().splitlines())
+    cases = supplied_group_bimodules()   # before the patches: it factors
+    monkeypatch.setattr(morphisms, "roots_in_coefficient_field",
+                        _no_factoring)
+    monkeypatch.setattr(fieldops, "factor_poly", _no_factoring)
+    monkeypatch.setattr(factor, "factor_poly", _no_factoring)
+    for label, P, L in cases:
+        an = analyze(P, E=L)
+        assert an.splitting.field is L and an.splitting.minimal is None
+        assert record(P, an) == golden["supplied/" + label]
 
 
 def test_non_normal_field_still_splits_by_factoring(monkeypatch):
@@ -719,10 +742,10 @@ def test_base_change_nonnormal_not_split():
         E, Polynomial(E, [-(E.one() - tE), E.zero(), E.one()]), "v"
     )
     for sign in (E.one(), -E.one()):
-        data = verify_splitting(
+        found = locate_roots(
             Polynomial(E, [-(E.one() + sign * tE), E.zero(), E.one()]), Ebar
         )
-        assert data.verified_split and len(data.root_list()) == 2
+        assert [m for _, m in found] == [1, 1]
 
     iota_images = {Fw: Ebar.coerce(w), L: Ebar.coerce(tE),
                    E: Ebar.coerce(u)}

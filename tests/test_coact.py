@@ -140,6 +140,16 @@ def test_taft_galois_group_is_dihedral(taft_fix):
     assert len(involutions) == 5
 
 
+def test_supplied_tower_must_extend_the_base(taft_fix):
+    # a tower over Q(i)(v) instead of the base Q(i)(u) is refused
+    # before the relation's roots are searched for in it
+    C, _, _ = taft_fix
+    V = RationalFunctionField(C.base.coefficient_field, "v")
+    E = extend(V, [-V.gen(), V.zero(), V.one()], "s")
+    with pytest.raises(FieldMismatch, match="built over the declared base"):
+        co.galois_group_of_coaction(C, E=E)
+
+
 def test_taft_integrality_certificate(taft_fix):
     C, _, _ = taft_fix
     L, B = C.field, C.base

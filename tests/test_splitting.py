@@ -7,7 +7,9 @@ runs the root search on the pool the splitting field seeds.
 
 The conjugate step that ``splitting_field`` runs on each adjoined root
 returns only roots: a property over the same fields on the irreducible
-factors of drawn polynomials."""
+factors of drawn polynomials.  In a normal field E over K, the orbit
+of any element z under Aut(E/K) is every root of its minimal
+polynomial: a property over the normal fields of ``test_bimod``."""
 
 import pytest
 
@@ -16,10 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from galbim.factor import factor_poly
 from galbim.fieldbase import GF, QQ
-from galbim.fieldops import splitting_field
-from galbim.morphisms import _conjugates, automorphisms_over
+from galbim.fieldops import min_poly_over, splitting_field
+from galbim.morphisms import _conjugates, _orbit, automorphisms_over
 from galbim.poly import Polynomial
-from galbim.towers import algebraic_degree, extend
+from galbim.towers import algebraic_degree, chain, extend, from_coords_over
+
+from test_bimod import NORMAL_FIELDS
 
 FIELDS = {"Q": QQ, "GF3": GF(3), "GF5": GF(5)}
 
@@ -91,3 +95,23 @@ def test_every_conjugate_is_a_root(name):
 
     check()
 
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FIELDS))
+def test_orbit_is_every_conjugate(name):
+    E = NORMAL_FIELDS[name]()
+    K = chain(E)[0]
+    G = automorphisms_over(E, K)
+    n = algebraic_degree(E, K)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(coords=st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    def check(coords):
+        z = from_coords_over(E, [K.coerce(c) for c in coords], K)
+        mu = min_poly_over(E, z, K)
+        found, remaining = _orbit(mu.map_coeffs(E, E.coerce), z, G)
+        assert remaining.degree == 0
+        assert [m for _, m in found] == [1] * mu.degree
+        assert len({repr(y) for y, _ in found}) == mu.degree
+
+    check()

@@ -33,7 +33,6 @@ from galbim.fieldops import (
     scalar_layer,
     splitting_field,
     subfield_coords,
-    verify_splitting,
 )
 from galbim.morphisms import (
     AutomorphismGroup,
@@ -256,8 +255,6 @@ def test_quartic_tower_galois_group_dihedral():
     assert not G.is_normal_subgroup(S)
     # coset count
     assert len(left_cosets(G, S)) == 4
-    # orbit of the quartic generator has size 4
-    assert len(G.orbit(r)) == 4
 
 
 def test_s3_galois_group():
@@ -346,7 +343,6 @@ def test_splitting_field_computed_cubic():
     assert algebraic_degree(data.field, QQ) == 6
     assert sum(m for _, m in data.roots) == 3
     assert data.minimal is True
-    assert data.verified_split
     for r, _ in data.roots:
         assert r**3 == data.field.coerce(2)
 
@@ -500,13 +496,12 @@ def test_splitting_field_leaves_a_splitting_base_alone():
     assert "_split_roots" not in vars(Qi)
 
 
-def test_verify_splitting_in_supplied_tower():
+def test_locate_roots_in_supplied_tower():
     E = make_quartic_tower()
     x = Polynomial.x(QQ)
-    data = verify_splitting(x**4 - 2, E, base=QQ)
-    assert data.minimal is None
-    assert sum(m for _, m in data.roots) == 4
-    roots = data.root_list()
+    found = locate_roots(x**4 - 2, E)
+    assert [m for _, m in found] == [1, 1, 1, 1]
+    roots = [y for y, _ in found]
     r = E.gen()
     i = E.coerce(E.base.gen())
     for expected in (r, -r, i * r, -i * r):

@@ -160,8 +160,9 @@ def main():
                     help="also record one traced pass per side and "
                          "workload at this seed")
     ap.add_argument("--seconds", type=float, default=5)
-    ap.add_argument("--claim", required=True,
-                    help="WORKLOAD:METRIC the change claims to improve")
+    ap.add_argument("--claim", default=None,
+                    help="WORKLOAD:METRIC the change claims to improve; "
+                         "without it no gain is claimed")
     ap.add_argument("--description", default=None,
                     help="one line saying what the change does")
     ap.add_argument("--out", required=True)
@@ -170,7 +171,8 @@ def main():
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    claim_workload, claim_metric = args.claim.split(":")
+    claim_workload, claim_metric = \
+        args.claim.split(":") if args.claim else (None, None)
 
     bench = {}
     if os.path.exists(args.out):
@@ -214,7 +216,7 @@ def main():
                   "method='inclusive'); change_better_pairs counts pairs "
                   "where the change reads better, ties counting for "
                   "neither" % args.pairs,
-        "claim": {
+        "claim": args.claim and {
             "metric": claim_metric,
             "workload": claim_workload,
             "rule": "change better in >= 9/10 pairs and the median gain "
