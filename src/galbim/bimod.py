@@ -599,8 +599,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     if splitting is None:
         roots = _all_roots(*_orbit(mu.map_coeffs(Efield, Efield.coerce),
                                    iota.apply(a), gamma))
-        splitting = SplittingData(mu, center.field, Efield, roots,
-                                  minimal=None)
+        splitting = SplittingData(Efield, roots, minimal=None)
     # E is normal over the center, so the characters are the distinct
     # iota * sigma, sorted by key; rho sends sigma to its character
     extended = [iota * sigma for sigma in gamma]
@@ -1011,6 +1010,7 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
 def _probe_pool(E, hints):
     """Small search pool for spectrum roots: tower generators, hints,
     their negatives, and pairwise generator products."""
+    # not _candidate_pool: its product rounds double the probe's time
     gens = _tower_generators(E) + [E.coerce(h) for h in hints]
     pool = []
     for g in gens:
@@ -1021,19 +1021,15 @@ def _probe_pool(E, hints):
     return pool
 
 
-def _first_root(g: Polynomial, pool):
-    """The first element of ``pool`` that is a root of g, or None."""
-    return next((r for r in pool if not g.evaluate(r)), None)
-
-
 def _peel_binomial(rem: Polynomial, E, tracked, pool):
     """Extract a binomial step x^m - c with a tracked spectrum bound
     for c from a remaining factor; returns (relation, lineage).
 
     The remaining polynomial is written as g(x^k) for the largest
-    possible k; a located root c of g gives the candidate binomial
-    x^k - c, which is then halved through located square roots as long
-    as that keeps it (apparently) irreducible."""
+    possible k; the first root c of g that ``_divide_out`` finds in the
+    pool gives the candidate binomial x^k - c, which is then halved
+    through such square roots as long as that keeps it (apparently)
+    irreducible."""
     rem = rem.monic()
     exps = [j for j in range(1, rem.degree + 1) if rem.coeff(j)]
     k = 0
@@ -1047,18 +1043,19 @@ def _peel_binomial(rem: Polynomial, E, tracked, pool):
     if g.degree == 1:
         c = -g.coeff(0)
     else:
-        c = _first_root(g, pool)
-        if c is None:
+        found = _divide_out(g, pool)[0]
+        if not found:
             raise ResolutionError(
                 "splitting probe only follows binomial ladders"
             )
+        c = found[0][0]
     m = k
     while m % 2 == 0 and m > 2:
-        half = _first_root(Polynomial(E, [-c, E.zero(), E.one()]), pool)
-        if half is None:
+        found = _divide_out(Polynomial(E, [-c, E.zero(), E.one()]), pool)[0]
+        if not found:
             break
         m //= 2
-        c = half
+        c = found[0][0]
     # lineage: spec(phi(w))^m lands in sign * (tracked spectrum)
     for sign in (E.one(), -E.one()):
         entry = tracked.get(_elem_sort_key(sign * c))

@@ -43,7 +43,6 @@ from .errors import (
     Violated,
 )
 from .fieldops import (
-    SplittingData,
     cached_basis,
     kernel_over,
     locate_roots,
@@ -177,12 +176,11 @@ def truncated_action(field, nvars, substitutions, pairs=()):
     C.field = field
     C.nvars = int(nvars)
     C.substitutions = tuple(
-        _norm_substitution(field, nvars, s, affine=True)
-        for s in substitutions
+        _norm_substitution(field, nvars, s) for s in substitutions
     )
     C.pairs = tuple(
-        (_norm_substitution(field, nvars, a, affine=True),
-         _norm_substitution(field, nvars, b, affine=True))
+        (_norm_substitution(field, nvars, a),
+         _norm_substitution(field, nvars, b))
         for a, b in pairs
     )
     return C
@@ -745,14 +743,13 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None,
     f = L.relation
     if E is None:
         data = splitting_field(f, max_degree=max_degree)
+        Efld, roots = data.field, data.roots
     elif not is_layer_of(B, E):
         raise FieldMismatch(
             "the splitting tower must be built over the declared base"
         )
     else:
-        data = SplittingData(f, B, E, locate_roots(f, E, hints=hints),
-                             minimal=None)
-    Efld = data.field
+        Efld, roots = E, locate_roots(f, E, hints=hints)
     G = automorphisms_over(Efld, B, hints=hints, expected=expected)
     deg = algebraic_degree(Efld, B)
     if G.order != deg:
@@ -770,7 +767,7 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None,
             "the fixed field of the automorphism group has dimension %d "
             "over the base" % len(fixed)
         )
-    if G.pointwise_stabilizer(data.root_list()) != [0]:
+    if G.pointwise_stabilizer([r for r, _ in roots]) != [0]:
         raise ResolutionError(
             "the supplied tower strictly exceeds the splitting field "
             "of the relation"
@@ -874,7 +871,7 @@ def semisimple_bound(C, declared=None):
 
 # ------------------------------------------------- truncated invariants
 
-def _norm_substitution(field, nvars, sub, affine=False):
+def _norm_substitution(field, nvars, sub):
     sub = tuple(sub)
     if len(sub) != nvars:
         raise ValueError("substitution must give one image per variable")
@@ -888,7 +885,7 @@ def _norm_substitution(field, nvars, sub, affine=False):
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError("bad exponent tuple %r" % (mono,))
         poly = lincomb(terms)
-        if affine and any(sum(m) > 1 for m in poly):
+        if any(sum(m) > 1 for m in poly):
             raise ValueError(
                 "substitutions must have degree at most one so the "
                 "degree filtration is preserved"

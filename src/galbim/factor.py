@@ -92,7 +92,10 @@ def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP):
 
 
 def roots_in_coefficient_field(f: Polynomial):
-    """Roots of f inside its own coefficient field, with multiplicity."""
+    """Roots of f inside its own coefficient field, with multiplicity.
+    A linear f gives its root over any field, with no factoring."""
+    if f.degree == 1:
+        return [(-f.coeff(0) / f.coeff(1), 1)]
     _, factors = factor_poly(f)
     out = []
     for g, mult in factors:

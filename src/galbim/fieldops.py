@@ -258,25 +258,18 @@ def subfield_coords(sub: Subfield, x):
 
 @dataclass
 class SplittingData:
-    """A field where a polynomial splits, with located roots.
+    """A field where a polynomial splits, with its roots.
 
-    ``roots`` lists (root, multiplicity) pairs inside ``field``, whose
-    linear factors reproduce the polynomial (each root was divided
-    out); ``minimal`` is True when the field was built root by root
-    (computed mode), None when an externally supplied tower was only
-    found to contain the roots."""
+    ``roots`` lists (root, multiplicity) pairs inside ``field`` whose
+    linear factors reproduce the polynomial: each is a linear factor
+    that factoring found or a root that ``morphisms._divide_out``
+    divided out.  ``minimal`` is True when the field was built root by
+    root (computed mode), None when an externally supplied tower was
+    only found to contain the roots."""
 
-    polynomial: Polynomial
-    base: object
     field: object
     roots: list
     minimal: object  # True | None
-
-    def root_list(self):
-        out = []
-        for r, m in self.roots:
-            out.extend([r] * m)
-        return out
 
 
 def splitting_field(
@@ -342,13 +335,7 @@ def _split_data(f, E, roots):
         roots = sorted(((E.coerce(s), m) for s, m in roots),
                        key=lambda pair: _elem_sort_key(-pair[0]))
         vars(E)["_split_roots"] = tuple(r for r, _ in roots)
-    return SplittingData(
-        polynomial=f,
-        base=f.field,
-        field=E,
-        roots=roots,
-        minimal=True,
-    )
+    return SplittingData(field=E, roots=roots, minimal=True)
 
 
 def locate_roots(f: Polynomial, E, hints=()):
@@ -358,7 +345,7 @@ def locate_roots(f: Polynomial, E, hints=()):
     (root, multiplicity) pairs; raises ResolutionError if the located
     roots do not fully split f."""
     return _all_roots(*_roots_in_pool(
-        f.map_coeffs(E, E.coerce), E, _candidate_pool(E, hints)
+        f.map_coeffs(E, E.coerce), _candidate_pool(E, hints)
     ))
 
 

@@ -30,14 +30,6 @@ def eigenspace(M: Matrix, lam) -> list:
     return shifted.kernel()
 
 
-def generalized_eigenspace(M: Matrix, lam, power=None) -> list:
-    lam = M.field.coerce(lam)
-    if power is None:
-        power = M.nrows
-    shifted = M - Matrix.identity(M.field, M.nrows).scale(lam)
-    return (shifted**power).kernel()
-
-
 def joint_eigenspace(mats, lams) -> list:
     """Common eigenvectors: intersection of ker(M_i - lam_i)."""
     field = mats[0].field
@@ -175,17 +167,6 @@ def simultaneous_triangularize(mats, candidates=None):
                         "triangularization failed; matrices may not commute"
                     )
     return T, triangs
-
-
-def diagonal_character_multiset(triangs):
-    """Multiset of diagonal tuples from jointly triangularized matrices:
-    entry i is the tuple of i-th diagonal entries across the family."""
-    n = triangs[0].nrows
-    out = {}
-    for i in range(n):
-        key = tuple(M.rows[i][i] for M in triangs)
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 def center_kernel(field, phi):

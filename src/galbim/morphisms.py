@@ -7,24 +7,27 @@ layers the caller leaves out map canonically.  Application is
 their own generators) is left to coercion.  Composition reads left to
 right: (f * g)(x) = g(f(x)).
 
-Morphism enumeration works by backtracking over layer generators.  At
-each node the generator's images are the roots of the mapped relation,
-found by ``_roots_in_pool``: a scan of a finite candidate pool (tower
-generators, their negatives, supplied hints, the roots a computed
-splitting field recorded on its field, and two rounds of pairwise
-products) that divides each root out (``_divide_out``), then factors
-what is left where the codomain allows it.  The enumeration is lazy:
-``_enumerate_maps`` yields each map as it completes it, so
-``bimod.analyze``, which needs one embedding, stops at the first that
-fixes the center.
-``fieldops.locate_roots`` runs the same search and ``bimod.split_probe``
-the same scan.  When the caller states an expected order and fewer maps
-are found, the search reports failure rather than returning a silently
-partial group.
+Every root is checked, and divided out to its full multiplicity, by
+one routine, ``_divide_out``: a synthetic division by x - r for each
+candidate r of a list, in order.  Only the candidates differ:
 
-Where automorphisms are known, ``_orbit`` reads roots off them with
-no pool: ``fieldops.splitting_field`` (``_conjugates``) and
-``bimod.analyze`` (the roots of mu) search no further.
+- ``_roots_in_pool`` tries a finite candidate pool (tower generators,
+  their negatives, supplied hints, the roots a computed splitting field
+  recorded on its field, and two rounds of pairwise products), then
+  the roots ``factor.roots_in_coefficient_field`` gives for what is
+  left, where the field allows it.  Morphism enumeration backtracks
+  over layer generators and takes each generator's images from it;
+  ``fieldops.locate_roots`` is the same call.
+- ``_orbit`` tries the images of the roots found so far under known
+  automorphisms: ``fieldops.splitting_field`` (``_conjugates``) and
+  ``bimod.analyze`` (the roots of mu) search no pool.
+- ``bimod.split_probe`` tries its own, smaller pool and never factors.
+
+The enumeration is lazy: ``_enumerate_maps`` yields each map as it
+completes it, so ``bimod.analyze``, which needs one embedding, stops at
+the first that fixes the center.  When the caller states an expected
+order and fewer maps are found, the search reports failure rather than
+returning a silently partial group.
 """
 
 from __future__ import annotations
@@ -406,23 +409,19 @@ def _conjugates(g, r):
     return _orbit(g, r, maps)
 
 
-def _roots_in_pool(f, E, pool):
-    """Roots of f in E: ``_divide_out`` over ``pool``, then a leftover
-    of degree >= 2 is factored where E supports it and a linear leftover
-    gives its root directly.  Returns (found, remaining) as
-    ``_divide_out`` does, with the factor of f no root accounts for."""
+def _roots_in_pool(f, pool):
+    """Roots of f in its coefficient field: ``_divide_out`` over
+    ``pool``, then over the roots ``roots_in_coefficient_field`` finds
+    in a nonconstant leftover, where the field supports it.  Returns
+    (found, remaining) as ``_divide_out`` does."""
     found, remaining = _divide_out(f, pool)
-    if remaining.degree >= 2:
+    if remaining.degree >= 1:
         try:
             located = roots_in_coefficient_field(remaining)
         except UnsupportedBase:
             located = []
-        for r, mult in located:
-            found.append((r, mult))
-            remaining = remaining // Polynomial(E, [-r, E.one()]) ** mult
-    if remaining.degree == 1:
-        found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
-        remaining = Polynomial.one(E)
+        new, remaining = _divide_out(remaining, [r for r, _ in located])
+        found += new
     return found, remaining
 
 
@@ -459,7 +458,7 @@ def _enumerate_maps(domain, codomain, fixed, hints):
             codomain,
             lambda c: evaluate(c, layer.base, images, codomain.coerce),
         )
-        roots, _ = _roots_in_pool(rel, codomain, pool)
+        roots, _ = _roots_in_pool(rel, pool)
         for r, _mult in roots:
             images[layer] = r
             yield from place(idx + 1, images)

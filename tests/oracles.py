@@ -9,7 +9,12 @@ character multiset off a ``BimoduleAnalysis``.  ``char_poly_right``,
 only the tests ask for, as are ``factor_multiplicities`` (a summary of an
 analysis), ``full_polynomial_dims`` (the unconstrained dimensions of a
 truncated invariant computation), ``inseparable_degree``,
-``is_irreducible`` and ``squarefree_part``.
+``is_irreducible`` and ``squarefree_part``.  ``generalized_eigenspace``
+and ``diagonal_character_multiset`` serve the triangularization tests.
+
+``roots_in_pool`` is a second root search for ``morphisms._roots_in_pool``
+to agree with: the same pool scan, then a leftover of degree >= 2
+factored and divided by each (x - r)^m, and a linear leftover solved.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -25,10 +30,11 @@ of ints.  The library does its small finite fields by tables instead.
 
 from math import comb
 
-from galbim.errors import AxiomViolation, FieldMismatch
-from galbim.factor import factor_poly
+from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
+from galbim.factor import factor_poly, roots_in_coefficient_field
 from galbim.hopf import lincomb, sparse_product, tensor_product
 from galbim.matrix import Matrix
+from galbim.morphisms import _divide_out
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
 
 
@@ -109,6 +115,45 @@ def squarefree_part(f):
     for g, _ in squarefree_decomposition(f)[1]:
         out = out * g
     return out
+
+
+def generalized_eigenspace(M: Matrix, lam, power=None) -> list:
+    lam = M.field.coerce(lam)
+    if power is None:
+        power = M.nrows
+    shifted = M - Matrix.identity(M.field, M.nrows).scale(lam)
+    return (shifted**power).kernel()
+
+
+def diagonal_character_multiset(triangs):
+    """Multiset of diagonal tuples from jointly triangularized matrices:
+    entry i is the tuple of i-th diagonal entries across the family."""
+    n = triangs[0].nrows
+    out = {}
+    for i in range(n):
+        key = tuple(M.rows[i][i] for M in triangs)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def roots_in_pool(f, E, pool):
+    """Roots of f in E: ``_divide_out`` over ``pool``, then a leftover
+    of degree >= 2 is factored where E supports it and a linear leftover
+    gives its root directly.  Returns (found, remaining) as
+    ``_divide_out`` does, with the factor of f no root accounts for."""
+    found, remaining = _divide_out(f, pool)
+    if remaining.degree >= 2:
+        try:
+            located = roots_in_coefficient_field(remaining)
+        except UnsupportedBase:
+            located = []
+        for r, mult in located:
+            found.append((r, mult))
+            remaining = remaining // Polynomial(E, [-r, E.one()]) ** mult
+    if remaining.degree == 1:
+        found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
+        remaining = Polynomial.one(E)
+    return found, remaining
 
 
 class NotAPower(Exception):

@@ -9,10 +9,8 @@ from galbim.errors import EigenvalueOutsideField, NotAField
 from galbim.fieldbase import GF, QQ
 from galbim.linalg import (
     center_kernel,
-    diagonal_character_multiset,
     eigenspace,
     extend_to_basis,
-    generalized_eigenspace,
     joint_eigenspace,
     restriction_matrix,
     simultaneous_triangularize,
@@ -21,6 +19,7 @@ from galbim.linalg import (
 from galbim.matrix import Matrix
 from galbim.poly import Polynomial
 from galbim.towers import extend
+from oracles import diagonal_character_multiset, generalized_eigenspace
 
 
 def test_stack_kernel_intersects():

@@ -1,9 +1,10 @@
 """Package hygiene: the package docstring, the install entry points and
 the benchmark's per-layer trace targets name only things that exist,
-every library exception has a raise site in the package, and no module
-imports a name it never uses."""
+every library exception has a raise site in the package, no module
+imports a name it never uses, and every private helper has a use."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -109,3 +110,54 @@ def test_unused_import_guard_sees_uses():
         "os.path.join(d)\n"
     )
     assert _unused_imports(tree) == [(2, "b")]
+
+
+def _dead_helpers(trees):
+    """Module-level ``_name`` functions and classes, and ``_name``
+    methods, that no name or attribute outside their own definition
+    reads, as (module, line, name)."""
+    def reads(node):
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__"))
+
+    total = sum((reads(tree) for tree in trees.values()),
+                collections.Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if private(d) and total[d.name] == reads(d)[d.name]:
+                    dead.append((module, d.lineno, d.name))
+    return sorted(dead)
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert _dead_helpers(trees) == []
+
+
+def test_dead_helper_guard_sees_uses():
+    trees = {
+        "a.py": ast.parse(
+            "def _used(): pass\n"
+            "def _recursive(): _recursive()\n"
+            "class _C:\n"
+            "    def _m(self): pass\n"
+            "    def _n(self): self._m()\n"
+            "    def __init__(self): pass\n"
+        ),
+        "b.py": ast.parse("from a import _used\n_used()\n"),
+    }
+    assert _dead_helpers(trees) == [
+        ("a.py", 2, "_recursive"), ("a.py", 3, "_C"), ("a.py", 5, "_n"),
+    ]

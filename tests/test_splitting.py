@@ -9,7 +9,14 @@ The conjugate step that ``splitting_field`` runs on each adjoined root
 returns only roots: a property over the same fields on the irreducible
 factors of drawn polynomials.  In a normal field E over K, the orbit
 of any element z under Aut(E/K) is every root of its minimal
-polynomial: a property over the normal fields of ``test_bimod``."""
+polynomial: a property over the normal fields of ``test_bimod``.
+
+The root search of morphism enumeration and ``locate_roots``,
+``morphisms._roots_in_pool``, agrees with the reference
+``oracles.roots_in_pool`` over Q(i), GF(9) and Q(t) on products of
+linear factors, inside and outside the candidate pool, and an
+irreducible quadratic: the same (root, multiplicity) list in the same
+order, and the same remainder."""
 
 import pytest
 
@@ -19,10 +26,23 @@ from hypothesis import example, given, settings, strategies as st
 from galbim.factor import factor_poly
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import min_poly_over, splitting_field
-from galbim.morphisms import _conjugates, _orbit, automorphisms_over
+from galbim.morphisms import (
+    _candidate_pool,
+    _conjugates,
+    _orbit,
+    _roots_in_pool,
+    automorphisms_over,
+)
 from galbim.poly import Polynomial
-from galbim.towers import algebraic_degree, chain, extend, from_coords_over
+from galbim.towers import (
+    RationalFunctionField,
+    algebraic_degree,
+    chain,
+    extend,
+    from_coords_over,
+)
 
+from oracles import roots_in_pool
 from test_bimod import NORMAL_FIELDS
 
 FIELDS = {"Q": QQ, "GF3": GF(3), "GF5": GF(5)}
@@ -113,5 +133,59 @@ def test_orbit_is_every_conjugate(name):
         assert remaining.degree == 0
         assert [m for _, m in found] == [1] * mu.degree
         assert len({repr(y) for y, _ in found}) == mu.degree
+
+    check()
+
+
+def _pool_search_cases():
+    """name -> (field, its candidate pool, a generator "beyond" the
+    prime field for elements outside the pool, an irreducible
+    quadratic's constant c, for x^2 - c)."""
+    x = Polynomial.x(QQ)
+    Qi = extend(QQ, x**2 + 1, "i")
+    y = Polynomial.x(GF(3))
+    F9 = extend(GF(3), y**2 + 1, "j")
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    return {
+        "Q(i)": (Qi, _candidate_pool(Qi, ()), Qi.gen(), Qi.coerce(3)),
+        # 1 + j generates GF(9)^*, so it is no square
+        "GF9": (F9, _candidate_pool(F9, ()), F9.gen(), 1 + F9.gen()),
+        "Q(t)": (Qt, _candidate_pool(Qt, [1, t]), t, t),
+    }
+
+
+@pytest.mark.parametrize("name", ["GF9", "Q(i)", "Q(t)"])
+def test_root_search_matches_the_reference(name):
+    F, pool, g, c = _pool_search_cases()[name]
+    x = Polynomial.x(F)
+    quadratic = x**2 - c
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        roots=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(range(len(pool))),
+                    st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                ),
+                st.integers(1, 2),
+            ),
+            max_size=3,
+        ),
+        lead=st.sampled_from([1, 2]),
+    )
+    # (x - 1)^2 (x - 2 - g) times the quadratic: in and out of the pool
+    @example(roots=[((1, 0), 2), ((2, 1), 1)], lead=1)
+    def check(roots, lead):
+        f = F.coerce(lead) * quadratic
+        for r, m in roots:
+            if isinstance(r, int):
+                r = pool[r]
+            else:
+                r = F.coerce(r[0]) + F.coerce(r[1]) * g
+            f = f * (x - r) ** m
+        found, remaining = _roots_in_pool(f, pool)
+        assert (found, remaining) == roots_in_pool(f, F, pool)
 
     check()

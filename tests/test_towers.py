@@ -490,7 +490,7 @@ def test_splitting_field_leaves_a_splitting_base_alone():
     x = Polynomial.x(Qi)
     data = splitting_field((x - i) * (x + 1))
     assert data.field is Qi
-    assert sorted(repr(r) for r in data.root_list()) == ["-1", "i"]
+    assert sorted(repr(r) for r, _ in data.roots) == ["-1", "i"]
     linear = splitting_field(2 * x - i)
     assert linear.field is Qi and linear.roots == [(i / 2, 1)]
     assert "_split_roots" not in vars(Qi)
@@ -521,12 +521,12 @@ def test_roots_in_pool_splits_with_multiplicity():
     x = Polynomial.x(Qi)
     pool = _candidate_pool(Qi, ())
     f = (x - i) ** 2 * (x + i) * (x - 1)
-    found, remaining = _roots_in_pool(f, Qi, pool)
+    found, remaining = _roots_in_pool(f, pool)
     assert found == [(i, 2), (-i, 1), (Qi.one(), 1)]
     assert remaining.degree == 0
     # 2 and 3 are not in the pool: the quadratic leftover is factored
     found, remaining = _roots_in_pool(
-        (x - 2) * (x - 3) * (x - i) ** 2, Qi, pool
+        (x - 2) * (x - 3) * (x - i) ** 2, pool
     )
     assert sorted((repr(r), m) for r, m in found) == [
         ("2", 1), ("3", 1), ("i", 2)
@@ -541,10 +541,18 @@ def test_roots_in_pool_completes_a_linear_leftover():
     f = (x - 1) ** 2 * (x - t)
     with pytest.raises(UnsupportedBase):
         roots_in_coefficient_field(f)
-    found, remaining = _roots_in_pool(f, Qt, _candidate_pool(Qt, [1]))
+    found, remaining = _roots_in_pool(f, _candidate_pool(Qt, [1]))
     assert found == [(Qt.one(), 2), (t, 1)]
     assert remaining.degree == 0
     assert locate_roots(f, Qt, hints=[1]) == found
+
+
+def test_linear_root_over_a_rational_function_field():
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    x = Polynomial.x(Qt)
+    assert roots_in_coefficient_field(x - t) == [(t, 1)]
+    assert roots_in_coefficient_field(2 * x + t) == [(-t / 2, 1)]
 
 
 def test_roots_in_pool_reports_what_it_missed():
@@ -552,7 +560,7 @@ def test_roots_in_pool_reports_what_it_missed():
     t = Qt.gen()
     x = Polynomial.x(Qt)
     f = (x - 1) * (x - t) * (x + t)
-    found, remaining = _roots_in_pool(f, Qt, _candidate_pool(Qt, [1]))
+    found, remaining = _roots_in_pool(f, _candidate_pool(Qt, [1]))
     assert found == [(Qt.one(), 1)]
     assert remaining == x**2 - t**2
     with pytest.raises(ResolutionError, match="2 degrees unaccounted"):
