@@ -5,10 +5,13 @@ the library computes another way; only the tests call them.
 ``support`` and ``multiset_key`` read the supported characters and the
 character multiset off a ``BimoduleAnalysis``.  ``char_poly_right``,
 ``qbinom`` (the Gaussian binomials in ``taft``'s coproduct),
-``tensor_square_product`` and ``left_cosets`` are further answers that
-only the tests ask for, as are ``factor_multiplicities`` (a summary of an
-analysis), ``full_polynomial_dims`` (the unconstrained dimensions of a
-truncated invariant computation), ``inseparable_degree``,
+``tensor_square_product``, ``left_cosets`` and ``composition_table``
+(every product of a group composed exactly, where
+``AutomorphismGroup.table`` composes only a generating set's columns)
+are further answers that only the tests ask for, as are
+``factor_multiplicities`` (a summary of an analysis),
+``full_polynomial_dims`` (the unconstrained dimensions of a truncated
+invariant computation), ``inseparable_degree``,
 ``is_irreducible`` and ``squarefree_part``.  ``generalized_eigenspace``
 and ``diagonal_character_multiset`` serve the triangularization tests.
 
@@ -222,6 +225,12 @@ def left_cosets(G, indices):
         seen.update(coset)
         cosets.append(coset)
     return cosets
+
+
+def composition_table(G):
+    """table[i][j] = index of G[i] * G[j], with all |G|^2 products
+    composed exactly and looked up by key."""
+    return [[G.index(a * b) for b in G.elements] for a in G.elements]
 
 
 def exhaustive_hopf_check(H):

@@ -30,7 +30,12 @@ from galbim.matrix import Matrix
 from galbim.morphisms import automorphisms_over
 from galbim.towers import RationalFunctionField, extend
 
-from oracles import factor_multiplicities, full_polynomial_dims, multiset_key
+from oracles import (
+    composition_table,
+    factor_multiplicities,
+    full_polynomial_dims,
+    multiset_key,
+)
 
 Z2_TABLE = [[0, 1], [1, 0]]
 
@@ -119,6 +124,8 @@ def test_taft_bimodule_is_galois(taft_fix):
     P = co.bimodule_from_coaction(C)
     ana = analyze(P, E=E, hints=hints, expected_gamma=8)
     assert ana.gamma.order == 8
+    # Gamma = Aut(E/Q(i)(u)), tabled from generators, against all pairs
+    assert ana.gamma.table() == composition_table(ana.gamma)
     assert len(ana.h_indices) == 2
     assert not ana.h_normal
     assert ana.semisimple
@@ -133,6 +140,7 @@ def test_taft_galois_group_is_dihedral(taft_fix):
     G = co.galois_group_of_coaction(C, E=E, hints=hints, expected=8)
     assert G.order == 8
     table = G.table()
+    assert table == composition_table(G)
     assert any(
         table[i][j] != table[j][i] for i in range(8) for j in range(8)
     )

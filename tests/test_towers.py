@@ -17,6 +17,7 @@ from galbim.errors import (
     DegreeBound,
     FieldMismatch,
     NotAHomomorphism,
+    NotASubgroup,
     NotInvertible,
     Reducible,
     ResolutionError,
@@ -54,7 +55,7 @@ from galbim.towers import (
     tower_basis,
 )
 
-from oracles import inseparable_degree, left_cosets
+from oracles import composition_table, inseparable_degree, left_cosets
 
 
 def make_qi():
@@ -235,7 +236,7 @@ def test_klein_four_group():
     assert G[0].is_identity()
     # every non-identity element has order 2
     for idx in range(1, 4):
-        assert G.compose(idx, idx) == 0
+        assert G.table()[idx][idx] == 0
 
 
 def test_quartic_tower_galois_group_dihedral():
@@ -267,6 +268,52 @@ def test_s3_galois_group():
     subgroup_over_qz = G.pointwise_stabilizer([E.coerce(Qz.gen())])
     assert len(subgroup_over_qz) == 3
     assert G.is_normal_subgroup(subgroup_over_qz)
+
+
+def _split_field(coeffs):
+    return lambda: splitting_field(Polynomial(QQ, coeffs)).field
+
+
+# fields whose automorphism groups over Q the group-table tests read
+GROUP_FIELDS = {
+    "klein": make_sqrt_tower,
+    "quartic": make_quartic_tower,
+    "x^3-2": _split_field([-2, 0, 0, 1]),
+    "x^4-2": _split_field([-2, 0, 0, 0, 1]),
+    "x^4-x^2-1": _split_field([-1, 0, -1, 0, 1]),
+    "x^5-1": _split_field([-1, 0, 0, 0, 0, 1]),
+    "x^5+x+1": _split_field([1, 1, 0, 0, 0, 1]),   # order 12
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_FIELDS))
+def test_group_table_matches_all_pairs(name):
+    G = automorphisms_over(GROUP_FIELDS[name](), QQ)
+    assert G.table() == composition_table(G)
+
+
+@pytest.mark.parametrize("name", ["quartic", "x^5+x+1"])
+def test_group_table_composes_only_generator_columns(monkeypatch, name):
+    # |G| compositions per generator, and a greedy generating set has
+    # at most log2 |G| elements; all pairs would be |G|^2
+    G = automorphisms_over(GROUP_FIELDS[name](), QQ)
+    calls = []
+    compose = FieldMorphism.__mul__
+    monkeypatch.setattr(FieldMorphism, "__mul__",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    G.table()
+    n = G.order
+    assert len(calls) <= n * (n.bit_length() - 1)
+
+
+def test_group_table_checks_closure():
+    # {1, sigma} with sigma of order 4 in D4 lacks sigma^2
+    E = make_quartic_tower()
+    D4 = automorphisms_over(E, QQ, expected=8)
+    sigma = next(g for g in D4 if not (g * g).is_identity()
+                 and (g * g * g * g).is_identity())
+    with pytest.raises(NotASubgroup, match="not closed under composition"):
+        AutomorphismGroup(E, [sigma]).table()
 
 
 def test_expected_order_mismatch_raises():
