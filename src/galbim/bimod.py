@@ -48,7 +48,6 @@ ANALYSIS_OBSTRUCTIONS = (
     ResolutionError,
     DegreeBound,
 )
-from .factor import _elem_sort_key
 from .fieldops import (
     SplittingData,
     Subfield,
@@ -603,10 +602,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     # E is normal over the center, so the characters are the distinct
     # iota * sigma, sorted by key; rho sends sigma to its character
     extended = [iota * sigma for sigma in gamma]
-    chars = sorted({g.key(): g for g in extended}.values(),
-                   key=FieldMorphism.key)
-    index = {g.key(): i for i, g in enumerate(chars)}
-    rho = [index[g.key()] for g in extended]
+    chars = sorted(dict.fromkeys(extended), key=FieldMorphism.key)
+    index = {g: i for i, g in enumerate(chars)}
+    rho = [index[g] for g in extended]
     tab = gamma.table()
     if iota_images is None:
         # move a found iota to the least character, iota * gamma[g0]
@@ -645,7 +643,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
                 "descended factor does not divide the minimal polynomial"
             )
         N = mu_k.evaluate(M, lift=P._scalar)
-        dim1 = len(N.kernel())
+        dim1 = d - N.rank()   # N is d x d: the kernel's dimension
         factors.append([mu_k, dim1, e, orbit, N])
         kernel_dims_power1 += dim1
     semisimple = kernel_dims_power1 == d
@@ -655,7 +653,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         if semisimple:
             dim = dim1
         else:
-            dim = len((N**d).kernel())
+            dim = d - (N**d).rank()
         if dim % mu_k.degree:
             raise ResolutionError(
                 "kernel dimension is not a multiple of the factor degree"
@@ -973,7 +971,7 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
     for g in _tower_generators(L):
         mu = min_poly_right(P, g)
         remainders.append(_divide_out(mu, pool)[1])
-        tracked[_elem_sort_key(g)] = (g, mu)
+        tracked[g] = mu
     E = L
     step = 0
     while True:
@@ -998,12 +996,9 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
         lineage_w = lineage.map_coeffs(w, w.coerce)
         remainders.append(_divide_out(lineage_w, pool)[1])
         gen = w.coerce(w.gen())
-        tracked = {
-            _elem_sort_key(w.coerce(v)): (w.coerce(v),
-                                          mu.map_coeffs(w, w.coerce))
-            for v, mu in tracked.values()
-        }
-        tracked[_elem_sort_key(gen)] = (gen, lineage_w)
+        tracked = {w.coerce(v): mu.map_coeffs(w, w.coerce)
+                   for v, mu in tracked.items()}
+        tracked[gen] = lineage_w
         E = w
 
 
@@ -1058,9 +1053,8 @@ def _peel_binomial(rem: Polynomial, E, tracked, pool):
         c = found[0][0]
     # lineage: spec(phi(w))^m lands in sign * (tracked spectrum)
     for sign in (E.one(), -E.one()):
-        entry = tracked.get(_elem_sort_key(sign * c))
-        if entry is not None:
-            _, mu_c = entry
+        mu_c = tracked.get(sign * c)
+        if mu_c is not None:
             coeffs = {}
             for i in range(mu_c.degree + 1):
                 ci = mu_c.coeff(i)

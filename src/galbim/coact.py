@@ -962,7 +962,7 @@ def truncated_invariants(C, cap):
         keep = [j for j, m in enumerate(mons) if sum(m) <= D]
         if rows:
             sub_rows = [[row[j] for j in keep] for row in rows]
-            dims.append(len(Matrix(field, sub_rows).kernel()))
+            dims.append(len(keep) - Matrix(field, sub_rows).rank())
         else:
             dims.append(len(keep))
     if rows:

@@ -126,7 +126,8 @@ def _poly_sort_key(g: Polynomial):
 
 
 def _elem_sort_key(c):
-    # deterministic total order on the element kinds we print
+    # deterministic total order on the element kinds we print; it only
+    # sorts (roots, factors, morphisms), identity is the elements' ==/hash
     if isinstance(c, Fraction):
         return (0, c.numerator, c.denominator)
     value = getattr(c, "value", None)

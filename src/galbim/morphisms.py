@@ -5,7 +5,10 @@ for algebraic layers, the variable image for rational function layers);
 layers the caller leaves out map canonically.  Application is
 ``towers.evaluate``; the canonical prefix (the bottom layers sent to
 their own generators) is left to coercion.  Composition reads left to
-right: (f * g)(x) = g(f(x)).
+right: (f * g)(x) = g(f(x)).  Morphisms, like field elements, are
+their own dictionary keys: identity is ``==`` on the images and the hash
+of the images; ``FieldMorphism.key`` (``factor._elem_sort_key`` on each
+image) only orders groups and embedding lists.
 
 Every root is checked, and divided out to its full multiplicity, by
 one routine, ``_divide_out``: a synthetic division by x - r for each
@@ -63,7 +66,7 @@ CLOSURE_BOUND = 1024
 
 
 class FieldMorphism:
-    __slots__ = ("domain", "codomain", "images", "_moved", "_key")
+    __slots__ = ("domain", "codomain", "images", "_moved")
 
     def __init__(self, domain, codomain, images, check=True):
         self.domain = domain
@@ -88,7 +91,6 @@ class FieldMorphism:
                 moved[layer] = fixed[layer]
         self.images = fixed
         self._moved = moved
-        self._key = None
         if check:
             self._verify()
 
@@ -116,12 +118,9 @@ class FieldMorphism:
             ) from None
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(
-                _elem_sort_key(self.images[layer])
-                for layer in generator_layers(self.domain)
-            )
-        return self._key
+        """The images' sort keys, layer by layer: an order, not an
+        identity (that is ``==``)."""
+        return tuple(map(_elem_sort_key, self.images.values()))
 
     def __mul__(self, other):
         """Left-to-right composition: (self * other)(x) = other(self(x))."""
@@ -150,11 +149,11 @@ class FieldMorphism:
             isinstance(other, FieldMorphism)
             and other.domain is self.domain
             and other.codomain is self.codomain
-            and other.key() == self.key()
+            and other.images == self.images
         )
 
     def __hash__(self):
-        return hash(("morphism", self.key()))
+        return hash(tuple(self.images.values()))
 
     def __repr__(self):
         parts = []
@@ -176,22 +175,21 @@ def inclusion_morphism(sub, field):
 class AutomorphismGroup:
     """A finite, composition-closed set of automorphisms of one field.
 
-    Elements are indexed; the identity sits at index 0 and the rest are
-    sorted by a deterministic structural key, so indices are stable."""
+    Elements are deduplicated by ``==`` and indexed; the identity sits
+    at index 0 and the rest are sorted by ``FieldMorphism.key``, so
+    indices are stable."""
 
     def __init__(self, field, morphisms):
         self.field = field
-        seen = {}
-        for m in morphisms:
-            if m.domain is not field or m.codomain is not field:
-                raise FieldMismatch("automorphisms of a different field")
-            seen.setdefault(m.key(), m)
-        elements = sorted(seen.values(), key=lambda m: m.key())
-        elements.sort(key=lambda m: not m.is_identity())
+        elements = list(dict.fromkeys(morphisms))
+        if any(m.domain is not field or m.codomain is not field
+               for m in elements):
+            raise FieldMismatch("automorphisms of a different field")
+        elements.sort(key=lambda m: (not m.is_identity(), m.key()))
         if not elements or not elements[0].is_identity():
             elements.insert(0, identity_morphism(field))
         self.elements = elements
-        self._index = {m.key(): i for i, m in enumerate(elements)}
+        self._index = {m: i for i, m in enumerate(elements)}
         self._table = None
         self._inverses = None
 
@@ -209,10 +207,10 @@ class AutomorphismGroup:
         return self.elements[i]
 
     def index(self, m: FieldMorphism) -> int:
-        key = m.key()
-        if key not in self._index:
+        i = self._index.get(m)
+        if i is None:
             raise NotASubgroup("morphism is not in the group")
-        return self._index[key]
+        return i
 
     def table(self):
         """table[i][j] = index of elements[i] * elements[j].
@@ -228,7 +226,7 @@ class AutomorphismGroup:
                 if tab[0][g] is not None:
                     continue
                 for i, a in enumerate(els):
-                    prod = index.get((a * b).key())
+                    prod = index.get(a * b)
                     if prod is None:
                         raise NotASubgroup(
                             "set of automorphisms is not closed under "
@@ -315,9 +313,11 @@ class AutomorphismGroup:
 
 
 def _candidate_pool(field, hints):
-    """The root search pool of ``field`` for these hints, as a tuple,
-    memoized on the field handle like ``fieldops.cached_basis`` so one
-    analysis builds it once and it is freed together with its tower.
+    """The root search pool of ``field`` for these hints, as a tuple of
+    distinct elements (by ``==``) in insertion order, memoized on the
+    field handle under the tuple of coerced hints like
+    ``fieldops.cached_basis`` so one analysis builds it once and it is
+    freed together with its tower.
 
     A splitting field that ``fieldops.splitting_field`` builds, or that
     ``bimod.analyze`` presents for a normal L from Aut(L), carries its
@@ -329,12 +329,11 @@ def _candidate_pool(field, hints):
     ``locate_roots`` lists roots in scan order.  A supplied-mode
     ``analyze`` scans the pool for Gamma and iota only: the roots of
     mu are ``_orbit``'s."""
-    hints = [field.coerce(h) for h in hints]
+    hints = tuple(field.coerce(h) for h in hints)
     cache = vars(field).setdefault("_pool_cache", {})
-    key = tuple(_elem_sort_key(h) for h in hints)
-    if key not in cache:
-        cache[key] = _build_pool(field, hints)
-    return cache[key]
+    if hints not in cache:
+        cache[hints] = _build_pool(field, hints)
+    return cache[hints]
 
 
 def _build_pool(field, hints):
@@ -342,12 +341,8 @@ def _build_pool(field, hints):
     for layer in chain(field):
         if isinstance(layer, ExtensionField):
             gens.append(field.coerce(layer.gen()))
-    pool = {}
-
-    def add(x):
-        k = _elem_sort_key(x)
-        if k not in pool:
-            pool[k] = x
+    pool = {}   # insertion-ordered set: the first of equal elements
+    add = pool.setdefault
 
     for g in gens:
         add(g)
@@ -359,7 +354,7 @@ def _build_pool(field, hints):
         add(r)
     # two rounds of products against the generators
     for _ in range(2):
-        current = list(pool.values())
+        current = list(pool)
         for a in current:
             for g in gens:
                 if len(pool) >= 4000:
@@ -367,7 +362,7 @@ def _build_pool(field, hints):
                 p = a * g
                 add(p)
                 add(-p)
-    return tuple(pool.values())
+    return tuple(pool)
 
 
 def _divide_out(f, pool):
@@ -498,11 +493,10 @@ def automorphisms_over(field, fixed, hints=(), expected=None):
 
 def embeddings_over(domain, codomain, fixed, hints=(), expected=None):
     """All field maps domain -> codomain fixing the shared layer
-    ``fixed`` pointwise, sorted by structural key."""
-    seen = {}
-    for m in _enumerate_maps(domain, codomain, fixed, hints):
-        seen.setdefault(m.key(), m)
-    out = sorted(seen.values(), key=lambda m: m.key())
+    ``fixed`` pointwise, deduplicated by ``==`` and sorted by
+    ``FieldMorphism.key``."""
+    maps = _enumerate_maps(domain, codomain, fixed, hints)
+    out = sorted(dict.fromkeys(maps), key=FieldMorphism.key)
     if expected is not None and len(out) != expected:
         raise ResolutionError(
             "found %d embeddings but expected %d; supply root hints"

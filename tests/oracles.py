@@ -18,6 +18,9 @@ and ``diagonal_character_multiset`` serve the triangularization tests.
 ``roots_in_pool`` is a second root search for ``morphisms._roots_in_pool``
 to agree with: the same pool scan, then a leftover of degree >= 2
 factored and divided by each (x - r)^m, and a linear leftover solved.
+``pool_by_key`` builds the candidate pool of ``morphisms._build_pool``
+with duplicates told apart by ``factor._elem_sort_key`` instead of by
+``==``.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -34,11 +37,16 @@ of ints.  The library does its small finite fields by tables instead.
 from math import comb
 
 from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
-from galbim.factor import factor_poly, roots_in_coefficient_field
+from galbim.factor import (
+    _elem_sort_key,
+    factor_poly,
+    roots_in_coefficient_field,
+)
 from galbim.hopf import lincomb, sparse_product, tensor_product
 from galbim.matrix import Matrix
 from galbim.morphisms import _divide_out
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
+from galbim.towers import ExtensionField, chain
 
 
 def mat_is_semisimple(M: Matrix) -> bool:
@@ -157,6 +165,35 @@ def roots_in_pool(f, E, pool):
         found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
         remaining = Polynomial.one(E)
     return found, remaining
+
+
+def pool_by_key(field, hints):
+    """The candidate pool of ``field`` for these hints, as a tuple: the
+    tower generators, the hints, the field's recorded splitting roots,
+    each with its negative, then two rounds of products against the
+    generators (capped at 4000 elements), keeping the first element of
+    each ``_elem_sort_key``."""
+    gens = [field.coerce(layer.gen()) for layer in chain(field)
+            if isinstance(layer, ExtensionField)]
+    pool = {}
+
+    def add(x):
+        pool.setdefault(_elem_sort_key(x), x)
+
+    for x in gens + [field.coerce(h) for h in hints]:
+        add(x)
+        add(-x)
+    for r in vars(field).get("_split_roots", ()):
+        add(r)
+    for _ in range(2):
+        for a in list(pool.values()):
+            for g in gens:
+                if len(pool) >= 4000:
+                    break
+                p = a * g
+                add(p)
+                add(-p)
+    return tuple(pool.values())
 
 
 class NotAPower(Exception):

@@ -28,6 +28,7 @@ from galbim.hopf import (
 )
 from galbim.matrix import Matrix
 from galbim.morphisms import automorphisms_over
+from galbim.poly import Polynomial
 from galbim.towers import RationalFunctionField, extend
 
 from oracles import (
@@ -275,16 +276,47 @@ def test_intermediate_invariants_refused():
         co.galois_group_of_coaction(C)
 
 
-def test_cyclic_cubic_galois_group_computed():
+@pytest.fixture(scope="module")
+def cyclic_cubic():
     # Fun(Z/3) coacting on Q[z]/(z^3 - 3z - 1) through sigma: z -> 2 - z^2,
     # the cyclic group of the cubic; its splitting closure is L itself
     L = extend(QQ, [-1, -3, 0, 1], "z")
     z = L.gen()
     K = dual(group_algebra(QQ, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
-    C = co.field_coaction(L, K, {0: z, 1: 2 - z**2, 2: z**2 - z - 2})
+    return co.field_coaction(L, K, {0: z, 1: 2 - z**2, 2: z**2 - z - 2})
+
+
+def test_cyclic_cubic_galois_group_computed(cyclic_cubic):
+    C = cyclic_cubic
     co.verify_coaction(C)
     assert len(co.invariants(C)) == 1
     assert co.galois_group_of_coaction(C).order == 3
+
+
+CUBIC_ELEMENTS = {
+    "z": lambda z: z,
+    "z^2": lambda z: z**2,
+    "z+1": lambda z: z + 1,
+    "z^2-2z": lambda z: z**2 - 2 * z,
+    "3": lambda z: 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUBIC_ELEMENTS))
+def test_integrality_certificate_is_the_orbit_polynomial(cyclic_cubic,
+                                                         name):
+    # the legs of rho(x) are the conjugates sigma^k(x), so x is integral
+    # over the invariants Q with minimal polynomial prod (X - w) over
+    # the distinct legs w
+    C = cyclic_cubic
+    L = C.field
+    x = L.coerce(CUBIC_ELEMENTS[name](L.gen()))
+    orbit = Polynomial.one(L)
+    for w in dict.fromkeys(co.coact_element(C, x).values()):
+        orbit = orbit * Polynomial(L, [-w, L.one()])
+    cert = co.integrality_certificate(C, x)
+    assert cert.min_poly == orbit
+    assert cert.failure is None
 
 
 def test_field_coaction_validation():

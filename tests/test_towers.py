@@ -23,7 +23,11 @@ from galbim.errors import (
     ResolutionError,
     UnsupportedBase,
 )
-from galbim.factor import factor_poly, roots_in_coefficient_field
+from galbim.factor import (
+    _elem_sort_key,
+    factor_poly,
+    roots_in_coefficient_field,
+)
 from galbim.fieldbase import GF, QQ
 from galbim.fieldops import (
     Subfield,
@@ -55,7 +59,12 @@ from galbim.towers import (
     tower_basis,
 )
 
-from oracles import composition_table, inseparable_degree, left_cosets
+from oracles import (
+    composition_table,
+    inseparable_degree,
+    left_cosets,
+    pool_by_key,
+)
 
 
 def make_qi():
@@ -75,6 +84,20 @@ def make_quartic_tower():
     Qi = make_qi()
     xi = Polynomial.x(Qi)
     return extend(Qi, xi**4 - 2, "r")
+
+
+def make_rational_quartic_tower():
+    """(F, E, hints): F = Q(i)(u) and its degree-8 normal extension E,
+    s^2 = u, a^2 = s - 1, b^2 = -s - 1 (the splitting tower of
+    (z^2 + 1)^2 - u), with the root hints +-a, +-b, +-s."""
+    Fu = RationalFunctionField(make_qi(), "u")
+    Es = extend(Fu, Polynomial(Fu, [-Fu.gen(), Fu.zero(), Fu.one()]), "s")
+    s = Es.coerce(Es.gen())
+    Ea = extend(Es, Polynomial(Es, [Es.one() - s, Es.zero(), Es.one()]), "a")
+    E = extend(Ea, Polynomial(Ea, [Ea.one() + Ea.coerce(s), Ea.zero(),
+                                   Ea.one()]), "b")
+    a, b, sE = E.coerce(Ea.gen()), E.gen(), E.coerce(s)
+    return Fu, E, (a, -a, b, -b, sE, -sE)
 
 
 # ----------------------------------------------------------------- towers
@@ -331,6 +354,66 @@ def test_frobenius_on_finite_tower():
     frob = G[1]
     j = F9.gen()
     assert frob.apply(j) == -j
+
+
+# ------------------------------- identity is == and hash; keys only sort
+
+
+def _ratfunc_pool_case():
+    F = RationalFunctionField(QQ, "t")
+    return F, [1, F.gen()]
+
+
+POOL_CASES = {
+    "quartic E": lambda: (make_rational_quartic_tower()[1], ()),
+    "quartic E, hints": lambda: make_rational_quartic_tower()[1:],
+    "x^4-2": lambda: (GROUP_FIELDS["x^4-2"](), ()),
+    "x^5+x+1": lambda: (GROUP_FIELDS["x^5+x+1"](), ()),
+    "GF9": lambda: (extend(GF(3), Polynomial(GF(3), [1, 0, 1]), "j"), ()),
+    "Q(t)": _ratfunc_pool_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_CASES))
+def test_candidate_pool_matches_dedup_by_key(name):
+    # deduplication by == keeps the same elements, in the same order,
+    # as deduplication by the sort key
+    field, hints = POOL_CASES[name]()
+    got = _candidate_pool(field, hints)
+    want = pool_by_key(field, hints)
+    assert [_elem_sort_key(x) for x in got] == \
+        [_elem_sort_key(x) for x in want]
+    assert all(x.field is field for x in got)
+
+
+def _quartic_gamma():
+    Fu, E, hints = make_rational_quartic_tower()
+    return automorphisms_over(E, Fu, hints=hints, expected=8)
+
+
+IDENTITY_GROUPS = {
+    "quartic": _quartic_gamma,
+    "x^4-2": lambda: automorphisms_over(GROUP_FIELDS["x^4-2"](), QQ),
+    "x^5+x+1": lambda: automorphisms_over(GROUP_FIELDS["x^5+x+1"](), QQ),
+}
+
+
+def _check_identity(m, n):
+    assert (m == n) == (m.key() == n.key())
+    if m == n:
+        assert hash(m) == hash(n)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GROUPS))
+def test_morphism_identity_agrees_with_key(name):
+    G = IDENTITY_GROUPS[name]()
+    tab = G.table()
+    for i, m in enumerate(G):
+        for j, n in enumerate(G):
+            _check_identity(m, n)
+            product, entry = m * n, G[tab[i][j]]
+            assert product is not entry and product == entry
+            _check_identity(product, entry)
 
 
 # ------------------------------------------------------------- fieldops
