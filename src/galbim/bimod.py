@@ -52,7 +52,6 @@ from .fieldops import (
     SplittingData,
     Subfield,
     _all_roots,
-    _split_data,
     cached_basis,
     fixed_field,
     min_poly_over,
@@ -556,15 +555,18 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             max_degree=DEFAULT_TOWER_CAP) -> BimoduleAnalysis:
     """Full composition-series analysis of a bimodule over its center.
 
-    In computed mode the splitting tower for the primitive element's
-    minimal polynomial is built by factorization, or, when L is normal
-    over a center layer, read off Aut(L) (``_splitting_by_group``);
-    towers over rational function fields cannot be factored, so there
-    the caller supplies a tower E (built over the same center layer)
+    In computed mode a normal L is analysed in E = L: when the center
+    is a layer K of L and |Aut(L/K)| = [L:K] = deg mu, L/K is Galois
+    and L is its own splitting field of mu (Lang, Algebra, V.3).  Any
+    other L is analysed in the splitting tower of mu that
+    ``splitting_field`` builds by factorization.  Towers over rational
+    function fields cannot be factored, so for a non-normal L there the
+    caller supplies a tower E (built over the same center layer)
     together with optional root hints, and everything found inside it
-    is verified rather than trusted.  The roots of mu in E are the
-    Gamma-orbit of iota(a) (``morphisms._orbit``); a root outside it is
-    no character's value, so ResolutionError is raised, not factored.
+    is verified rather than trusted.  Unless factoring built E, the
+    roots of mu in E are the Gamma-orbit of iota(a)
+    (``morphisms._orbit``); a root outside it is no character's value,
+    so ResolutionError is raised, not factored.
 
     ``iota_images`` fixes the embedding iota of L in E, one image per
     tower layer; the map must fix the center, or ResolutionError is
@@ -580,25 +582,28 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     n = center.degree_in_ambient()
     a = primitive_element_over(L, center)
     mu = min_poly_over(L, a, center)
+    K = center.field
+    computed = E is None
+    if computed and is_layer_of(K, L) and \
+            automorphisms_over(L, K, hints=hints).order == mu.degree:
+        E = L
     if E is None:
-        splitting, psi = _splitting_by_group(L, center, a, mu, max_degree) \
-            or (splitting_field(mu, max_degree=max_degree), None)
-        Efield = splitting.field
-    elif not is_layer_of(center.field, E):
+        splitting = splitting_field(mu, max_degree=max_degree)
+        E = splitting.field
+    elif not is_layer_of(K, E):
         raise FieldMismatch(
             "supplied splitting tower does not extend the center"
         )
     else:
-        splitting, psi, Efield = None, None, E
-    gamma = automorphisms_over(
-        Efield, center.field, hints=hints, expected=expected_gamma
-    )
-    iota = psi if psi is not None and iota_images is None else \
-        _embedding(L, Efield, center, iota_images, hints)
+        splitting = None
+    gamma = automorphisms_over(E, K, hints=hints, expected=expected_gamma)
+    iota = _embedding(L, E, center, iota_images, hints)
     if splitting is None:
-        roots = _all_roots(*_orbit(mu.map_coeffs(Efield, Efield.coerce),
+        roots = _all_roots(*_orbit(mu.map_coeffs(E, E.coerce),
                                    iota.apply(a), gamma))
-        splitting = SplittingData(Efield, roots, minimal=None)
+        # in computed mode E = L = K(a) is generated by the roots of mu
+        splitting = SplittingData(E, roots,
+                                  minimal=True if computed else None)
     # E is normal over the center, so the characters are the distinct
     # iota * sigma, sorted by key; rho sends sigma to its character
     extended = [iota * sigma for sigma in gamma]
@@ -615,16 +620,16 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     # the H-orbit of the character of gamma[g]: those of g * h, h in H
     orbits = sorted({tuple(sorted({rho[tab[g][h]] for h in h_indices}))
                      for g in range(len(rho))})
-    L_sub = Subfield(Efield, L, iota)
+    L_sub = Subfield(E, L, iota)
     factors = []
     p = L.characteristic
     mu_L = mu.map_coeffs(L, center.embedding.apply)
     M = P.phi(a)
     kernel_dims_power1 = 0
     for orbit in orbits:
-        q = Polynomial.one(Efield)
+        q = Polynomial.one(E)
         for i in orbit:
-            q = q * Polynomial(Efield, [-chars[i].apply(a), Efield.one()])
+            q = q * Polynomial(E, [-chars[i].apply(a), E.one()])
         e = 0
         while True:
             pulled = _pull_back_poly(q, L_sub)
@@ -703,29 +708,6 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         h_normal=h_normal,
     )
     return analysis
-
-
-def _splitting_by_group(L, center: Subfield, a, mu, max_degree):
-    """(splitting, psi) when L is normal over the center layer K: E is
-    K[r1]/(mu), presented as ``splitting_field(mu)`` presents it, psi:
-    L -> E sends a to r1, and the roots of mu are psi of the orbit of a
-    under Aut(L/K) (``_orbit``; Lang, Algebra, V.3).  None when K is not
-    a layer of L, mu is linear or inseparable, or the orbit is short."""
-    K, n = center.field, mu.degree
-    if n < 2 or not is_layer_of(K, L) or mu.derivative().is_zero():
-        return None
-    group = automorphisms_over(L, K)
-    found, rest = _orbit(mu.map_coeffs(L, L.coerce), a, group)
-    if rest.degree >= 1:
-        return None
-    E = extend(K, mu, "r1", max_degree=max_degree, validate=False)
-    # each generator of L above K in the power basis of a, by one solve
-    above = [lay for lay in generator_layers(L) if not is_layer_of(lay, K)]
-    X = (Matrix(K, [coords_over(L, lay.gen(), K) for lay in above])
-         / Matrix(K, [coords_over(L, a**i, K) for i in range(n)]))
-    psi = FieldMorphism(L, E, {lay: E.from_coords(list(row))
-                               for lay, row in zip(above, X.rows)})
-    return _split_data(mu, E, [(psi.apply(r), m) for r, m in found]), psi
 
 
 def _embedding(L, Efield, center: Subfield, iota_images, hints):

@@ -263,9 +263,10 @@ class SplittingData:
     ``roots`` lists (root, multiplicity) pairs inside ``field`` whose
     linear factors reproduce the polynomial: each is a linear factor
     that factoring found or a root that ``morphisms._divide_out``
-    divided out.  ``minimal`` is True when the field was built root by
-    root (computed mode), None when an externally supplied tower was
-    only found to contain the roots."""
+    divided out.  ``minimal`` is True when the roots generate the field
+    over the polynomial's coefficient field (``splitting_field``, or a
+    normal L that computed-mode ``bimod.analyze`` analyses in itself),
+    None when a supplied tower was only found to contain the roots."""
 
     field: object
     roots: list
@@ -323,15 +324,8 @@ def splitting_field(
         roots.extend((y, mult * m) for y, m in found)
         for h, m in [(cofactor, mult)] + rest:
             sort_in(h.map_coeffs(E, E.coerce), m)
-    return _split_data(f, E, roots)
-
-
-def _split_data(f, E, roots):
-    """The SplittingData of f over E, a field built root by root over
-    f's coefficient field, with its (root, multiplicity) pairs.  When
-    E is new, the roots are sorted in factor_poly's order of the linear
-    factors x - r and recorded on E for ``morphisms._build_pool``."""
     if E is not f.field:
+        # factor_poly's order of the linear factors x - r
         roots = sorted(((E.coerce(s), m) for s, m in roots),
                        key=lambda pair: _elem_sort_key(-pair[0]))
         vars(E)["_split_roots"] = tuple(r for r, _ in roots)

@@ -319,16 +319,15 @@ def _candidate_pool(field, hints):
     ``fieldops.cached_basis`` so one analysis builds it once and it is
     freed together with its tower.
 
-    A splitting field that ``fieldops.splitting_field`` builds, or that
-    ``bimod.analyze`` presents for a normal L from Aut(L), carries its
-    roots (``_split_roots``); they are seeded right after the hints, so
-    the automorphisms and embeddings of a splitting field are found by
-    the scan without refactoring.  The seed moves
-    where a root is found, not which roots there are: groups and
-    embedding lists, sorted by key, are unchanged, while
-    ``locate_roots`` lists roots in scan order.  A supplied-mode
-    ``analyze`` scans the pool for Gamma and iota only: the roots of
-    mu are ``_orbit``'s."""
+    A splitting field that ``fieldops.splitting_field`` builds carries
+    its roots (``_split_roots``); they are seeded right after the
+    hints, so the automorphisms and embeddings of a splitting field are
+    found by the scan without refactoring.  The seed moves where a root
+    is found, not which roots there are: groups and embedding lists,
+    sorted by key, are unchanged, while ``locate_roots`` lists roots in
+    scan order.  Where ``splitting_field`` did not build E, ``analyze``
+    scans the pool for Gamma and iota only: the roots of mu are
+    ``_orbit``'s."""
     hints = tuple(field.coerce(h) for h in hints)
     cache = vars(field).setdefault("_pool_cache", {})
     if hints not in cache:

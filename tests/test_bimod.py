@@ -536,19 +536,35 @@ def _no_factoring(*args, **kwargs):
     raise AssertionError("a normal field needs no factoring")
 
 
+def _basis_free(P, an):
+    """What an analysis says whatever tower E presents the characters:
+    |Gamma|, |H|, each factor's (degree, multiplicity, inseparable
+    exponent), the three flags and both verdicts."""
+    factors = sorted((f.min_poly.degree, f.multiplicity, f.insep_exponent)
+                     for f in an.factors)
+    return (an.gamma.order, len(an.h_indices), factors, an.semisimple,
+            an.is_split, an.h_normal, is_weakly_galois(P, analysis=an),
+            is_galois(P, analysis=an))
+
+
 @pytest.mark.parametrize("name", sorted(NORMAL_FIELDS))
 def test_computed_mode_matches_a_supplied_splitting_field(monkeypatch, name):
-    # computed mode reads E and iota off Aut(L); supplying the splitting
-    # field of mu instead runs the root search and the embedding
-    # enumeration, and must give the same rho, H, factors and verdicts
+    # a normal L is analysed in E = L, with no factoring, exactly as
+    # supplying E = L analyses it (any other L goes through
+    # splitting_field); in the splitting field of mu that
+    # splitting_field builds, the analysis must say the same about
+    # Gamma, H, the factors and the verdicts
     L = NORMAL_FIELDS[name]()
     G = automorphisms_over(L, chain(L)[0])
     P = direct_sum(bimodule_of_group(L, G), twist(L, G[0]))
     with monkeypatch.context() as patch:
         patch.setattr(bimod_module, "splitting_field", _no_factoring)
         an = analyze(P)
+    # L = K(a) is generated by the roots of mu: a minimal splitting field
+    assert an.splitting.field is L and an.splitting.minimal is True
+    assert record(P, an) == record(P, analyze(P, E=L))
     E = splitting_field(an.min_poly).field
-    assert record(P, an) == record(P, analyze(P, E=E))
+    assert _basis_free(P, an) == _basis_free(P, analyze(P, E=E))
 
 
 @pytest.mark.parametrize("coeffs", [[-2, 0, 0, 0, 1], [-1, 0, -1, 0, 1]],
@@ -609,6 +625,23 @@ def test_normal_over_a_rational_function_field():
     assert an.gamma.order == 2 and an.is_split
     assert sorted(str(f.min_poly) for f in an.factors) == ["x + u", "x - u"]
     assert is_galois(P, analysis=an) is True
+
+
+def test_normal_quartic_over_a_rational_function_field():
+    # L = Q(i)(t)[a]/(a^4 - t) is normal over Q(i)(t): Aut(L) sends a
+    # to a, -a, i*a and -i*a, and i*a is a product of two generators,
+    # which only the candidate pool's product rounds supply
+    Qi = extend(QQ, Polynomial(QQ, [1, 0, 1]), "i")
+    Ft = RationalFunctionField(Qi, "t")
+    L = extend(Ft, Polynomial(Ft, [-Ft.gen()] + [Ft.zero()] * 3 + [Ft.one()]),
+               "a")
+    G = automorphisms_over(L, Ft)
+    assert G.order == 4
+    for P in (regular_over(L, Subfield.from_layer(L, Ft)),
+              bimodule_of_group(L, G)):
+        an = analyze(P)
+        assert an.splitting.field is L and an.gamma.order == 4
+        assert is_galois(P, analysis=an) is True
 
 
 def test_center_that_is_not_a_layer():
