@@ -12,21 +12,24 @@ phi(a) v = sigma(a) v for a twisting endomorphism sigma.
 
 The structural analysis works at the L-level.  Over the center F the
 bimodule decomposes along the irreducible factors mu_k over L of the
-minimal polynomial mu of a primitive element a_prim of L/F, and the
-multiplicity of each factor is read off from the (generalized) kernel
-of mu_k(phi(a_prim)) without ever triangularizing over the splitting
-field E.  E contributes its group Gamma = Aut(E/F) and one embedding
-iota of L: E is normal over F, so the characters, the embeddings of L
-in E over F, are the maps iota * sigma for sigma in Gamma.  They match
-the cosets H * sigma of the stabilizer H of iota(L), and each factor
-mu_k is one H-orbit of characters, those whose values at a_prim are
-its roots.
+minimal polynomial mu of a primitive element a_prim of L/F.  The
+multiplicity of mu_k is its exponent in the characteristic polynomial
+of phi(a_prim), found by exact division, with no triangularizing over
+the splitting field E.  This is exact: phi is a ring map and F acts by
+scalars, so mu(phi(a_prim)) = 0, and by primary decomposition (Lang,
+Algebra, XIV 2) the generalized kernel of mu_k(phi(a_prim)) has
+dimension deg mu_k times that exponent.  E contributes its group
+Gamma = Aut(E/F) and one embedding iota of L: E is normal over F, so
+the characters, the embeddings of L in E over F, are the maps
+iota * sigma for sigma in Gamma.  They match the cosets H * sigma of
+the stabilizer H of iota(L), and each factor mu_k is one H-orbit of
+characters, those whose values at a_prim are its roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     ClassificationFailed,
@@ -79,6 +82,7 @@ from .towers import (
     coords_over,
     evaluate,
     extend,
+    from_coords_over,
     generator_layers,
     is_layer_of,
     tower_basis,
@@ -625,7 +629,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     p = L.characteristic
     mu_L = mu.map_coeffs(L, center.embedding.apply)
     M = P.phi(a)
-    kernel_dims_power1 = 0
+    chi = M.charpoly()   # the multiplicities, see the module docstring
+    total = covered = 0
+    simple = True   # every supported mu_k is a simple factor of mu_L
     for orbit in orbits:
         q = Polynomial.one(E)
         for i in orbit:
@@ -643,31 +649,16 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             q = q**p
             e += 1
         mu_k = pulled
-        if not (mu_L % mu_k).is_zero():
+        in_mu = _multiplicity_in(mu_L, mu_k)
+        if not in_mu:
             raise ResolutionError(
                 "descended factor does not divide the minimal polynomial"
             )
-        N = mu_k.evaluate(M, lift=P._scalar)
-        dim1 = d - N.rank()   # N is d x d: the kernel's dimension
-        factors.append([mu_k, dim1, e, orbit, N])
-        kernel_dims_power1 += dim1
-    semisimple = kernel_dims_power1 == d
-    out_factors = []
-    total = 0
-    for mu_k, dim1, e, orbit, N in factors:
-        if semisimple:
-            dim = dim1
-        else:
-            dim = d - (N**d).rank()
-        if dim % mu_k.degree:
-            raise ResolutionError(
-                "kernel dimension is not a multiple of the factor degree"
-            )
-        mult = dim // mu_k.degree
-        total += dim
-        out_factors.append(
-            GrFactor(mu_k, mult, e, [chars[i] for i in orbit])
-        )
+        mult = _multiplicity_in(chi, mu_k)
+        simple = simple and (in_mu == 1 or not mult)
+        total += mu_k.degree * mult
+        covered += mu_k.degree * in_mu
+        factors.append(GrFactor(mu_k, mult, e, [chars[i] for i in orbit]))
     if total != d:
         raise ResolutionError(
             "composition factors account for %d of %d dimensions; "
@@ -675,20 +666,20 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         )
     # completeness of the character list against mu itself: the factors
     # are coprime, so they exhaust mu_L when their degrees add up to it
-    covered = sum(
-        f.min_poly.degree * _multiplicity_in(mu_L, f.min_poly)
-        for f in out_factors
-    )
     if covered != mu_L.degree:
         raise ResolutionError(
             "the located characters do not exhaust the minimal "
             "polynomial; supply root hints"
         )
+    # the minimal polynomial of M divides mu_L and its irreducible
+    # factors are the supported mu_k: it is squarefree, and M
+    # semisimple, when each is simple in mu_L or their product kills M
+    supported = [f.min_poly for f in factors if f.multiplicity]
+    semisimple = simple or prod(supported, start=Polynomial.one(L)).evaluate(
+        M, lift=P._scalar).is_zero()
     # split at the gr level: every supported factor is a twist, i.e.
     # its character maps L into iota(L), i.e. the factor has degree 1
-    is_split = all(
-        f.min_poly.degree == 1 for f in out_factors if f.multiplicity
-    )
+    is_split = all(f.degree == 1 for f in supported)
     h_normal = gamma.is_normal_subgroup(h_indices)
     # reindex rho from key order to factor order
     position = {i: k for k, i in enumerate(sum(orbits, ()))}
@@ -702,7 +693,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         gamma=gamma,
         h_indices=h_indices,
         rho=[position[r] for r in rho],
-        factors=out_factors,
+        factors=factors,
         semisimple=semisimple,
         is_split=is_split,
         h_normal=h_normal,
@@ -735,14 +726,20 @@ def _embedding(L, Efield, center: Subfield, iota_images, hints):
 
 def _pull_back_poly(q: Polynomial, L_sub: Subfield):
     """Rewrite a monic polynomial over E with coefficients in iota(L)
-    as a polynomial over L; None when a coefficient escapes."""
-    coeffs = []
-    for c in q.coeffs:
-        pulled = subfield_coords(L_sub, c)
-        if pulled is None:
-            return None
-        coeffs.append(pulled)
-    return Polynomial(L_sub.field, coeffs)
+    as a polynomial over L; None when a coefficient escapes.  One rref
+    of iota(L)'s basis columns (independent) and a column per
+    coefficient: a coefficient is in iota(L) unless its column pivots."""
+    E, L = L_sub.ambient, L_sub.field
+    f0 = scalar_layer(E)
+    basis = L_sub.basis_in_ambient()
+    cols = [coords_over(E, x, f0) for x in basis + list(q.coeffs)]
+    R, pivots = Matrix.from_cols(f0, cols).rref()
+    m = len(basis)
+    if pivots[-1] >= m:
+        return None
+    rows, f1 = R.rows[:m], scalar_layer(L)
+    return Polynomial(L, [from_coords_over(L, [r[j] for r in rows], f1)
+                          for j in range(m, len(cols))])
 
 
 # ----------------------------------------------- Galois property checks

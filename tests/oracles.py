@@ -29,6 +29,11 @@ checks these product laws with a generator as left factor only.  Both
 check the axiom families in the same order and raise the same messages;
 the coproduct is checked on every pair before the counit.
 
+``kernel_dimensions`` reads an analysis' multiplicities by ranks, as
+``bimod.analyze`` did before it divided the characteristic polynomial:
+for each factor mu_k of M = phi(a) the dimensions d - rank mu_k(M) and
+d - rank mu_k(M)^d, and M is semisimple when the first ones add up to d.
+
 ``TowerArithmetic`` multiplies in a finite tower by coordinates:
 convolution, then reduction by each layer's relation, on nested tuples
 of ints.  The library does its small finite fields by tables instead.
@@ -126,6 +131,19 @@ def squarefree_part(f):
     for g, _ in squarefree_decomposition(f)[1]:
         out = out * g
     return out
+
+
+def kernel_dimensions(P, an):
+    """([(d - rank mu_k(M), d - rank mu_k(M)^d) per factor], semisimple)
+    for M = phi(a) of the analysis' primitive element a."""
+    d = P.rank
+    M = P.phi(an.primitive)
+    lift = lambda c: Matrix.identity(M.field, d).scale(c)
+    dims = []
+    for f in an.factors:
+        N = f.min_poly.evaluate(M, lift=lift)
+        dims.append((d - N.rank(), d - (N**d).rank()))
+    return dims, sum(dim1 for dim1, _ in dims) == d
 
 
 def generalized_eigenspace(M: Matrix, lam, power=None) -> list:

@@ -26,7 +26,11 @@ from galbim.fieldops import (
 )
 from galbim.linalg import simultaneous_triangularize
 from galbim.matrix import Matrix
-from galbim.morphisms import automorphisms_over, embeddings_over
+from galbim.morphisms import (
+    automorphisms_over,
+    embeddings_over,
+    identity_morphism,
+)
 from galbim.poly import Polynomial
 from galbim.towers import (
     RationalFunctionField,
@@ -54,13 +58,20 @@ from galbim.bimod import (
     twist,
     verify_central_coefficients,
 )
+import golden_analyze
 from golden_analyze import (
     GOLDEN,
     biquadratic,
     record,
     supplied_group_bimodules,
 )
-from oracles import NotAPower, char_poly_right, left_cosets, support
+from oracles import (
+    NotAPower,
+    char_poly_right,
+    kernel_dimensions,
+    left_cosets,
+    support,
+)
 
 
 @pytest.fixture(scope="module")
@@ -715,6 +726,101 @@ def test_inseparable_descent_in_regular_bimodule():
     Q = direct_sum(P, P)
     c = classify(Q, analysis=analyze(Q, E=N, hints=hints), hints=hints)
     assert (c.degree, c.multiplicity) == (4, 2)
+
+
+def f2t_quartic():
+    """(L, F2(t), N, hints): L = F2(t)[a]/(a^4 + t a^2 + t) inside
+    N = L[r]/(r^2 - t), where mu = x^4 + t x^2 + t has the roots a and
+    a + r, each twice; the hints [a, a + r, r] reach them."""
+    Ft = RationalFunctionField(GF(2), "t")
+    t = Ft.gen()
+    L = extend(Ft, Polynomial(Ft, [t, Ft.zero(), t, Ft.zero(), Ft.one()]), "a")
+    N = extend(L, Polynomial(L, [L.coerce(t), L.zero(), L.one()]), "r")
+    a, r = N.coerce(L.gen()), N.coerce(N.gen())
+    return L, Ft, N, [a, a + r, r]
+
+
+def repeated_factor_bimodules(L, Ft):
+    """(P, Q) over the L of ``f2t_quartic``: Q has rank 2 with phi(a) = A,
+    A^2 = a^2 + t, and P = twist(L, id) + Q."""
+    a = L.coerce(L.gen())
+    A = Matrix(L, [[L.zero(), a * a + L.coerce(Ft.gen())],
+                   [L.one(), L.zero()]])
+    Q = Bimodule(L, {L: A}, base=Ft)
+    return direct_sum(twist(L, identity_morphism(L)), Q), Q
+
+
+def test_semisimple_with_a_repeated_factor_of_mu():
+    # mu_L = (x + a)^2 (x^2 + a^2 + t) is not squarefree, so P's
+    # semisimplicity is decided at phi(a) = diag(a, A): the product
+    # (x + a)(x^2 + a^2 + t) of its supported factors kills it
+    L, Ft, N, hints = f2t_quartic()
+    P, Q = repeated_factor_bimodules(L, Ft)
+    an = analyze(P, E=N, hints=hints)
+    got = [
+        (str(f.min_poly), f.multiplicity, f.insep_exponent)
+        for f in an.factors
+    ]
+    assert got == [("x + a", 1, 0), ("x^2 + a^2 + t", 1, 1)]
+    mu_L = an.min_poly.map_coeffs(L, an.center.embedding.apply)
+    assert bimod_module._multiplicity_in(mu_L, an.factors[0].min_poly) == 2
+    assert an.semisimple is True
+    an = analyze(Q, E=N, hints=hints)
+    assert [f.multiplicity for f in an.factors] == [0, 1]
+    assert an.semisimple is True
+
+
+def assert_rank_oracle_agrees(P, an):
+    """The generalized kernel dimensions and the semisimple flag read
+    by ranks (``oracles.kernel_dimensions``) match the analysis."""
+    dims, semisimple = kernel_dimensions(P, an)
+    assert [dim for _, dim in dims] == [
+        f.min_poly.degree * f.multiplicity for f in an.factors
+    ]
+    assert an.semisimple is semisimple
+
+
+def inseparable_fixtures():
+    """(label, P, analyze keywords) for the bimodules over inseparable
+    extensions above."""
+    out = []
+    for p in (2, 3):
+        Ft = RationalFunctionField(GF(p), "t")
+        rel = Polynomial(Ft, [-Ft.gen()] + [Ft.zero()] * (p - 1) + [Ft.one()])
+        L = extend(Ft, rel, "u")
+        P = regular_over(L, Subfield.from_layer(L, Ft))
+        out.append(("regular-F%d" % p, P,
+                    dict(E=L, hints=[L.coerce(L.gen())])))
+    L, Ft, N, hints = f2t_quartic()
+    R = regular_over(L, Subfield.from_layer(L, Ft))
+    P, Q = repeated_factor_bimodules(L, Ft)
+    for label, B in (("regular", R), ("regular^2", direct_sum(R, R)),
+                     ("id+Q", P), ("Q", Q)):
+        out.append(("quartic-" + label, B, dict(E=N, hints=hints)))
+    return out
+
+
+@pytest.mark.parametrize("P, kw", [
+    pytest.param(P, kw, id=label) for label, P, kw in inseparable_fixtures()
+])
+def test_rank_oracle_agrees_on_inseparable_fixtures(P, kw):
+    assert_rank_oracle_agrees(P, analyze(P, **kw))
+
+
+def test_rank_oracle_agrees_on_the_golden_corpus(monkeypatch):
+    seen = []
+    analyze_ = bimod_module.analyze
+
+    def recorded(P, *args, **kw):
+        an = analyze_(P, *args, **kw)
+        seen.append((P, an))
+        return an
+
+    monkeypatch.setattr(bimod_module, "analyze", recorded)
+    lines = golden_analyze.records()
+    assert len(seen) == sum("iota=" in line for line in lines) > 0
+    for P, an in seen:
+        assert_rank_oracle_agrees(P, an)
 
 
 # --------------------------------------------- base change fixtures
