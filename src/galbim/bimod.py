@@ -65,10 +65,11 @@ from .fieldops import (
     subfield_from_vectors,
 )
 from .linalg import center_kernel, joint_eigenspace
-from .matrix import Matrix
+from .matrix import Echelon, Matrix
 from .morphisms import (
     AutomorphismGroup,
     FieldMorphism,
+    _check_count,
     _divide_out,
     _enumerate_maps,
     _orbit,
@@ -82,7 +83,6 @@ from .towers import (
     coords_over,
     evaluate,
     extend,
-    from_coords_over,
     generator_layers,
     is_layer_of,
     tower_basis,
@@ -323,7 +323,11 @@ def bimodule_of_group(field, group, multiplicity=1, base=None) -> Bimodule:
 
 
 def regular_over(field, sub, base=None) -> Bimodule:
-    """The bimodule L (x)_K L for a subfield K, of rank [L : K]."""
+    """The bimodule L (x)_K L for a subfield K, of rank [L : K].
+
+    Its right basis is a basis of L over K: the tower basis when K is a
+    layer, else the first elements of L's basis over the scalar layer
+    that are independent over K."""
     sub = _as_subfield(field, sub)
     if base is None:
         base = sub
@@ -331,25 +335,33 @@ def regular_over(field, sub, base=None) -> Bimodule:
     n = algebraic_degree(field, f0)
     kbasis = sub.basis_in_ambient()
     mk = len(kbasis)
-    lbasis = _module_basis_over(field, sub)
+    candidates = cached_basis(field, f0)
+    if is_layer_of(sub.field, field) and all(
+        sub.embed(sub.field.coerce(layer.gen()))
+        == field.coerce(layer.gen())
+        for layer in generator_layers(sub.field)
+    ):
+        candidates = [field.coerce(b) for b in tower_basis(field, sub.field)]
+    # the span of the products b * k, b-major, is a sum of lines b * K,
+    # so it meets the next line in 0 or in all of it: one product decides
+    span, lbasis = Echelon(f0), []
+    for cand in candidates:
+        if len(span.rows) == n:
+            break
+        if span.insert(coords_over(field, cand * kbasis[0], f0)):
+            lbasis.append(cand)
+            if not all(span.insert(coords_over(field, cand * k, f0))
+                       for k in kbasis[1:]):
+                raise ResolutionError("the subfield basis is dependent")
+    if len(span.rows) != n:
+        raise ResolutionError("could not complete a module basis")
     m = len(lbasis)
-    if m * mk != n:
-        raise ResolutionError("degree bookkeeping failed for the subfield")
-    cols = []
-    for b in lbasis:
-        for k in kbasis:
-            cols.append(coords_over(field, b * k, f0))
-    solver = Matrix.from_cols(f0, cols)
     images = {}
     for layer in generator_layers(field):
         g = field.coerce(layer.gen())
         rows = [[None] * m for _ in range(m)]
         for j in range(m):
-            sol = solver.solve(coords_over(field, g * lbasis[j], f0))
-            if sol is None:
-                raise ResolutionError(
-                    "multiplication escaped the subfield module basis"
-                )
+            sol = span.coords(coords_over(field, g * lbasis[j], f0))
             for l in range(m):
                 entry = field.zero()
                 for i in range(mk):
@@ -360,33 +372,6 @@ def regular_over(field, sub, base=None) -> Bimodule:
         images[layer] = Matrix(field, rows)
     label = "regular bimodule"
     return Bimodule(field, images, rank=m, base=base, label=label)
-
-
-def _module_basis_over(field, sub: Subfield):
-    """A basis of the field as a vector space over the subfield."""
-    f0 = scalar_layer(field)
-    n = algebraic_degree(field, f0)
-    if is_layer_of(sub.field, field) and all(
-        sub.embed(sub.field.coerce(layer.gen()))
-        == field.coerce(layer.gen())
-        for layer in generator_layers(sub.field)
-    ):
-        return [field.coerce(b) for b in tower_basis(field, sub.field)]
-    kbasis = sub.basis_in_ambient()
-    chosen = []
-    span_cols = []
-    for cand in cached_basis(field, f0):
-        if len(chosen) * len(kbasis) >= n:
-            break
-        trial = span_cols + [
-            coords_over(field, cand * k, f0) for k in kbasis
-        ]
-        if Matrix.from_cols(f0, trial).rank() == len(trial):
-            chosen.append(cand)
-            span_cols = trial
-    if len(chosen) * len(kbasis) != n:
-        raise ResolutionError("could not complete a module basis")
-    return chosen
 
 
 def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
@@ -587,10 +572,12 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     a = primitive_element_over(L, center)
     mu = min_poly_over(L, a, center)
     K = center.field
-    computed = E is None
-    if computed and is_layer_of(K, L) and \
-            automorphisms_over(L, K, hints=hints).order == mu.degree:
-        E = L
+    computed, gamma = E is None, None
+    if computed and is_layer_of(K, L):
+        group = automorphisms_over(L, K, hints=hints)
+        if group.order == mu.degree:
+            E, gamma = L, group
+            _check_count("automorphisms", gamma.order, expected_gamma)
     if E is None:
         splitting = splitting_field(mu, max_degree=max_degree)
         E = splitting.field
@@ -600,7 +587,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         )
     else:
         splitting = None
-    gamma = automorphisms_over(E, K, hints=hints, expected=expected_gamma)
+    if gamma is None:
+        gamma = automorphisms_over(E, K, hints=hints,
+                                   expected=expected_gamma)
     iota = _embedding(L, E, center, iota_images, hints)
     if splitting is None:
         roots = _all_roots(*_orbit(mu.map_coeffs(E, E.coerce),
@@ -638,8 +627,9 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             q = q * Polynomial(E, [-chars[i].apply(a), E.one()])
         e = 0
         while True:
-            pulled = _pull_back_poly(q, L_sub)
-            if pulled is not None:
+            # q descends to L when its coefficients lie in iota(L)
+            coeffs = [subfield_coords(L_sub, c) for c in q.coeffs]
+            if all(c is not None for c in coeffs):
                 break
             if p == 0 or q.degree * p > n:
                 raise ResolutionError(
@@ -648,7 +638,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
                 )
             q = q**p
             e += 1
-        mu_k = pulled
+        mu_k = Polynomial(L, coeffs)
         in_mu = _multiplicity_in(mu_L, mu_k)
         if not in_mu:
             raise ResolutionError(
@@ -722,24 +712,6 @@ def _embedding(L, Efield, center: Subfield, iota_images, hints):
         raise ResolutionError("no embeddings of the field were found; "
                               "supply root hints")
     return iota
-
-
-def _pull_back_poly(q: Polynomial, L_sub: Subfield):
-    """Rewrite a monic polynomial over E with coefficients in iota(L)
-    as a polynomial over L; None when a coefficient escapes.  One rref
-    of iota(L)'s basis columns (independent) and a column per
-    coefficient: a coefficient is in iota(L) unless its column pivots."""
-    E, L = L_sub.ambient, L_sub.field
-    f0 = scalar_layer(E)
-    basis = L_sub.basis_in_ambient()
-    cols = [coords_over(E, x, f0) for x in basis + list(q.coeffs)]
-    R, pivots = Matrix.from_cols(f0, cols).rref()
-    m = len(basis)
-    if pivots[-1] >= m:
-        return None
-    rows, f1 = R.rows[:m], scalar_layer(L)
-    return Polynomial(L, [from_coords_over(L, [r[j] for r in rows], f1)
-                          for j in range(m, len(cols))])
 
 
 # ----------------------------------------------- Galois property checks
@@ -830,7 +802,11 @@ class Classification:
 
 
 def _multiplicity_in(f: Polynomial, g: Polynomial) -> int:
-    """The largest m with g^m dividing f (f nonzero, g nonconstant)."""
+    """The largest m with g^m dividing f (f nonzero, g nonconstant).
+    A linear g is the root -g0/g1, divided out synthetically."""
+    if g.degree == 1:
+        found, _ = _divide_out(f, [-g.monic().coeff(0)])
+        return found[0][1] if found else 0
     m, (quotient, rest) = 0, f.divmod(g)
     while rest.is_zero():
         m, (quotient, rest) = m + 1, quotient.divmod(g)

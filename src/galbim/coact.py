@@ -49,7 +49,7 @@ from .fieldops import (
     splitting_field,
 )
 from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
-from .matrix import Matrix
+from .matrix import Echelon, Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
 from .towers import (
     DEFAULT_TOWER_CAP,
@@ -422,7 +422,9 @@ def _invariants_finite(C):
     for (key, s), c in entries.items():
         rows[key][s] = c
     kernel = Matrix(F, list(rows.values()), ncols=n).kernel()
-    span = Matrix.from_cols(F, kernel) if kernel else None
+    span = Echelon(F)
+    for v in kernel:
+        span.insert(v)
     zero = F.zero()
     for a in kernel:
         for b in kernel:
@@ -431,8 +433,7 @@ def _invariants_finite(C):
                 {i: c for i, c in enumerate(a) if c},
                 {i: c for i, c in enumerate(b) if c},
             )
-            vec = [prod.get(i, zero) for i in range(n)]
-            if span is None or span.solve(vec) is None:
+            if any(span.reduce([prod.get(i, zero) for i in range(n)])):
                 raise AxiomViolation(
                     "invariants are not closed under products"
                 )

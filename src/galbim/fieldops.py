@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedBase,
 )
 from .factor import _elem_sort_key, _poly_sort_key, factor_poly
-from .matrix import Matrix
+from .matrix import Echelon, Matrix
 from .morphisms import (
     FieldMorphism,
     _candidate_pool,
@@ -107,34 +107,26 @@ def min_poly_over(ambient, x, sub) -> Polynomial:
     ``sub`` may be a Subfield or a tower layer of the ambient field."""
     if not isinstance(sub, Subfield):
         sub = Subfield.from_layer(ambient, sub)
-    f0 = scalar_layer(ambient)
+    f0, f1 = scalar_layer(ambient), scalar_layer(sub.field)
     x = ambient.coerce(x)
     n = algebraic_degree(ambient, f0)
     basis_k = sub.basis_in_ambient()
     m = len(basis_k)
-    powers = [ambient.one()]
-    columns = []  # coords of basis_k[l] * x^i, grouped i-major
-    while True:
-        k = len(powers)
-        if k > n:
-            raise ResolutionError("minimal polynomial search overran")
-        xk = powers[-1] * x
-        target = [-c for c in coords_over(ambient, xk, f0)]
-        for b in basis_k:
-            columns.append(coords_over(ambient, b * powers[-1], f0))
-        M = Matrix(f0, [[col[r] for col in columns] for r in range(n)])
-        sol = M.solve(target)
+    span = Echelon(f0)   # the basis_k[l] * x^i, grouped i-major
+    xk = ambient.one()
+    for k in range(1, n + 1):
+        if not all(span.insert(coords_over(ambient, b * xk, f0))
+                   for b in basis_k):
+            raise ResolutionError("the subfield basis is dependent")
+        xk = xk * x
+        sol = span.coords(coords_over(ambient, xk, f0))
         if sol is not None:
-            coeffs = []
-            for i in range(k):
-                coeffs.append(
-                    from_coords_over(
-                        sub.field, sol[i * m : (i + 1) * m], scalar_layer(sub.field)
-                    )
-                )
-            coeffs.append(sub.field.one())
-            return Polynomial(sub.field, coeffs)
-        powers.append(xk)
+            coeffs = [from_coords_over(sub.field,
+                                       [-c for c in sol[i * m:(i + 1) * m]],
+                                       f1)
+                      for i in range(k)]
+            return Polynomial(sub.field, coeffs + [sub.field.one()])
+    raise ResolutionError("minimal polynomial search overran")
 
 
 def kernel_over(field, down, images):
@@ -242,12 +234,15 @@ def _member_of_layer(ambient, x, layer) -> bool:
 
 def subfield_coords(sub: Subfield, x):
     """Coordinates of x over the scalar layer in the subfield basis,
-    as an element of the presented subfield; None if x is outside."""
+    as an element of the presented subfield; None if x is outside.
+    The span of the embedded basis is memoized on the Subfield."""
     f0 = scalar_layer(sub.ambient)
-    basis = sub.basis_in_ambient()
-    cols = [coords_over(sub.ambient, b, f0) for b in basis]
-    M = Matrix.from_cols(f0, cols)
-    sol = M.solve(coords_over(sub.ambient, sub.ambient.coerce(x), f0))
+    span = vars(sub).get("_span")
+    if span is None:   # every insert is accepted: field maps are injective
+        span = vars(sub)["_span"] = Echelon(f0)
+        for b in sub.basis_in_ambient():
+            span.insert(coords_over(sub.ambient, b, f0))
+    sol = span.coords(coords_over(sub.ambient, sub.ambient.coerce(x), f0))
     if sol is None:
         return None
     return from_coords_over(sub.field, sol, scalar_layer(sub.field))

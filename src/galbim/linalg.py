@@ -1,7 +1,8 @@
 """Linear algebra for commuting families of matrices.
 
-Joint (generalized) eigenspaces power the composition-series analysis
-of bimodules; simultaneous triangularization is kept as an independent
+Joint eigenspaces give ``split_analysis`` its witness vectors (the
+composition analysis reads multiplicities off one characteristic
+polynomial); simultaneous triangularization is kept as an independent
 second route so structural results can be cross-checked against it on
 small inputs rather than trusting one code path.
 """
@@ -43,16 +44,13 @@ def joint_eigenspace(mats, lams) -> list:
 
 def restriction_matrix(M: Matrix, basis) -> Matrix:
     """Matrix of M on an M-invariant subspace, in the given basis."""
-    field = M.field
-    span = Matrix.from_cols(field, basis)
-    cols = []
-    for v in basis:
-        image = M.mul_vec(v)
-        sol = span.solve(image)
-        if sol is None:
-            raise ValueError("subspace is not invariant under the matrix")
-        cols.append(sol)
-    return Matrix.from_cols(field, cols)
+    span = Echelon(M.field)
+    if not all(span.insert(v) for v in basis):
+        raise ValueError("the basis vectors are dependent")
+    cols = [span.coords(M.mul_vec(v)) for v in basis]
+    if None in cols:
+        raise ValueError("subspace is not invariant under the matrix")
+    return Matrix.from_cols(M.field, cols)
 
 
 def extend_to_basis(field, vectors, n):
@@ -189,11 +187,12 @@ def center_kernel(field, phi):
         for b in cached_basis(field, f0)
     ]
     vectors = kernel_over(field, f0, images)
-    span = Matrix.from_cols(f0, [coords_over(field, v, f0) for v in vectors])
+    span = Echelon(f0)
+    for v in vectors:
+        span.insert(coords_over(field, v, f0))
     for i, a in enumerate(vectors):
         for b in vectors[i:]:
-            prod = coords_over(field, a * b, f0)
-            if span.solve(prod) is None:
+            if any(span.reduce(coords_over(field, a * b, f0))):
                 raise NotAField(
                     "central solution space is not closed under products"
                 )

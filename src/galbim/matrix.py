@@ -4,6 +4,8 @@ Rows are tuples of field elements.  Vectors are plain Python lists and
 matrices act on them from the left (column convention), so the right
 kernel is {v : M v = 0}.  Characteristic polynomials go through a
 Hessenberg reduction; minimal polynomials through Krylov chains.
+``Echelon``, a span grown one vector at a time, answers membership and
+coordinates in a span without a rebuilt matrix or a ``solve``.
 """
 
 from __future__ import annotations
@@ -453,19 +455,15 @@ class Matrix:
             e[i] = one
             if not seen.insert(e):
                 continue
-            chain = [e]
+            chain = Echelon(field)
+            chain.insert(e)
             v = e
             while True:
                 v = self.mul_vec(v)
-                M = Matrix.from_cols(field, chain)
-                sol = M.solve(v)
-                if sol is not None:
-                    f = Polynomial(
-                        field, [-c for c in sol] + [one]
-                    )
-                    mu = poly_lcm(mu, f)
+                if chain.insert(v) is None:
+                    mu = poly_lcm(mu, Polynomial(
+                        field, [-c for c in chain.coords(v)] + [one]))
                     break
-                chain.append(v)
                 seen.insert(v)
             if mu.degree == n:
                 break
@@ -475,32 +473,62 @@ class Matrix:
 class Echelon:
     """A subspace of F^n grown one vector at a time, as rows
     (pivot, vector) with vector[pivot] = 1, each row zero at the pivots
-    of the rows before it."""
+    of the rows before it.  It answers membership (``reduce``) and
+    coordinates in the accepted vectors (``coords``), for which each
+    row keeps only what its elimination computed anyway: the
+    multipliers taken off the earlier rows and its pivot's inverse."""
 
-    __slots__ = ("one", "rows")
+    __slots__ = ("one", "_zero", "rows", "_steps")
 
     def __init__(self, field):
-        self.one = field.one()
-        self.rows = []
+        self.one, self._zero = field.one(), field.zero()
+        self.rows, self._steps = [], []
 
-    def reduce(self, v):
-        """v less a combination of the rows: zero iff v is in the span."""
-        v = list(v)
-        for piv, w in self.rows:
+    def _eliminate(self, v):
+        """(reduce(v), the (row index, multiplier) pairs it took off)."""
+        v, taken = list(v), []
+        for k, (piv, w) in enumerate(self.rows):
             f = v[piv]
             if f:
                 v = [a - f * b if b else a for a, b in zip(v, w)]
-        return v
+                taken.append((k, f))
+        return v, taken
+
+    def reduce(self, v):
+        """v less a combination of the rows: zero iff v is in the span."""
+        return self._eliminate(v)[0]
 
     def insert(self, v):
         """Add v to the span and return the pivot entry of its reduced
         form, or None when v was already inside."""
-        v = self.reduce(v)
+        v, taken = self._eliminate(v)
         for piv, a in enumerate(v):
             if a:
+                inv = self.one
                 if a != self.one:
                     inv = self.one / a
                     v = [inv * b for b in v]
                 self.rows.append((piv, v))
+                self._steps.append((taken, inv))
                 return a
         return None
+
+    def coords(self, v):
+        """The coefficients of v in the vectors ``insert`` accepted, in
+        their order, or None when v is outside their span."""
+        v, taken = self._eliminate(v)
+        if any(v):
+            return None
+        # v = sum c_k row_k and row_k = inv_k (w_k - sum f_kj row_j) for
+        # the k-th accepted w_k: back-substitute from the last row
+        c = [self._zero] * len(self.rows)
+        for k, f in taken:
+            c[k] = f
+        for k in reversed(range(len(c))):
+            if not c[k]:
+                continue
+            earlier, inv = self._steps[k]
+            c[k] = c[k] * inv
+            for j, f in earlier:
+                c[j] = c[j] - c[k] * f
+        return c

@@ -482,11 +482,7 @@ def automorphisms_over(field, fixed, hints=(), expected=None):
     more root hints)."""
     found = _enumerate_maps(field, field, fixed, hints)
     group = AutomorphismGroup(field, found)
-    if expected is not None and group.order != expected:
-        raise ResolutionError(
-            "found %d automorphisms but expected %d; supply root hints"
-            % (group.order, expected)
-        )
+    _check_count("automorphisms", group.order, expected)
     return group
 
 
@@ -496,9 +492,13 @@ def embeddings_over(domain, codomain, fixed, hints=(), expected=None):
     ``FieldMorphism.key``."""
     maps = _enumerate_maps(domain, codomain, fixed, hints)
     out = sorted(dict.fromkeys(maps), key=FieldMorphism.key)
-    if expected is not None and len(out) != expected:
-        raise ResolutionError(
-            "found %d embeddings but expected %d; supply root hints"
-            % (len(out), expected)
-        )
+    _check_count("embeddings", len(out), expected)
     return out
+
+
+def _check_count(what, count, expected):
+    """ResolutionError when ``expected`` maps are stated (not None) and
+    the candidate pool realized ``count`` of them instead."""
+    if expected is not None and count != expected:
+        raise ResolutionError("found %d %s but expected %d; supply root "
+                              "hints" % (count, what, expected))

@@ -377,7 +377,8 @@ def test_tensor_square_of_twist_is_trivial(quad):
 def test_expected_gamma_mismatch_raises(quad):
     L, G = quad
     P = bimodule_of_group(L, G)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError,
+                       match="found 2 automorphisms but expected 3"):
         analyze(P, expected_gamma=3)
 
 
@@ -564,13 +565,19 @@ def test_computed_mode_matches_a_supplied_splitting_field(monkeypatch, name):
     # supplying E = L analyses it (any other L goes through
     # splitting_field); in the splitting field of mu that
     # splitting_field builds, the analysis must say the same about
-    # Gamma, H, the factors and the verdicts
+    # Gamma, H, the factors and the verdicts.  Aut(L/K) is enumerated
+    # once: the group that shows L normal is Gamma
     L = NORMAL_FIELDS[name]()
     G = automorphisms_over(L, chain(L)[0])
     P = direct_sum(bimodule_of_group(L, G), twist(L, G[0]))
+    calls = []
     with monkeypatch.context() as patch:
         patch.setattr(bimod_module, "splitting_field", _no_factoring)
+        patch.setattr(bimod_module, "automorphisms_over",
+                      lambda *a, **kw: calls.append(a)
+                      or automorphisms_over(*a, **kw))
         an = analyze(P)
+    assert len(calls) == 1 and an.gamma.order == G.order
     # L = K(a) is generated by the roots of mu: a minimal splitting field
     assert an.splitting.field is L and an.splitting.minimal is True
     assert record(P, an) == record(P, analyze(P, E=L))
@@ -674,6 +681,25 @@ def test_center_that_is_not_a_layer():
     assert is_galois(Q, analysis=an) is False
 
 
+def test_regular_over_a_subfield_that_is_not_a_layer():
+    # K = Q(sqrt 6) = Q[w2]/(w2^2 - 6) is no layer of L, so the right
+    # basis is picked from L's basis over Q, one product per candidate
+    L, G = biquadratic()
+    K = fieldops.fixed_field(L, list(G))
+    assert not is_layer_of(K.field, L)
+    R = regular_over(L, K)
+    assert R.rank == 2
+    assert {str(k): str(M) for k, M in R.images.items()} == {
+        "Q[a]/(a^2 - 2)": "[0, 2; 1, 0]",
+        "Q[a]/(a^2 - 2)[b]/(b^2 - 3)": "[0, a*b; 1/2*a*b, 0]",
+    }
+    an = analyze(R)
+    assert an.center.dimension() == 2
+    assert [(str(f.min_poly), f.multiplicity) for f in an.factors] == \
+        [("x - b", 1), ("x + b", 1)]
+    assert is_galois(R, analysis=an) is True
+
+
 # --------------------------------------------- inseparable towers
 
 
@@ -768,6 +794,42 @@ def test_semisimple_with_a_repeated_factor_of_mu():
     an = analyze(Q, E=N, hints=hints)
     assert [f.multiplicity for f in an.factors] == [0, 1]
     assert an.semisimple is True
+
+
+def _multiplicity_by_division(f, g):
+    """The generic loop: divide by g while the remainder is zero."""
+    m, (quotient, rest) = 0, f.divmod(g)
+    while rest.is_zero():
+        m, (quotient, rest) = m + 1, quotient.divmod(g)
+    return m
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(a)(b)"])
+def test_linear_multiplicity_matches_the_division_loop(over):
+    # a linear g is read as the root -g0/g1 by synthetic division; on
+    # planted roots it must agree with dividing by g itself
+    L = QQ if over == "Q" else biquadratic()[0]
+    gens = [L.one()] + [L.coerce(layer.gen()) for layer in chain(L)[1:]]
+    rng = random.Random(2300 + len(over))
+
+    def element():
+        return sum((L.from_int(rng.randrange(-3, 4)) * g for g in gens),
+                   L.zero())
+
+    x = Polynomial.x(L)
+    for _ in range(8):
+        roots = [element() for _ in range(3)]
+        f = Polynomial.constant(L, L.from_int(rng.randrange(1, 5)))
+        for r in roots:
+            f = f * (x - Polynomial.constant(L, r)) ** rng.randrange(0, 4)
+        f = f * Polynomial(L, [element() for _ in range(rng.randrange(1, 4))]
+                           + [L.one()])
+        for r in roots + [element()]:
+            c = L.from_int(rng.choice([1, 2, -3]))
+            g = Polynomial(L, [-c * r, c])
+            assert bimod_module._multiplicity_in(f, g) == \
+                _multiplicity_by_division(f, g)
+
 
 
 def assert_rank_oracle_agrees(P, an):

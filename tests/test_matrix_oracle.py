@@ -267,6 +267,9 @@ def test_resultant_matches_sympy(name):
 
 @pytest.mark.parametrize("name", sorted(PRIME_CASES))
 def test_echelon_insert_tracks_sympy_rank(name):
+    """insert accepts exactly the vectors that raise sympy's rank, and
+    coords rebuilds each vector inside the span from the accepted ones,
+    equals the solution read off sympy's rref and is None outside."""
     field, domain, convert = PRIME_CASES[name]
     rng = random.Random(8600 + len(name))
 
@@ -276,10 +279,22 @@ def test_echelon_insert_tracks_sympy_rank(name):
         return DomainMatrix([[convert(a) for a in row] for row in rows],
                             (len(rows), len(rows[0])), domain).rank()
 
+    def sympy_coords(cols, v):
+        # [cols | v] has independent cols: the solution is the last
+        # column of the rref unless v pivots
+        aug = DomainMatrix(
+            [[convert(c[i]) for c in cols] + [convert(v[i])]
+             for i in range(len(v))], (len(v), len(cols) + 1), domain)
+        R, pivots = aug.rref()
+        if len(cols) in pivots:
+            return None
+        return [row[-1] for row in R.to_list()[:len(cols)]]
+
+    inside = 0
     for _ in range(6):
         n = rng.randrange(1, 9)
         span = Echelon(field)
-        rows = []
+        rows, accepted = [], []
         for _ in range(n + 2):
             if rows and rng.random() < 0.4:
                 # a combination of the vectors so far, inside the span
@@ -293,5 +308,19 @@ def test_echelon_insert_tracks_sympy_rank(name):
             before = rank(rows)
             rows.append(v)
             after = rank(rows)
+            coords = span.coords(v)
+            want = sympy_coords(accepted, v)
+            if after > before:
+                assert coords is None and want is None
+            else:
+                inside += 1
+                rebuilt = [field.zero()] * n
+                for c, w in zip(coords, accepted):
+                    rebuilt = [a + c * b for a, b in zip(rebuilt, w)]
+                assert rebuilt == v
+                assert [convert(c) for c in coords] == want
             assert (span.insert(v) is not None) == (after > before)
+            if after > before:
+                accepted.append(v)
             assert not any(span.reduce(v))
+    assert inside >= 6
