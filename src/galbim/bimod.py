@@ -290,7 +290,7 @@ def twist(field, sigma: FieldMorphism, base=None) -> Bimodule:
     return Bimodule(field, images, base=base, label="twist")
 
 
-def bimodule_of_group(field, group, multiplicity=1, base=None) -> Bimodule:
+def bimodule_of_group(field, group, multiplicity=1) -> Bimodule:
     """Direct sum of twists over a finite set of automorphisms.
 
     ``multiplicity`` is either a single count shared by all elements or
@@ -319,18 +319,17 @@ def bimodule_of_group(field, group, multiplicity=1, base=None) -> Bimodule:
         for sigma, m in zip(elements, mults):
             diag.extend([sigma.apply(g)] * m)
         images[layer] = Matrix.diagonal(field, diag)
-    return Bimodule(field, images, rank=d, base=base, label="group action")
+    return Bimodule(field, images, rank=d, label="group action")
 
 
-def regular_over(field, sub, base=None) -> Bimodule:
-    """The bimodule L (x)_K L for a subfield K, of rank [L : K].
+def regular_over(field, sub) -> Bimodule:
+    """The bimodule L (x)_K L for a subfield K, of rank [L : K],
+    declared over K.
 
     Its right basis is a basis of L over K: the tower basis when K is a
     layer, else the first elements of L's basis over the scalar layer
     that are independent over K."""
     sub = _as_subfield(field, sub)
-    if base is None:
-        base = sub
     f0 = scalar_layer(field)
     n = algebraic_degree(field, f0)
     kbasis = sub.basis_in_ambient()
@@ -370,8 +369,8 @@ def regular_over(field, sub, base=None) -> Bimodule:
                         entry = entry + field.coerce(c) * kbasis[i]
                 rows[l][j] = entry
         images[layer] = Matrix(field, rows)
-    label = "regular bimodule"
-    return Bimodule(field, images, rank=m, base=base, label=label)
+    return Bimodule(field, images, rank=m, base=sub,
+                    label="regular bimodule")
 
 
 def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
@@ -492,7 +491,7 @@ def min_poly_right(P: Bimodule, a, require_central=False) -> Polynomial:
     return mu
 
 
-def verify_central_coefficients(poly: Polynomial, center, label="center"):
+def verify_central_coefficients(poly: Polynomial, center):
     """Check every coefficient against a membership test; ``center``
     is a Subfield or a predicate.  Raises CoefficientEscapesZ."""
     if isinstance(center, Subfield):
@@ -502,8 +501,8 @@ def verify_central_coefficients(poly: Polynomial, center, label="center"):
     for i, c in enumerate(poly.coeffs):
         if not member(c):
             raise CoefficientEscapesZ(
-                "coefficient of degree %d lies outside the %s: %r"
-                % (i, label, c)
+                "coefficient of degree %d lies outside the center: %r"
+                % (i, c)
             )
     return True
 
@@ -769,8 +768,7 @@ class GaloisVerdict:
         return self.obstruction is None
 
 
-def galois_verdict(P: Bimodule, probe_cap=DEFAULT_TOWER_CAP,
-                   **kw) -> GaloisVerdict:
+def galois_verdict(P: Bimodule, **kw) -> GaloisVerdict:
     try:
         an = analyze(P, **kw)
     except ANALYSIS_OBSTRUCTIONS as err:
@@ -779,7 +777,8 @@ def galois_verdict(P: Bimodule, probe_cap=DEFAULT_TOWER_CAP,
             # center not linearly computable; see whether a bounded
             # splitting ladder would have resolved the spectra at all
             try:
-                split_probe(P, cap=probe_cap, hints=kw.get("hints", ()))
+                split_probe(P, cap=DEFAULT_TOWER_CAP,
+                            hints=kw.get("hints", ()))
             except (DegreeBound, ResolutionError) as probe_err:
                 obstruction = probe_err
         return GaloisVerdict(None, None, obstruction)

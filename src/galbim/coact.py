@@ -52,7 +52,6 @@ from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
 from .matrix import Echelon, Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
 from .towers import (
-    DEFAULT_TOWER_CAP,
     ExtensionField,
     algebraic_degree,
     is_layer_of,
@@ -523,7 +522,11 @@ def xi_map(C, x, antipode_inverse=None):
     ))
 
 
-def verify_psi_xi_tau(C, rank_cap=64):
+# tau's rank is computed only up to this source dimension over the base
+_TAU_RANK_CAP = 64
+
+
+def verify_psi_xi_tau(C):
     """Exact checks for the two structure maps of the coaction bimodule.
 
     psi and xi are composed both ways on the full basis z^i (x) k_t of
@@ -532,7 +535,7 @@ def verify_psi_xi_tau(C, rank_cap=64):
     x (x) (b (x) k_t) to x rho(b) (x) k_t; it is checked to be
     well defined across the middle tensor relation and left linear over
     L, and its matrix rank over the base is computed when the source
-    dimension stays within ``rank_cap`` (the K leg of the target is
+    dimension stays within ``_TAU_RANK_CAP`` (the K leg of the target is
     untouched by tau, so the rank is the Hopf dimension times the rank
     of a single block).
     """
@@ -584,7 +587,7 @@ def verify_psi_xi_tau(C, rank_cap=64):
     rank = None
     bijective = None
     skipped = None
-    if source <= rank_cap:
+    if source <= _TAU_RANK_CAP:
         zero = L.zero()
         cols = [
             [B.coerce(c) for u in range(d) for c in L.coords(tk.get(u, zero))]
@@ -595,7 +598,7 @@ def verify_psi_xi_tau(C, rank_cap=64):
     else:
         skipped = (
             "rank skipped: source dimension %d exceeds the cap %d"
-            % (source, rank_cap)
+            % (source, _TAU_RANK_CAP)
         )
     return PsiXiTauReport(
         psi_xi_identity=True,
@@ -718,8 +721,7 @@ def endomorphism_certificate(M, membership):
 
 # ------------------------------------------------------- Galois groups
 
-def galois_group_of_coaction(C, E=None, hints=(), expected=None,
-                             max_degree=DEFAULT_TOWER_CAP):
+def galois_group_of_coaction(C, E=None, hints=(), expected=None):
     """Galois group of the splitting closure of L over the invariants.
 
     With all of L invariant the group is trivial.  With the invariants
@@ -743,7 +745,7 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None,
         )
     f = L.relation
     if E is None:
-        data = splitting_field(f, max_degree=max_degree)
+        data = splitting_field(f)
         Efld, roots = data.field, data.roots
     elif not is_layer_of(B, E):
         raise FieldMismatch(
@@ -845,24 +847,23 @@ class SemisimpleBound:
     holds: bool
 
 
-def semisimple_bound(C, declared=None):
+def semisimple_bound(C):
     """dim A^K times dim H against dim A, for H the dual of K.
 
     The inequality is a theorem only for semisimple H; semisimplicity
     is decided by K's trace criterion, which is H's (the antipode of H
-    is the transpose of K's, and tr((S^T)^2) = tr(S^2)), unless
-    ``declared`` overrides it.  Both sides are always reported, so
-    fixtures with nonsemisimple H document that the hypothesis matters.
+    is the transpose of K's, and tr((S^T)^2) = tr(S^2)).  Both sides
+    are always reported, so fixtures with nonsemisimple H document that
+    the hypothesis matters.
     """
     if C.kind != "finite":
         raise UnsupportedBase("the bound compares finite dimensions")
     K = C.hopf
-    applicable = K.is_semisimple() if declared is None else bool(declared)
     inv_dim = len(invariants(C))
     lhs = inv_dim * K.dim
     rhs = len(C.unit)
     return SemisimpleBound(
-        applicable=applicable,
+        applicable=K.is_semisimple(),
         invariant_dim=inv_dim,
         hopf_dim=K.dim,
         algebra_dim=rhs,
@@ -930,7 +931,10 @@ def truncated_invariants(C, cap):
     Returns the dimension of {f : deg f <= D and every constraint
     holds} for D = 0..cap, together with a kernel basis at the full cap
     (sparse polynomials).  Constraints are f composed with each
-    substitution equals f, plus the extra equated pairs.
+    substitution equals f, plus the extra equated pairs.  The monomials
+    run by degree, so each kernel vector read off the rref has the
+    degree of its free column, and the dimension at D counts the basis
+    elements of degree at most D.
     """
     if C.kind != "truncated":
         raise UnsupportedBase("truncated invariants need the truncated kind")
@@ -958,26 +962,13 @@ def truncated_invariants(C, cap):
                 block[col_of[mm]][j] = c
         rows.extend(block)
 
-    dims = []
-    for D in range(cap + 1):
-        keep = [j for j, m in enumerate(mons) if sum(m) <= D]
-        if rows:
-            sub_rows = [[row[j] for j in keep] for row in rows]
-            dims.append(len(keep) - Matrix(field, sub_rows).rank())
-        else:
-            dims.append(len(keep))
-    if rows:
-        kernel = Matrix(field, rows).kernel()
-    else:
-        one = field.one()
-        kernel = [
-            [one if i == j else field.zero() for i in range(len(mons))]
-            for j in range(len(mons))
-        ]
+    kernel = Matrix(field, rows, ncols=len(mons)).kernel()
     basis = tuple(
         {m: c for m, c in zip(mons, vec) if c} for vec in kernel
     )
+    degrees = [max(map(sum, f)) for f in basis]
+    dims = tuple(sum(d <= D for d in degrees) for D in range(cap + 1))
     return TruncatedInvariants(
-        dims=tuple(dims), basis=basis, monomials=tuple(mons)
+        dims=dims, basis=basis, monomials=tuple(mons)
     )
 

@@ -163,11 +163,10 @@ def p_power(D: Derivation) -> Derivation:
 # ------------------------------------------------- derivation bimodules
 
 
-def m_of_d(D: Derivation, base=None) -> Bimodule:
+def m_of_d(D: Derivation) -> Bimodule:
     """Self-extension of the trivial bimodule attached to D: rank two,
     left action a |-> [[a, D(a)], [0, a]]."""
-    return Bimodule(D.field, D.images, rank=2, base=base,
-                    label="derivation block")
+    return Bimodule(D.field, D.images, rank=2, label="derivation block")
 
 
 def m_of_d_isomorphic(D1: Derivation, D2: Derivation):

@@ -4,13 +4,18 @@ Joint eigenspaces give ``split_analysis`` its witness vectors (the
 composition analysis reads multiplicities off one characteristic
 polynomial); simultaneous triangularization is kept as an independent
 second route so structural results can be cross-checked against it on
-small inputs rather than trusting one code path.
+small inputs rather than trusting one code path.  Every kernel,
+restriction and basis completion here is read off ``matrix.Echelon``,
+the package's one Gaussian elimination.
 """
 
 from __future__ import annotations
 
-from .errors import EigenvalueOutsideField, NotAField
+from .errors import EigenvalueOutsideField, NotAField, UnsupportedBase
+from .factor import roots_in_coefficient_field
+from .fieldops import cached_basis, kernel_over, scalar_layer
 from .matrix import Echelon, Matrix
+from .towers import coords_over
 
 
 def stack_kernel(matrices):
@@ -26,9 +31,7 @@ def stack_kernel(matrices):
 
 
 def eigenspace(M: Matrix, lam) -> list:
-    lam = M.field.coerce(lam)
-    shifted = M - Matrix.identity(M.field, M.nrows).scale(lam)
-    return shifted.kernel()
+    return joint_eigenspace([M], [lam])
 
 
 def joint_eigenspace(mats, lams) -> list:
@@ -67,37 +70,24 @@ def extend_to_basis(field, vectors, n):
     return cols
 
 
-def _eigenvalues_of(M: Matrix, candidates):
-    """Eigenvalues of M found inside its own coefficient field."""
-    field = M.field
-    found = []
-    if candidates is not None:
-        for lam in candidates:
-            lam = field.coerce(lam)
-            if eigenspace(M, lam):
-                found.append(lam)
-        return found
-    # factor the characteristic polynomial when the field supports it
-    from .errors import UnsupportedBase
-    from .factor import roots_in_coefficient_field
-
+def _eigenvalues_of(M: Matrix):
+    """Eigenvalues of M found inside its own coefficient field, as the
+    roots of its characteristic polynomial there."""
     try:
         roots = roots_in_coefficient_field(M.charpoly())
     except UnsupportedBase:
         raise EigenvalueOutsideField(
-            "cannot search for eigenvalues over this field; supply "
-            "candidates"
+            "cannot search for eigenvalues over this field"
         )
     return [r for r, _ in roots]
 
 
-def simultaneous_triangularize(mats, candidates=None):
+def simultaneous_triangularize(mats):
     """(T, triangular list) with T^-1 M_i T upper triangular for all i.
 
     The matrices must commute.  Works over the matrices' own field:
     each recursion step needs a common eigenvector there, and raises
-    EigenvalueOutsideField when none exists (extend the field or pass
-    eigenvalue candidates).
+    EigenvalueOutsideField when none exists (extend the field).
     """
     field = mats[0].field
     n = mats[0].nrows
@@ -111,7 +101,7 @@ def simultaneous_triangularize(mats, candidates=None):
     def find_common_eigenvector(current):
         space = None  # None means the full space
         for M in current:
-            lams = _eigenvalues_of(M, candidates)
+            lams = _eigenvalues_of(M)
             best = None
             for lam in lams:
                 if space is None:
@@ -177,9 +167,6 @@ def center_kernel(field, phi):
     entries of phi(b) - b * Id as the values at each basis element b.
     The solution space is verified to be closed under products, since
     downstream code treats it as a subfield."""
-    from .fieldops import cached_basis, kernel_over, scalar_layer
-    from .towers import coords_over
-
     f0 = scalar_layer(field)
     images = [
         [entry - b if i == j else entry

@@ -2,10 +2,12 @@
 
 Rows are tuples of field elements.  Vectors are plain Python lists and
 matrices act on them from the left (column convention), so the right
-kernel is {v : M v = 0}.  Characteristic polynomials go through a
-Hessenberg reduction; minimal polynomials through Krylov chains.
-``Echelon``, a span grown one vector at a time, answers membership and
-coordinates in a span without a rebuilt matrix or a ``solve``.
+kernel is {v : M v = 0}.  ``Echelon``, a span grown one vector at a
+time, is the one Gaussian elimination: ``rref``, ``rank``, ``kernel``,
+``solve``, ``/``, ``inverse``, ``det`` and ``minpoly`` all read their
+answers off one, as do membership and coordinates in a span.
+Characteristic polynomials go through a Hessenberg reduction, which is
+a similarity transform rather than a solve.
 """
 
 from __future__ import annotations
@@ -211,7 +213,8 @@ class Matrix:
         return Matrix(self.field, tuple(out), trusted=True)
 
     def __truediv__(self, other):
-        """self * other^-1 from one rref of [other^T | self^T]; raises
+        """self * other^-1: each row of self in coordinates of the rows
+        of other, read off one ``Echelon`` of those rows; raises
         NotInvertible when other is singular or not square."""
         other = self._check(other)
         if other is None:
@@ -221,12 +224,15 @@ class Matrix:
             raise NotInvertible("division by a non-square matrix")
         if self.ncols != n:
             raise ValueError("matrix dimensions do not match")
-        R, pivots = Matrix.from_blocks(
-            self.field, [[other.transpose(), self.transpose()]]
-        ).rref()
-        if pivots[:n] != list(range(n)):
+        span = _echelon(self.field, other.rows)
+        if len(span.rows) < n:
             raise NotInvertible("matrix is singular")
-        return R.submatrix(range(n), range(n, n + self.nrows)).transpose()
+        return Matrix(
+            self.field,
+            tuple(tuple(span.coords(row)) for row in self.rows),
+            trusted=True,
+            ncols=n,
+        )
 
     def mul_vec(self, v):
         if len(v) != self.ncols:
@@ -291,49 +297,30 @@ class Matrix:
     # ------------------------------------------------------- elimination
 
     def rref(self):
-        """(reduced row echelon form, pivot column list)."""
-        rows = [list(r) for r in self.rows]
-        n, m = len(rows), self.ncols
-        pivots = []
-        r = 0
-        one = self.field.one()
-        for c in range(m):
-            pivot = None
-            for i in range(r, n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            lead = rows[r][c]
-            if lead != one:
-                inv = one / lead
-                rows[r] = [inv * a for a in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    ri, rr = rows[i], rows[r]
-                    rows[i] = [
-                        ri[j] - f * rr[j] if rr[j] else ri[j]
-                        for j in range(m)
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
+        """(reduced row echelon form, pivot column list): the
+        ``Echelon`` rows sorted by pivot, each later pivot cleared from
+        the rows above it, last first, then the zero rows."""
+        pivots, rows = [], []
+        for piv, w in sorted(_echelon(self.field, self.rows).rows):
+            pivots.append(piv)
+            rows.append(w)
+        for j in reversed(range(len(rows))):
+            w = rows[j]
+            for i in range(j):
+                f = rows[i][pivots[j]]
+                if f:
+                    rows[i] = [a - f * b if b else a
+                               for a, b in zip(rows[i], w)]
+        m = self.ncols
+        rows += [[self.field.zero()] * m] * (self.nrows - len(rows))
         return (
-            Matrix(
-                self.field,
-                tuple(tuple(rw) for rw in rows),
-                trusted=True,
-                ncols=m,
-            ),
+            Matrix(self.field, tuple(map(tuple, rows)), trusted=True,
+                   ncols=m),
             pivots,
         )
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_echelon(self.field, self.rows).rows)
 
     def kernel(self):
         """Basis of the right kernel {v : M v = 0} as lists."""
@@ -370,19 +357,21 @@ class Matrix:
         return Matrix.identity(self.field, self.nrows) / self
 
     def solve(self, b):
-        """One solution of M x = b, or None if inconsistent."""
-        n, m = self.nrows, self.ncols
-        if len(b) != n:
+        """One solution of M x = b, or None if inconsistent: b's
+        coordinates in the columns an ``Echelon`` of them accepts, and
+        0 at the others."""
+        if len(b) != self.nrows:
             raise ValueError("rhs length does not match")
-        rows = [list(r) + [self.field.coerce(b[i])] for i, r in enumerate(self.rows)]
-        aug = Matrix(self.field, tuple(tuple(r) for r in rows), trusted=True)
-        R, pivots = aug.rref()
-        if m in pivots:
+        span, accepted = Echelon(self.field), []
+        for j in range(self.ncols):
+            if span.insert(self.col(j)) is not None:
+                accepted.append(j)
+        coords = span.coords([self.field.coerce(c) for c in b])
+        if coords is None:
             return None
-        zero = self.field.zero()
-        x = [zero] * m
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][m]
+        x = [self.field.zero()] * self.ncols
+        for j, c in zip(accepted, coords):
+            x[j] = c
         return x
 
     # ------------------------------------------- characteristic structure
@@ -532,3 +521,11 @@ class Echelon:
             for j, f in earlier:
                 c[j] = c[j] - c[k] * f
         return c
+
+
+def _echelon(field, vectors):
+    """An ``Echelon`` of the given vectors, inserted in order."""
+    span = Echelon(field)
+    for v in vectors:
+        span.insert(v)
+    return span

@@ -692,15 +692,13 @@ def from_coords_over(field, coords, down_to):
 # ----------------------------------------------------------- cyclotomics
 
 
-def cyclotomic_polynomial(n: int, field=QQ) -> Polynomial:
-    """n-th cyclotomic polynomial over the rationals (or mapped into
-    another field), by the quotient recurrence."""
+def cyclotomic_polynomial(n: int) -> Polynomial:
+    """n-th cyclotomic polynomial over the rationals, by the quotient
+    recurrence."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     num = Polynomial(QQ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             num = num // cyclotomic_polynomial(d)
-    if field is QQ:
-        return num
-    return num.map_coeffs(field, field.coerce)
+    return num

@@ -1,9 +1,11 @@
 """sympy oracles for the matrix kernels and the resultant.
 
-``rref`` (form and pivots), ``det``, ``charpoly``, ``inverse``,
-``__mul__`` and ``__truediv__`` run on seeded sparse matrices over Q (up
-to 8x8) and over Q(t) (up to 4x4), compared with sympy's DomainMatrix
-over QQ and QQ(t), whose elements are canonical, so equality is exact.
+``rref`` (form and pivots), ``rank``, ``kernel``, ``solve``, ``det``,
+``charpoly``, ``inverse``, ``__mul__`` and ``__truediv__`` run on seeded
+sparse matrices over Q (up to 8x8) and over Q(t) (up to 4x4), and the
+first five also over GF(3) and GF(5) (up to 8x8), compared with sympy's
+DomainMatrix over QQ, QQ(t) and GF(p), whose elements are canonical, so
+equality is exact.
 ``minpoly`` runs on seeded conjugates of block matrices over Q and GF(p)
 up to 8x8, compared with the least annihilating product of the factors
 of sympy's characteristic polynomial; ``poly.resultant`` runs on seeded
@@ -61,17 +63,58 @@ def _qt_to_sympy(x):
     return SQT.from_sympy(_to_sympy_poly(x.num) / _to_sympy_poly(x.den))
 
 
+def _fp_case(p):
+    field = GF(p)
+
+    def entry(rng):
+        return field.coerce(0 if rng.random() < 0.55
+                            else rng.randrange(1, p))
+
+    return field, sympy.GF(p), entry, 8, lambda c: sympy.GF(p)(c.value)
+
+
 # name -> (field, sympy domain, entry sampler, largest size, conversion)
 CASES = {
     "Q": (QQ, SQQ, _q_entry, 8, _q_to_sympy),
     "Q(t)": (QT, SQT, _qt_entry, 4, _qt_to_sympy),
 }
+# the kernel test also runs over the prime fields of PRIME_CASES
+KERNEL_CASES = dict(CASES, **{"GF(%d)" % p: _fp_case(p) for p in (3, 5)})
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _sympy_kernel(S, spivots, m):
+    """sympy's nullspace of S, normalised to 1 at each free column and
+    0 at the others, one vector per free column in order."""
+    free = [c for c in range(m) if c not in spivots]
+    if not free:
+        return []
+    basis = S.nullspace()
+    # the basis restricted to the free columns is invertible
+    at_free = basis.extract(list(range(len(free))), free)
+    return at_free.inv().matmul(basis).to_list()
+
+
+def _sympy_solve(S, b, domain):
+    """The solution of S x = b with every free variable 0, read off the
+    rref of [S | b], or None when b pivots."""
+    n, m = S.shape
+    aug = S.hstack(DomainMatrix([[c] for c in b], (n, 1), domain))
+    R, pivots = aug.rref()
+    if m in pivots:
+        return None
+    x = [domain.zero] * m
+    for r, pc in enumerate(pivots):
+        x[pc] = R.to_list()[r][m]
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_matrix_kernels_match_sympy(name):
-    field, domain, entry, max_n, convert = CASES[name]
-    rng = random.Random(8100 + max_n)
+    """rref, rank, kernel and solve on every field, with rank-deficient
+    products among the draws; the square ones also check det, charpoly
+    and inverse (over Q and Q(t))."""
+    field, domain, entry, max_n, convert = KERNEL_CASES[name]
+    rng = random.Random("kernels " + name)
 
     def sample(n, m):
         return Matrix(field, [[entry(rng) for _ in range(m)]
@@ -81,18 +124,36 @@ def test_matrix_kernels_match_sympy(name):
         rows = [[convert(a) for a in row] for row in M.rows]
         return DomainMatrix(rows, (M.nrows, M.ncols), domain)
 
-    square = singular = 0
+    def vector(x):
+        return [convert(a) for a in x]
+
+    square = singular = deficient = inconsistent = 0
     for _ in range(14):
         n = rng.randrange(1, max_n + 1)
         m = rng.choice([n, rng.randrange(1, max_n + 1)])
-        M = sample(n, m)
+        if min(n, m) > 1 and rng.random() < 0.5:
+            # rank below min(n, m): a product through a thinner middle
+            k = rng.randrange(1, min(n, m))
+            M = sample(n, k) * sample(k, m)
+        else:
+            M = sample(n, m)
         N = sample(m, rng.randrange(1, max_n + 1))
         S = oracle(M)
         R, pivots = M.rref()
         SR, spivots = S.rref()
         assert oracle(R) == SR and tuple(pivots) == spivots
+        assert M.rank() == S.rank()
+        deficient += M.rank() < min(n, m)
+        assert [vector(v) for v in M.kernel()] == \
+            _sympy_kernel(S, spivots, m)
+        x0 = [entry(rng) for _ in range(m)]
+        for b in (M.mul_vec(x0), [entry(rng) for _ in range(n)]):
+            x = M.solve(b)
+            want = _sympy_solve(S, vector(b), domain)
+            assert (x if x is None else vector(x)) == want
+            inconsistent += want is None
         assert oracle(M * N) == S.matmul(oracle(N))
-        if n != m:
+        if n != m or name not in CASES:
             continue
         square += 1
         assert convert(M.det()) == S.det()
@@ -104,7 +165,8 @@ def test_matrix_kernels_match_sympy(name):
             singular += 1
             with pytest.raises(NotInvertible):
                 M.inverse()
-    assert square >= 5 and singular >= 1
+    assert deficient >= 4 and inconsistent >= 2
+    assert name not in CASES or (square >= 5 and singular >= 1)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

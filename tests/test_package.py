@@ -1,7 +1,8 @@
 """Package hygiene: the package docstring, the install entry points and
 the benchmark's per-layer trace targets name only things that exist,
 every library exception has a raise site in the package, no module
-imports a name it never uses, and every private helper has a use."""
+imports a name it never uses, every private helper has a use, and every
+defaulted parameter of a public function is passed somewhere."""
 
 import ast
 import collections
@@ -22,6 +23,8 @@ from galbim import errors
 SRC = pathlib.Path(galbim.__file__).parent
 PYPROJECT = SRC.parent.parent / "pyproject.toml"
 LAYERTRACE = SRC.parent.parent / "perfbench" / "layertrace.py"
+# the code that may call into the package: the library, tests, benchmark
+CALLERS = [SRC.parent.parent / d for d in ("src", "tests", "perfbench")]
 
 
 def test_documented_modules_import():
@@ -160,4 +163,85 @@ def test_dead_helper_guard_sees_uses():
     }
     assert _dead_helpers(trees) == [
         ("a.py", 2, "_recursive"), ("a.py", 3, "_C"), ("a.py", 5, "_n"),
+    ]
+
+
+def _unpassed_parameters(defining, calling):
+    """Defaulted parameters of the public functions and methods of
+    public classes in the ``defining`` trees that no call in the
+    ``calling`` trees passes, as (module, line, function, parameter).
+    Calls match by function name; a call with ``*args`` passes every
+    positional parameter and one with ``**kw`` every parameter."""
+    passed = collections.defaultdict(set)
+    for tree in calling:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            got = passed[name]
+            got.update(range(len(call.args)))
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                got.add("*")
+            got.update(k.arg or "**" for k in call.keywords)
+
+    def defaults(fn, method):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        bound = method and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in fn.decorator_list)
+        for i in range(len(positional) - len(args.defaults),
+                       len(positional)):
+            yield positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield arg.arg, None
+
+    unpassed = []
+    for module, tree in defining.items():
+        functions = [(node, False) for node in tree.body]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and \
+                    not node.name.startswith("_"):
+                functions += [(d, True) for d in node.body]
+        for fn, method in functions:
+            if not isinstance(fn, ast.FunctionDef) or \
+                    fn.name.startswith("_"):
+                continue
+            got = passed[fn.name]
+            for arg, position in defaults(fn, method):
+                if not {arg, "**"} & got and (
+                        position is None or not {position, "*"} & got):
+                    unpassed.append((module, fn.lineno, fn.name, arg))
+    return sorted(unpassed)
+
+
+def test_no_unpassed_parameters():
+    defining = {path.name: ast.parse(path.read_text())
+                for path in sorted(SRC.glob("*.py"))}
+    calling = [ast.parse(path.read_text())
+               for root in CALLERS for path in sorted(root.rglob("*.py"))]
+    assert _unpassed_parameters(defining, calling) == []
+
+
+def test_unpassed_parameter_guard_sees_uses():
+    defining = {
+        "a.py": ast.parse(
+            "def f(x, by_place=1, by_name=2, unused=3, *, kw=4): pass\n"
+            "def g(x=1): pass\n"
+            "def h(x=1): pass\n"
+            "def _private(x=1): pass\n"
+            "class C:\n"
+            "    def m(self, x=1, y=2): pass\n"
+            "    @staticmethod\n"
+            "    def s(x=1, y=2): pass\n"
+        ),
+    }
+    calling = [
+        ast.parse("f(0, 1, by_name=2)\ng(*xs)\nh(**kw)\n"),
+        ast.parse("C().m(1)\nC.s(1)\n"),
+    ]
+    assert _unpassed_parameters(defining, calling) == [
+        ("a.py", 1, "f", "kw"), ("a.py", 1, "f", "unused"),
+        ("a.py", 6, "m", "y"), ("a.py", 8, "s", "y"),
     ]
