@@ -80,6 +80,7 @@ from .towers import (
     DEFAULT_TOWER_CAP,
     ExtensionField,
     algebraic_degree,
+    broken_relation,
     coords_over,
     evaluate,
     extend,
@@ -157,24 +158,17 @@ class Bimodule:
                         "does not extend to a ring map"
                     )
         for layer, M in self.images.items():
-            if isinstance(layer, ExtensionField):
-                value = layer.relation.evaluate(
-                    M,
-                    lift=lambda c, _l=layer: evaluate(
-                        c, _l.base, self.images, self._scalar
-                    ),
-                )
-                if not value.is_zero():
-                    raise NotAHomomorphism(
-                        "image of %s violates its defining relation"
-                        % layer.var
-                    )
-            elif not M.det():
+            if not isinstance(layer, ExtensionField) and not M.det():
                 raise NotInvertible(
                     "image of the variable %s is singular, so the "
                     "map has no extension to rational functions"
                     % layer.var
                 )
+        bad = broken_relation(self.images, self._scalar)
+        if bad is not None:
+            raise NotAHomomorphism(
+                "image of %s violates its defining relation" % bad.var
+            )
         if self.base is not None:
             for e in _base_elements(self.field, self.base):
                 if not _is_scalar_value(self.phi(e), self.field.coerce(e)):
@@ -491,15 +485,11 @@ def min_poly_right(P: Bimodule, a, require_central=False) -> Polynomial:
     return mu
 
 
-def verify_central_coefficients(poly: Polynomial, center):
-    """Check every coefficient against a membership test; ``center``
-    is a Subfield or a predicate.  Raises CoefficientEscapesZ."""
-    if isinstance(center, Subfield):
-        member = lambda c: subfield_coords(center, c) is not None
-    else:
-        member = center
+def verify_central_coefficients(poly: Polynomial, center: Subfield):
+    """Check that every coefficient lies in the center.  Raises
+    CoefficientEscapesZ."""
     for i, c in enumerate(poly.coeffs):
-        if not member(c):
+        if subfield_coords(center, c) is None:
             raise CoefficientEscapesZ(
                 "coefficient of degree %d lies outside the center: %r"
                 % (i, c)

@@ -6,29 +6,35 @@ carries a bimodule structure over A whose center recovers the
 invariants; central elements of A are integral over the invariants,
 with an exact certificate read off a matrix minimal polynomial.
 
-Three shapes of comodule algebra are supported:
+Three shapes of comodule algebra are supported, each its own record:
 
-* ``field``: A = L is a field presented as a one-step extension of its
-  declared base B, with rho(B) = B (x) 1 built in; the coaction is
-  pinned by the image of the tower generator, an element of L (x) K
+* ``FieldCoaction``: A = L is a field presented as a one-step extension
+  of its declared base B, with rho(B) = B (x) 1 built in; the coaction
+  is pinned by the image of the tower generator, an element of L (x) K
   given as a sparse dictionary over the K basis.  Since rho is then the
   unique B-algebra map sending the generator there, multiplicativity
   holds by construction and only the counit law, coassociativity and
   the vanishing of the defining relation need checking.
-* ``finite``: A is a finite dimensional algebra over the coefficient
-  field of K, given by sparse structure constants, with rho given basis
-  element by basis element; here every comodule-algebra axiom is
-  checked exhaustively.
-* ``truncated``: A is a polynomial ring in a few variables, acted on by
-  affine substitutions and filtered by total degree; only invariant
-  dimensions below a degree cap are computed.  The counterexample
-  fixtures that break the integrality hypotheses live here.
+* ``FiniteCoaction``: A is a finite dimensional algebra over the
+  coefficient field of K, given by sparse structure constants, with rho
+  given basis element by basis element; here every comodule-algebra
+  axiom is checked exhaustively.
+* ``SubstitutionAction``: A is a polynomial ring in a few variables,
+  acted on by affine substitutions and filtered by total degree; only
+  invariant dimensions below a degree cap are computed.  The
+  counterexample fixtures that break the integrality hypotheses live
+  here.
+
+Build them through ``field_coaction``, ``finite_coaction`` and
+``truncated_action``, which normalize the data.  A function made for
+one shape refuses the others with UnsupportedBase.
 
 Elements of L (x) K are sparse dictionaries over the K basis, with
 coefficients in L, in the convention of ``hopf``: every sum of them
 goes through ``lincomb``.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
@@ -58,44 +64,45 @@ from .towers import (
 )
 
 
-class ComoduleAlgebra:
-    """An algebra with a verified-on-demand coaction of a Hopf algebra.
+@dataclass(eq=False)
+class FieldCoaction:
+    """A coaction of ``hopf`` on the field ``field`` over its base
+    layer, pinned by rho(generator) = ``rho_gen``."""
 
-    Build instances through ``field_coaction``, ``finite_coaction`` or
-    ``truncated_action``; the constructor only stores normalized data.
-    """
+    hopf: HopfAlgebra
+    field: ExtensionField
+    rho_gen: dict
+    _bimodule: Bimodule = dataclasses.field(default=None, init=False)
+    _invariants: list = dataclasses.field(default=None, init=False)
 
-    __slots__ = (
-        "kind", "hopf", "field", "base", "rho_gen",
-        "mult", "unit", "rho",
-        "nvars", "substitutions", "pairs",
-        "_bimodule", "_invariants",
-    )
+    @property
+    def base(self):
+        return self.field.base
 
-    def __init__(self, kind):
-        self.kind = kind
-        self.hopf = None
-        self.field = None
-        self.base = None
-        self.rho_gen = None
-        self.mult = None
-        self.unit = None
-        self.rho = None
-        self.nvars = None
-        self.substitutions = None
-        self.pairs = None
-        self._bimodule = None
-        self._invariants = None
 
-    def __repr__(self):
-        if self.kind == "field":
-            return "<coaction of a %d-dimensional Hopf algebra on %r>" % (
-                self.hopf.dim, self.field)
-        if self.kind == "finite":
-            return "<coaction of a %d-dimensional Hopf algebra on a %d-dimensional algebra>" % (
-                self.hopf.dim, len(self.unit))
-        return "<substitution action on a polynomial ring in %d variables>" % (
-            self.nvars,)
+@dataclass(eq=False)
+class FiniteCoaction:
+    """A coaction of ``hopf`` on an algebra over its field, given by
+    structure constants ``mult``, the coordinates ``unit`` of 1 and
+    one image ``rho`` per basis element."""
+
+    hopf: HopfAlgebra
+    field: object
+    mult: dict
+    unit: list
+    rho: list
+    _invariants: list = dataclasses.field(default=None, init=False)
+
+
+@dataclass(eq=False)
+class SubstitutionAction:
+    """Affine substitutions, and pairs of them to equate, acting on the
+    polynomials over ``field`` in ``nvars`` variables."""
+
+    field: object
+    nvars: int
+    substitutions: tuple
+    pairs: tuple
 
 
 def field_coaction(L, K, rho_gen):
@@ -107,14 +114,10 @@ def field_coaction(L, K, rho_gen):
     """
     if not isinstance(L, ExtensionField):
         raise UnsupportedBase(
-            "the field kind needs a finite extension presentation"
+            "a FieldCoaction needs a finite extension presentation"
         )
     if not isinstance(K, HopfAlgebra):
         raise FieldMismatch("K must be a Hopf algebra")
-    C = ComoduleAlgebra("field")
-    C.hopf = K
-    C.field = L
-    C.base = L.base
     gen_image = {}
     for t, c in dict(rho_gen).items():
         t = int(t)
@@ -123,8 +126,7 @@ def field_coaction(L, K, rho_gen):
         c = L.coerce(c)
         if c:
             gen_image[t] = c
-    C.rho_gen = gen_image
-    return C
+    return FieldCoaction(K, L, gen_image)
 
 
 def finite_coaction(K, mult, unit, rho):
@@ -142,22 +144,16 @@ def finite_coaction(K, mult, unit, rho):
     n = len(unit)
     if len(rho) != n:
         raise ValueError("rho must list one image per algebra basis element")
-    C = ComoduleAlgebra("finite")
-    C.hopf = K
-    C.field = F
     table = {}
     for (i, j), terms in dict(mult).items():
         cleaned = lincomb((int(k), F.coerce(c)) for k, c in terms)
         if cleaned:
             table[(int(i), int(j))] = tuple(sorted(cleaned.items()))
-    C.mult = table
-    C.unit = unit
-    C.rho = [
+    return FiniteCoaction(K, F, table, unit, [
         lincomb(((int(t), int(i)), F.coerce(c))
                 for (t, i), c in dict(rho[s]).items())
         for s in range(n)
-    ]
-    return C
+    ])
 
 
 def truncated_action(field, nvars, substitutions, pairs=()):
@@ -171,18 +167,12 @@ def truncated_action(field, nvars, substitutions, pairs=()):
     allowed there, which is how evaluation conditions like
     f(0, y) = f(1, y) enter.
     """
-    C = ComoduleAlgebra("truncated")
-    C.field = field
-    C.nvars = int(nvars)
-    C.substitutions = tuple(
-        _norm_substitution(field, nvars, s) for s in substitutions
+    return SubstitutionAction(
+        field, int(nvars),
+        tuple(_norm_substitution(field, nvars, s) for s in substitutions),
+        tuple((_norm_substitution(field, nvars, a),
+               _norm_substitution(field, nvars, b)) for a, b in pairs),
     )
-    C.pairs = tuple(
-        (_norm_substitution(field, nvars, a),
-         _norm_substitution(field, nvars, b))
-        for a, b in pairs
-    )
-    return C
 
 
 # ------------------------------------------------ L (x) K arithmetic
@@ -223,8 +213,8 @@ def coact_element(C, a):
     to the stored image, so this is Horner evaluation of the coordinate
     polynomial of ``a`` at that image.
     """
-    if C.kind != "field":
-        raise UnsupportedBase("coact_element needs the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase("coact_element needs a FieldCoaction")
     return _at_rho_gen(C, C.field.coerce(a).coords)
 
 
@@ -250,19 +240,20 @@ class CoactionReport:
 def verify_coaction(C):
     """Check the comodule-algebra axioms exactly.
 
-    Field kind: the counit law and coassociativity are checked on the
+    FieldCoaction: the counit law and coassociativity are checked on the
     tower generator (both sides are algebra maps over the base, so the
     generator decides them), and the defining relation of the generator
     must map to zero in L (x) K; the relation expansion is returned in
-    the report.  Finite kind: every law on every basis tuple, not on the
-    generators of A as in HopfAlgebra, since that needs A associative,
-    which is not checked.  Raises AxiomViolation naming the failing law.
+    the report.  FiniteCoaction: every law on every basis tuple, not on
+    the generators of A as in HopfAlgebra, since that needs A
+    associative, which is not checked.  Raises AxiomViolation naming the
+    failing law.
     """
-    if C.kind == "field":
+    if isinstance(C, FieldCoaction):
         return _verify_field(C)
-    if C.kind == "finite":
+    if isinstance(C, FiniteCoaction):
         return _verify_finite(C)
-    raise UnsupportedBase("the truncated kind has no coaction to verify")
+    raise UnsupportedBase("a SubstitutionAction has no coaction to verify")
 
 
 def _verify_field(C):
@@ -371,23 +362,19 @@ def _verify_finite(C):
 def invariants(C):
     """Basis of the invariant subalgebra {a : rho(a) = a (x) 1}.
 
-    Field kind: a list of elements of L forming a basis of the
-    invariant subfield over the base.  Finite kind: a list of
+    FieldCoaction: a list of elements of L forming a basis of the
+    invariant subfield over the base.  FiniteCoaction: a list of
     coordinate vectors.  Closure under products is re-checked on the
     computed basis.
     """
-    if C._invariants is not None:
-        return C._invariants
-    if C.kind == "field":
-        out = _invariants_field(C)
-    elif C.kind == "finite":
-        out = _invariants_finite(C)
-    else:
+    if isinstance(C, SubstitutionAction):
         raise UnsupportedBase(
-            "use truncated_invariants for the truncated kind"
+            "use truncated_invariants for a SubstitutionAction"
         )
-    C._invariants = out
-    return out
+    if C._invariants is None:
+        C._invariants = (_invariants_field if isinstance(C, FieldCoaction)
+                         else _invariants_finite)(C)
+    return C._invariants
 
 
 def _invariants_field(C):
@@ -442,7 +429,7 @@ def _invariants_finite(C):
 # ----------------------------------------------- the coaction bimodule
 
 def bimodule_from_coaction(C):
-    """The bimodule L (x) K attached to a field-kind coaction.
+    """The bimodule L (x) K attached to a FieldCoaction.
 
     Free with basis 1 (x) k_t on one side; the other action goes
     through rho.  Because L is commutative the twisted action is again
@@ -450,8 +437,8 @@ def bimodule_from_coaction(C):
     phi-presented container directly.  The center of the result is
     checked against the invariant subfield before returning.
     """
-    if C.kind != "field":
-        raise UnsupportedBase("the bimodule needs the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase("the bimodule needs a FieldCoaction")
     if C._bimodule is not None:
         return C._bimodule
     L, K = C.field, C.hopf
@@ -512,10 +499,9 @@ def psi_map(C, x):
     return _left_legs(C, ((t, coact_element(C, a)) for t, a in x.items()))
 
 
-def xi_map(C, x, antipode_inverse=None):
-    """xi(sum a_t (x) k_t) = sum (1 (x) k_t)(1 (x) S^-1) rho(a_t)."""
-    if antipode_inverse is None:
-        antipode_inverse = C.hopf.antipode.inverse()
+def xi_map(C, x, antipode_inverse):
+    """xi(sum a_t (x) k_t) = sum (1 (x) k_t)(1 (x) S^-1) rho(a_t), for
+    ``antipode_inverse`` the matrix of S^-1."""
     return _left_legs(C, (
         (t, _apply_second_leg(C, coact_element(C, a), antipode_inverse))
         for t, a in x.items()
@@ -539,16 +525,13 @@ def verify_psi_xi_tau(C):
     untouched by tau, so the rank is the Hopf dimension times the rank
     of a single block).
     """
-    if C.kind != "field":
-        raise UnsupportedBase("psi/xi/tau live on the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase("psi/xi/tau live on a FieldCoaction")
     L, K, B = C.field, C.hopf, C.base
     n, d = L.degree, K.dim
     sinv = K.antipode.inverse()
 
-    z = L.gen()
-    z_pows = [L.one()]
-    for _ in range(n - 1):
-        z_pows.append(z_pows[-1] * z)
+    z_pows = cached_basis(L, B)
     ok = True
     checked = 0
     for zi in z_pows:
@@ -636,8 +619,10 @@ def integrality_certificate(C, z):
     rather than raised: that outcome is the expected one on fixtures
     violating the integrality hypotheses.
     """
-    if C.kind != "field":
-        raise UnsupportedBase("integrality certificates need the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase(
+            "integrality certificates need a FieldCoaction"
+        )
     L = C.field
     z = L.coerce(z)
     P = bimodule_from_coaction(C)
@@ -732,8 +717,8 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None):
     the base, and every non-identity automorphism must move some root
     (so the tower is no larger than the closure).
     """
-    if C.kind != "field":
-        raise UnsupportedBase("Galois groups need the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase("Galois groups need a FieldCoaction")
     L, B = C.field, C.base
     inv = invariants(C)
     if len(inv) == L.degree:
@@ -790,8 +775,8 @@ class DivisibilityVerdict:
 
 def divisibility_coaction(C):
     """[L : invariants] divides dim K, with the quotient returned."""
-    if C.kind != "field":
-        raise UnsupportedBase("divisibility needs the field kind")
+    if not isinstance(C, FieldCoaction):
+        raise UnsupportedBase("divisibility needs a FieldCoaction")
     inv = invariants(C)
     n = C.field.degree
     if n % len(inv):
@@ -856,7 +841,7 @@ def semisimple_bound(C):
     are always reported, so fixtures with nonsemisimple H document that
     the hypothesis matters.
     """
-    if C.kind != "finite":
+    if not isinstance(C, FiniteCoaction):
         raise UnsupportedBase("the bound compares finite dimensions")
     K = C.hopf
     inv_dim = len(invariants(C))
@@ -936,8 +921,8 @@ def truncated_invariants(C, cap):
     degree of its free column, and the dimension at D counts the basis
     elements of degree at most D.
     """
-    if C.kind != "truncated":
-        raise UnsupportedBase("truncated invariants need the truncated kind")
+    if not isinstance(C, SubstitutionAction):
+        raise UnsupportedBase("truncated invariants need a SubstitutionAction")
     field, nvars = C.field, C.nvars
     cap = int(cap)
     mons = _degree_monomials(nvars, cap)

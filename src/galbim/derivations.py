@@ -1,37 +1,39 @@
 """Derivations of a field tower and their rank-two bimodules.
 
 A derivation D of the top field is stored through its values on the
-tower generators.  It is evaluated as the ring map
-a |-> [[a, D(a)], [0, a]] into Mat_2(L) by ``towers.evaluate``; D(a) is
-the corner entry, so additivity and the Leibniz rule come from matrix
-arithmetic.  On an algebraic layer the generator value is constrained
-by the defining relation (differentiating rel(g) = 0 must give zero),
-on a rational function layer it is free.  Purely inseparable relations
-make the constraint degenerate, which is what lets nonzero derivations
+tower generators.  Every derivation presents a rank-two bimodule M(D)
+with left action a |-> [[a, D(a)], [0, a]], the unique self-extension
+of the trivial bimodule attached to D, and D keeps M(D) as its
+``block``: D's ring map is phi of M(D), evaluated and cached by
+``Bimodule.phi``, and D(a) is the corner entry, so additivity and the
+Leibniz rule come from matrix arithmetic.  Building the block checks
+it: on an algebraic layer the generator value is constrained by the
+defining relation (differentiating rel(g) = 0 must give zero), on a
+rational function layer it is free.  Purely inseparable relations make
+the constraint degenerate, which is what lets nonzero derivations
 exist on towers like F_p(t) over F_p(t^p).
 
-Every derivation D presents a rank-two bimodule with left action
-a |-> [[a, D(a)], [0, a]], the unique self-extension of the trivial
-bimodule attached to D.  These are the building blocks of purely
-inseparable split bimodules, and the operators here decide when a
-bimodule contains such a block and whether the found block family is
-closed under commutators and p-th powers.
+The blocks M(D) are the building blocks of purely inseparable split
+bimodules, and the operators here decide when a bimodule contains such
+a block and whether the found block family is closed under commutators
+and p-th powers.
 """
 
 from __future__ import annotations
 
 from .bimod import Bimodule, tensor_power, _tower_generators
-from .errors import AxiomViolation, FieldMismatch, UnsupportedBase
+from .errors import (AxiomViolation, FieldMismatch, NotAHomomorphism,
+                     UnsupportedBase)
 from .linalg import stack_kernel
 from .matrix import Matrix
-from .towers import ExtensionField, evaluate, generator_layers
+from .towers import generator_layers
 
 
 class Derivation:
     """Additive map satisfying the Leibniz rule, zero on the bottom
     scalars, determined by its values on the tower generators."""
 
-    __slots__ = ("field", "values", "images")
+    __slots__ = ("field", "values", "block")
 
     def __init__(self, field, values=None, check=True):
         self.field = field
@@ -47,43 +49,22 @@ class Derivation:
                 "derivation values given for layers outside the tower"
             )
         self.values = full
-        # D is the ring map a |-> [[a, D(a)], [0, a]] into Mat_2(L)
         zero = field.zero()
-        self.images = {}
+        images = {}
         for layer, dg in full.items():
             g = field.coerce(layer.gen())
-            self.images[layer] = Matrix(field, [[g, dg], [zero, g]])
-        if check:
-            self._verify()
-
-    def _verify(self):
-        # each defining relation must map to zero; its diagonal does by
-        # construction, the corner is D(rel(g)), which pins the
-        # generator value (or forces the lower values to vanish when the
-        # relation is inseparable)
-        for layer, M in self.images.items():
-            if not isinstance(layer, ExtensionField):
-                continue
-            value = layer.relation.evaluate(
-                M, lift=lambda c, _l=layer: self._matrix(c, _l.base)
-            )
-            if not value.is_zero():
-                raise AxiomViolation(
-                    "derivation values are inconsistent with the "
-                    "defining relation of layer %r" % layer.var
-                )
-
-    # ------------------------------------------------------- evaluation
+            images[layer] = Matrix(field, [[g, dg], [zero, g]])
+        try:
+            self.block = Bimodule(field, images, rank=2, check=check,
+                                  label="derivation block")
+        except NotAHomomorphism as err:
+            raise AxiomViolation(
+                "derivation values are inconsistent with a defining "
+                "relation: %s" % err
+            ) from None
 
     def apply(self, x):
-        return self._matrix(x, self.field).rows[0][1]
-
-    def _matrix(self, x, layer):
-        F = self.field
-        return evaluate(
-            x, layer, self.images,
-            lambda c: Matrix.identity(F, 2).scale(F.coerce(c)),
-        )
+        return self.block.phi(x).rows[0][1]
 
     # -------------------------------------------------- linear structure
 
@@ -165,8 +146,8 @@ def p_power(D: Derivation) -> Derivation:
 
 def m_of_d(D: Derivation) -> Bimodule:
     """Self-extension of the trivial bimodule attached to D: rank two,
-    left action a |-> [[a, D(a)], [0, a]]."""
-    return Bimodule(D.field, D.images, rank=2, label="derivation block")
+    left action a |-> [[a, D(a)], [0, a]]; D's own ``block``."""
+    return D.block
 
 
 def m_of_d_isomorphic(D1: Derivation, D2: Derivation):
@@ -198,11 +179,13 @@ def contains_m_of_d(P: Bimodule, D: Derivation):
     For nonzero D a witness is a pair (v1, v2) of columns with
     phi(a) v1 = a v1 and phi(a) v2 = a v2 + D(a) v1; the conditions are
     imposed at the tower generators, which suffices because both sides
-    are homomorphisms on the subfield where they agree.  Independence
-    of the pair is automatic: v2 proportional to v1 would force
-    D(g) v1 = 0 at every generator.  For D = 0 the block is the trivial
-    rank-two bimodule, so the trivial eigenspace must be at least two
-    dimensional."""
+    are homomorphisms on the subfield where they agree.  The system is
+    block triangular: v1 = W c for a basis W of the trivial eigenspace
+    W = ker(phi(g) - g), and then (c, v2) solves one kernel of
+    [-D(g) W | phi(g) - g] in dim W + d unknowns.  Independence of the
+    pair is automatic: v2 proportional to v1 would force D(g) v1 = 0
+    at every generator.  For D = 0 the block is the trivial rank-two
+    bimodule, so W must be at least two dimensional."""
     if P.field is not D.field:
         raise FieldMismatch("bimodule and derivation fields differ")
     L = P.field
@@ -211,20 +194,19 @@ def contains_m_of_d(P: Bimodule, D: Derivation):
     shifted = [
         P.phi(g) - Matrix.identity(L, d).scale(g) for g in gens
     ]
+    W = stack_kernel(shifted)
     if D.is_zero():
-        ker = stack_kernel(shifted)
-        if len(ker) >= 2:
-            return True, (ker[0], ker[1])
+        if len(W) >= 2:
+            return True, (W[0], W[1])
         return False, None
-    zero = Matrix.zeros(L, d, d)
-    blocks = []
-    for g, A in zip(gens, shifted):
-        lower = Matrix.identity(L, d).scale(-D.apply(g))
-        blocks.append(Matrix.from_blocks(L, [[A, zero], [lower, A]]))
+    if not W:
+        return False, None
+    Wm, r = Matrix.from_cols(L, W), len(W)
+    blocks = [Matrix.from_blocks(L, [[Wm.scale(-D.apply(g)), A]])
+              for g, A in zip(gens, shifted)]
     for w in stack_kernel(blocks):
-        v1, v2 = list(w[:d]), list(w[d:])
-        if any(v1):
-            return True, (v1, v2)
+        if any(w[:r]):
+            return True, (Wm.mul_vec(w[:r]), w[r:])
     return False, None
 
 

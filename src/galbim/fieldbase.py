@@ -23,27 +23,7 @@ from fractions import Fraction
 from .errors import FieldMismatch, NotInvertible
 
 
-class Field:
-    """Abstract field handle."""
-
-    characteristic = 0
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        """Lift ``x`` (int, Fraction or lower-layer element) into this
-        field; raise FieldMismatch if it does not embed canonically."""
-        raise NotImplementedError
-
-
-class RationalField(Field):
+class RationalField:
     """The field of rational numbers; elements are Fraction."""
 
     characteristic = 0
@@ -200,7 +180,7 @@ class PrimeFieldElement:
 TABLE_CAP = 4096
 
 
-class PrimeField(Field):
+class PrimeField:
     """F_p for a prime p."""
 
     def __init__(self, p: int):

@@ -274,6 +274,9 @@ class Matrix:
     def is_zero(self):
         return all(not a for row in self.rows for a in row)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def is_identity(self):
         return self.is_square() and self == Matrix.identity(
             self.field, self.nrows)

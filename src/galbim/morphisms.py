@@ -56,6 +56,7 @@ from .poly import Polynomial
 from .towers import (
     ExtensionField,
     RationalFunctionField,
+    broken_relation,
     chain,
     evaluate,
     generator_layers,
@@ -95,23 +96,20 @@ class FieldMorphism:
             self._verify()
 
     def _verify(self):
-        for layer, img in self._moved.items():
-            if not isinstance(layer, ExtensionField):
-                continue
-            value = layer.relation.evaluate(
-                img, lift=lambda c, _l=layer: self._image(c, _l.base)
+        bad = self._through(broken_relation)
+        if bad is not None:
+            raise NotAHomomorphism(
+                "image of %s does not satisfy its relation" % bad.var
             )
-            if value:
-                raise NotAHomomorphism(
-                    "image of %s does not satisfy its relation" % layer.var
-                )
 
     def apply(self, x):
-        return self._image(x, self.domain)
+        return self._through(evaluate, x, self.domain)
 
-    def _image(self, x, layer):
+    def _through(self, fn, *args):
+        """fn(*args, images, lift) for this map's images and lift, with a
+        vanishing denominator reported as NotAHomomorphism."""
         try:
-            return evaluate(x, layer, self._moved, self.codomain.coerce)
+            return fn(*args, self._moved, self.codomain.coerce)
         except (NotInvertible, ZeroDivisionError):
             raise NotAHomomorphism(
                 "variable image makes a denominator vanish"

@@ -36,6 +36,9 @@ bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
   the denominator's, and a zero or singular denominator image raises
   whatever that division raises (``NotInvertible`` for tower elements
   and matrices).  Callers translate it into their own error.
+
+``broken_relation(images, lift)`` is its check: the images define a ring
+map when each algebraic layer's image satisfies that layer's relation.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
     Reducible,
     UnsupportedBase,
 )
-from .fieldbase import TABLE_CAP, Field, PrimeFieldElement, QQ
+from .fieldbase import TABLE_CAP, PrimeFieldElement, QQ
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -61,7 +64,7 @@ from .poly import (
 DEFAULT_TOWER_CAP = 64
 
 
-class RationalFunctionField(Field):
+class RationalFunctionField:
     """Field of rational functions in one variable over a coefficient
     field.  Elements are RationalFunction values owned by this handle."""
 
@@ -269,7 +272,7 @@ class ExtElement:
         )
 
 
-class ExtensionField(Field):
+class ExtensionField:
     """Algebraic extension base[x]/(relation), relation monic.
 
     A finite field of at most ``TABLE_CAP`` elements (every layer finite,
@@ -616,6 +619,18 @@ def evaluate(x, layer, images, lift):
     if x.is_polynomial():
         return num
     return num / x.den.evaluate(img, lift=down)
+
+
+def broken_relation(images, lift):
+    """The first algebraic layer in ``images`` whose defining relation
+    its image does not satisfy under the ring map of ``evaluate``, or
+    None: the generator images then define a ring map."""
+    for layer, img in images.items():
+        if isinstance(layer, ExtensionField) and layer.relation.evaluate(
+            img, lift=lambda c: evaluate(c, layer.base, images, lift)
+        ):
+            return layer
+    return None
 
 
 def generator_layers(field):

@@ -555,3 +555,50 @@ def test_truncated_trivial_action_full_dimensions():
 def test_truncated_rejects_degree_raising_substitutions():
     with pytest.raises(ValueError, match="degree at most one"):
         co.truncated_action(QQ, 1, [[{(2,): 1}]])
+
+
+# --------------------------------------------- one record per function
+
+def _records():
+    """One record of each shape: Fun(Z/2) on Q(sqrt 2), the swap
+    coaction on Q x Q, and the trivial substitution action."""
+    L = extend(QQ, [-2, 0, 1], "r")
+    K = fun_z2_hopf()
+    return {
+        "field": co.field_coaction(L, K, {0: L.gen(), 1: -L.gen()}),
+        "finite": co.finite_coaction(
+            K, DIAG_MULT, [1, 1], [{(0, 0): 1, (1, 1): 1},
+                                   {(1, 0): 1, (0, 1): 1}]),
+        "substitution": co.truncated_action(QQ, 1, []),
+    }
+
+
+# each function and the record shapes it accepts
+SHAPED = [
+    (co.coact_element, lambda C: co.coact_element(C, 1), {"field"}),
+    (co.verify_coaction, co.verify_coaction, {"field", "finite"}),
+    (co.invariants, co.invariants, {"field", "finite"}),
+    (co.bimodule_from_coaction, co.bimodule_from_coaction, {"field"}),
+    (co.verify_psi_xi_tau, co.verify_psi_xi_tau, {"field"}),
+    (co.integrality_certificate,
+     lambda C: co.integrality_certificate(C, 1), {"field"}),
+    (co.galois_group_of_coaction, co.galois_group_of_coaction, {"field"}),
+    (co.divisibility_coaction, co.divisibility_coaction, {"field"}),
+    (co.semisimple_bound, co.semisimple_bound, {"finite"}),
+    (co.truncated_invariants, lambda C: co.truncated_invariants(C, 2),
+     {"substitution"}),
+]
+
+
+@pytest.mark.parametrize("call, shapes",
+                         [pytest.param(call, shapes, id=fn.__name__)
+                          for fn, call, shapes in SHAPED])
+def test_functions_refuse_other_records(call, shapes):
+    records = _records()
+    assert set(records) > shapes
+    for shape, C in records.items():
+        if shape in shapes:
+            call(C)
+        else:
+            with pytest.raises(UnsupportedBase):
+                call(C)

@@ -147,6 +147,22 @@ def test_p_power_needs_positive_characteristic():
 # -------------------------------------------------- derivation bimodules
 
 
+def test_apply_reads_the_corner_of_the_block():
+    # s^2 = t over F_3(t) is separable, so D(s) = D(t) / (2 s)
+    Ft = ratfunc(3)
+    t = Ft.gen()
+    N = extend(Ft, Polynomial(Ft, [-t, Ft.zero(), Ft.one()]), "s")
+    s = N.gen()
+    D = Derivation(N, {Ft: N.one(), N: N.one() / (N.from_int(2) * s)})
+    M = m_of_d(D)
+    for a in (s, N.coerce(t), s**3 + N.one() / (s + N.coerce(t)),
+              N.one() / (s - N.one())):
+        assert M.phi(a) == Matrix(N, [[a, D.apply(a)], [N.zero(), a]])
+    assert D.apply(s) * 2 * s == N.one()
+    with pytest.raises(AxiomViolation, match=r"relation.*\bs\b"):
+        Derivation(N, {Ft: N.one()})
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_m_of_d_shape(p):
     L = ratfunc(p)
@@ -213,14 +229,17 @@ def test_contains_with_witness_identity():
     t = L.gen()
     X = Derivation(L, {L: L.one()})
     trivial = Bimodule(L, {L: Matrix(L, [[t]])})
-    P = direct_sum(m_of_d(X), trivial)
-    ok, (v1, v2) = contains_m_of_d(P, X)
-    assert ok
-    for a in [t, t * t + t, L.one() / (t + L.one())]:
-        A = P.phi(a)
-        assert A.mul_vec(v1) == [a * c for c in v1]
-        da = X.apply(a)
-        assert A.mul_vec(v2) == [a * y + da * c for y, c in zip(v2, v1)]
+    # with the trivial summand first the trivial eigenspace is spanned
+    # by e0 and e1, and only v1 = e1 extends to a block
+    for P in (direct_sum(m_of_d(X), trivial), direct_sum(trivial, m_of_d(X))):
+        ok, (v1, v2) = contains_m_of_d(P, X)
+        assert ok
+        for a in [t, t * t + t, L.one() / (t + L.one())]:
+            A = P.phi(a)
+            assert A.mul_vec(v1) == [a * c for c in v1]
+            da = X.apply(a)
+            assert A.mul_vec(v2) == [a * y + da * c
+                                     for y, c in zip(v2, v1)]
     # scaled blocks are isomorphic, so they are found as well
     ok, _ = contains_m_of_d(P, X.scale(t))
     assert ok

@@ -1,8 +1,9 @@
 """Package hygiene: the package docstring, the install entry points and
 the benchmark's per-layer trace targets name only things that exist,
 every library exception has a raise site in the package, no module
-imports a name it never uses, every private helper has a use, and every
-defaulted parameter of a public function is passed somewhere."""
+imports a name it never uses, every private helper and every public
+function, class and method has a use, and every defaulted parameter of
+a public function is passed somewhere."""
 
 import ast
 import collections
@@ -115,10 +116,11 @@ def test_unused_import_guard_sees_uses():
     assert _unused_imports(tree) == [(2, "b")]
 
 
-def _dead_helpers(trees):
-    """Module-level ``_name`` functions and classes, and ``_name``
-    methods, that no name or attribute outside their own definition
-    reads, as (module, line, name)."""
+def _unread(defining, reading, wanted):
+    """Module-level functions and classes, and methods, of the
+    ``defining`` trees whose name ``wanted`` accepts and that no name or
+    attribute of the ``reading`` trees reads outside their own
+    definition, as (module, line, name)."""
     def reads(node):
         return collections.Counter(
             n.id if isinstance(n, ast.Name) else n.attr
@@ -126,21 +128,29 @@ def _dead_helpers(trees):
             if isinstance(n, (ast.Name, ast.Attribute))
         )
 
-    def private(node):
-        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.endswith("__"))
-
-    total = sum((reads(tree) for tree in trees.values()),
-                collections.Counter())
+    total = sum(map(reads, reading), collections.Counter())
     dead = []
-    for module, tree in trees.items():
+    for module, tree in defining.items():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node] + members:
-                if private(d) and total[d.name] == reads(d)[d.name]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and wanted(d.name)
+                        and total[d.name] == reads(d)[d.name]):
                     dead.append((module, d.lineno, d.name))
     return sorted(dead)
+
+
+def _dead_helpers(trees):
+    """The ``_name`` helpers (not dunders) that nothing reads."""
+    return _unread(trees, trees.values(),
+                   lambda name: name.startswith("_")
+                   and not name.endswith("__"))
+
+
+def _dead_public_names(defining, reading):
+    """The public functions, classes and methods that nothing reads."""
+    return _unread(defining, reading, lambda name: name[0] != "_")
 
 
 def test_no_dead_private_helpers():
@@ -163,6 +173,36 @@ def test_dead_helper_guard_sees_uses():
     }
     assert _dead_helpers(trees) == [
         ("a.py", 2, "_recursive"), ("a.py", 3, "_C"), ("a.py", 5, "_n"),
+    ]
+
+
+def test_no_dead_public_names():
+    defining = {path.name: ast.parse(path.read_text())
+                for path in sorted(SRC.glob("*.py"))}
+    reading = [ast.parse(path.read_text())
+               for root in CALLERS for path in sorted(root.rglob("*.py"))]
+    assert _dead_public_names(defining, reading) == []
+
+
+def test_dead_public_name_guard_sees_uses():
+    defining = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def recursive(): recursive()\n"
+            "class C:\n"
+            "    def m(self): pass\n"
+            "    def n(self): self.m()\n"
+            "    def _private(self): pass\n"
+            "    def __init__(self): pass\n"
+            "class Unread:\n"
+            "    def method(self): pass\n"
+        ),
+    }
+    reading = [defining["a.py"],
+               ast.parse("from a import used, C\nused()\nC().n()\n")]
+    assert _dead_public_names(defining, reading) == [
+        ("a.py", 2, "recursive"), ("a.py", 8, "Unread"),
+        ("a.py", 9, "method"),
     ]
 
 

@@ -117,3 +117,13 @@ def test_singular_denominator_image_is_not_invertible():
     assert P.phi(t + 1) == Matrix(Ft, [[2]])
     with pytest.raises(NotInvertible):
         P.phi(Ft.one() / (t - 1))
+
+
+def test_vanishing_denominator_in_a_relation_is_not_a_homomorphism():
+    # t -> 1 sends the coefficient 1 / (t - 1) of x^2 - 1 / (t - 1) to
+    # 1 / 0 while the relation is checked
+    Ft = RationalFunctionField(QQ, "t")
+    t = Ft.gen()
+    L = extend(Ft, Polynomial(Ft, [-(Ft.one() / (t - 1)), 0, 1]), "x")
+    with pytest.raises(NotAHomomorphism):
+        FieldMorphism(L, L, {Ft: 1, L: L.gen()})
