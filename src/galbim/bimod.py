@@ -54,7 +54,6 @@ ANALYSIS_OBSTRUCTIONS = (
 from .fieldops import (
     SplittingData,
     Subfield,
-    _all_roots,
     cached_basis,
     fixed_field,
     min_poly_over,
@@ -72,7 +71,6 @@ from .morphisms import (
     _check_count,
     _divide_out,
     _enumerate_maps,
-    _orbit,
     automorphisms_over,
 )
 from .poly import Polynomial
@@ -134,8 +132,7 @@ class Bimodule:
         self.rank = rank
         for layer, M in full.items():
             if M is None:
-                g = field.coerce(layer.gen())
-                full[layer] = Matrix.identity(field, rank).scale(g)
+                full[layer] = self._scalar(layer.gen())
         self.images = full
         self._phi_cache = {}
         self._center = None
@@ -200,9 +197,7 @@ class Bimodule:
         return M
 
     def _scalar(self, c):
-        return Matrix.identity(self.field, self.rank).scale(
-            self.field.coerce(c)
-        )
+        return Matrix.diagonal(self.field, [c] * self.rank)
 
     # -------------------------------------------------------- structure
 
@@ -541,10 +536,11 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     function fields cannot be factored, so for a non-normal L there the
     caller supplies a tower E (built over the same center layer)
     together with optional root hints, and everything found inside it
-    is verified rather than trusted.  Unless factoring built E, the
-    roots of mu in E are the Gamma-orbit of iota(a)
-    (``morphisms._orbit``); a root outside it is no character's value,
-    so ResolutionError is raised, not factored.
+    is verified rather than trusted.  In every mode the roots of mu in
+    E are the Gamma-values sigma(iota(a)), each as often in mu as
+    iota(a), and no root is searched for; when they fall short of
+    deg mu, a root outside them is no character's value, so
+    ResolutionError is raised, not factored.
 
     ``iota_images`` fixes the embedding iota of L in E, one image per
     tower layer; the map must fix the center, or ResolutionError is
@@ -580,18 +576,31 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
         gamma = automorphisms_over(E, K, hints=hints,
                                    expected=expected_gamma)
     iota = _embedding(L, E, center, iota_images, hints)
+    # iota and Gamma fix the center, so each v = sigma(iota(a)) is a root
+    # of mu as often as iota(a), m_a times, and fixes the character
+    # iota * sigma, as a generates L over the center
+    ia = iota.apply(a)
+    m_a = _divide_out(mu.map_coeffs(E, E.coerce), [ia])[0][0][1]
+    values = [sigma.apply(ia) for sigma in gamma]
+    by_value = dict(zip(values, gamma))   # any sigma of a value will do
+    reached = len(by_value) * m_a
+    if reached != mu.degree:
+        raise ResolutionError(
+            "the Gamma-values of iota(a) reach %d of the %d roots of mu; "
+            "%d degrees unaccounted for (supply root hints)"
+            % (reached, mu.degree, mu.degree - reached)
+        )
     if splitting is None:
-        roots = _all_roots(*_orbit(mu.map_coeffs(E, E.coerce),
-                                   iota.apply(a), gamma))
         # in computed mode E = L = K(a) is generated by the roots of mu
-        splitting = SplittingData(E, roots,
+        splitting = SplittingData(E, [(v, m_a) for v in by_value],
                                   minimal=True if computed else None)
-    # E is normal over the center, so the characters are the distinct
-    # iota * sigma, sorted by key; rho sends sigma to its character
-    extended = [iota * sigma for sigma in gamma]
-    chars = sorted(dict.fromkeys(extended), key=FieldMorphism.key)
-    index = {g: i for i, g in enumerate(chars)}
-    rho = [index[g] for g in extended]
+    # E is normal over the center, so the characters are the iota * sigma,
+    # sorted by key; rho sends sigma to its character through its value
+    pairs = sorted(((v, iota * sigma) for v, sigma in by_value.items()),
+                   key=lambda vc: vc[1].key())
+    chars = [c for _, c in pairs]
+    index = {v: i for i, (v, _) in enumerate(pairs)}
+    rho = [index[v] for v in values]
     tab = gamma.table()
     if iota_images is None:
         # move a found iota to the least character, iota * gamma[g0]
@@ -605,15 +614,14 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     L_sub = Subfield(E, L, iota)
     factors = []
     p = L.characteristic
-    mu_L = mu.map_coeffs(L, center.embedding.apply)
     M = P.phi(a)
     chi = M.charpoly()   # the multiplicities, see the module docstring
-    total = covered = 0
+    total = 0
     simple = True   # every supported mu_k is a simple factor of mu_L
     for orbit in orbits:
         q = Polynomial.one(E)
         for i in orbit:
-            q = q * Polynomial(E, [-chars[i].apply(a), E.one()])
+            q = q * Polynomial(E, [-pairs[i][0], E.one()])
         e = 0
         while True:
             # q descends to L when its coefficients lie in iota(L)
@@ -628,27 +636,15 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             q = q**p
             e += 1
         mu_k = Polynomial(L, coeffs)
-        in_mu = _multiplicity_in(mu_L, mu_k)
-        if not in_mu:
-            raise ResolutionError(
-                "descended factor does not divide the minimal polynomial"
-            )
         mult = _multiplicity_in(chi, mu_k)
-        simple = simple and (in_mu == 1 or not mult)
+        # over E, mu_k is q's roots each p^e times and mu_L each m_a times
+        simple = simple and (p**e == m_a or not mult)
         total += mu_k.degree * mult
-        covered += mu_k.degree * in_mu
         factors.append(GrFactor(mu_k, mult, e, [chars[i] for i in orbit]))
     if total != d:
         raise ResolutionError(
             "composition factors account for %d of %d dimensions; "
             "characters are missing (supply root hints)" % (total, d)
-        )
-    # completeness of the character list against mu itself: the factors
-    # are coprime, so they exhaust mu_L when their degrees add up to it
-    if covered != mu_L.degree:
-        raise ResolutionError(
-            "the located characters do not exhaust the minimal "
-            "polynomial; supply root hints"
         )
     # the minimal polynomial of M divides mu_L and its irreducible
     # factors are the supported mu_k: it is squarefree, and M
@@ -806,8 +802,9 @@ def classify(P: Bimodule, analysis=None, **kw) -> Classification:
     """Recognize P as r copies of the regular bimodule L (x)_F L.
 
     L (x)_F L is L[x]/(mu_L), the primitive element acting as x, so each
-    factor occurs in it with its multiplicity in mu_L; P must have r
-    times that, for r = rank / [L : F]."""
+    factor occurs in it with its multiplicity in mu_L, m_a / p^e for the
+    multiplicity m_a of every root of mu and the factor's inseparable
+    exponent e; P must have r times that, for r = rank / [L : F]."""
     an = analysis if analysis is not None else analyze(P, **kw)
     d = P.rank
     n = an.center.degree_in_ambient()
@@ -816,9 +813,10 @@ def classify(P: Bimodule, analysis=None, **kw) -> Classification:
             "rank %d is not a multiple of the center degree %d" % (d, n)
         )
     r = d // n
-    mu_L = an.min_poly.map_coeffs(P.field, an.center.embedding.apply)
+    m_a = an.splitting.roots[0][1]
+    p = P.field.characteristic
     for f in an.factors:
-        want = r * _multiplicity_in(mu_L, f.min_poly)
+        want = r * (m_a // p**f.insep_exponent)
         if f.multiplicity != want:
             raise ClassificationFailed(
                 "factor %r has multiplicity %d, expected %d"

@@ -256,12 +256,14 @@ class SplittingData:
     """A field where a polynomial splits, with its roots.
 
     ``roots`` lists (root, multiplicity) pairs inside ``field`` whose
-    linear factors reproduce the polynomial: each is a linear factor
-    that factoring found or a root that ``morphisms._divide_out``
-    divided out.  ``minimal`` is True when the roots generate the field
-    over the polynomial's coefficient field (``splitting_field``, or a
-    normal L that computed-mode ``bimod.analyze`` analyses in itself),
-    None when a supplied tower was only found to contain the roots."""
+    linear factors reproduce the polynomial: those ``splitting_field``
+    found by factoring and ``morphisms._conjugates``, or, where it did
+    not build E, ``bimod.analyze``'s Gamma-values sigma(iota(a)), each
+    as often as iota(a).  ``minimal`` is True when the roots generate
+    the field over the polynomial's coefficient field
+    (``splitting_field``, or a normal L that computed-mode
+    ``bimod.analyze`` analyses in itself), None when a supplied tower
+    was only found to contain the roots."""
 
     field: object
     roots: list
@@ -333,14 +335,9 @@ def locate_roots(f: Polynomial, E, hints=()):
     f's coefficients live in a sublayer of E (or E itself).  Returns
     (root, multiplicity) pairs; raises ResolutionError if the located
     roots do not fully split f."""
-    return _all_roots(*_roots_in_pool(
+    found, remaining = _roots_in_pool(
         f.map_coeffs(E, E.coerce), _candidate_pool(E, hints)
-    ))
-
-
-def _all_roots(found, remaining):
-    """The roots a search found in a supplied tower, if they split the
-    polynomial (``remaining`` is constant); else ResolutionError."""
+    )
     if remaining.degree >= 1:
         raise ResolutionError(
             "could not split the polynomial in the supplied tower; "

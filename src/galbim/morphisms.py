@@ -10,9 +10,10 @@ their own dictionary keys: identity is ``==`` on the images and the hash
 of the images; ``FieldMorphism.key`` (``factor._elem_sort_key`` on each
 image) only orders groups and embedding lists.
 
-Every root is checked, and divided out to its full multiplicity, by
-one routine, ``_divide_out``: a synthetic division by x - r for each
-candidate r of a list, in order.  Only the candidates differ:
+Every root a search finds is checked, and divided out to its full
+multiplicity, by one routine, ``_divide_out``: a synthetic division by
+x - r for each candidate r of a list, in order.  Only the candidates
+differ:
 
 - ``_roots_in_pool`` tries a finite candidate pool (tower generators,
   their negatives, supplied hints, the roots a computed splitting field
@@ -22,9 +23,12 @@ candidate r of a list, in order.  Only the candidates differ:
   over layer generators and takes each generator's images from it;
   ``fieldops.locate_roots`` is the same call.
 - ``_orbit`` tries the images of the roots found so far under known
-  automorphisms: ``fieldops.splitting_field`` (``_conjugates``) and
-  ``bimod.analyze`` (the roots of mu) search no pool.
+  maps: ``fieldops.splitting_field`` (``_conjugates``) searches no pool.
 - ``bimod.split_probe`` tries its own, smaller pool and never factors.
+
+``bimod.analyze`` searches for no root of mu: they are the values
+sigma(iota(a)) of verified maps fixing the center, and one division
+reads the multiplicity of iota(a).
 
 The enumeration is lazy: ``_enumerate_maps`` yields each map as it
 completes it, so ``bimod.analyze``, which needs one embedding, stops at
@@ -323,9 +327,8 @@ def _candidate_pool(field, hints):
     found by the scan without refactoring.  The seed moves where a root
     is found, not which roots there are: groups and embedding lists,
     sorted by key, are unchanged, while ``locate_roots`` lists roots in
-    scan order.  Where ``splitting_field`` did not build E, ``analyze``
-    scans the pool for Gamma and iota only: the roots of mu are
-    ``_orbit``'s."""
+    scan order.  ``analyze`` scans the pool for Gamma and iota only: the
+    roots of mu are the Gamma-values of iota(a)."""
     hints = tuple(field.coerce(h) for h in hints)
     cache = vars(field).setdefault("_pool_cache", {})
     if hints not in cache:

@@ -34,6 +34,12 @@ the coproduct is checked on every pair before the counit.
 for each factor mu_k of M = phi(a) the dimensions d - rank mu_k(M) and
 d - rank mu_k(M)^d, and M is semisimple when the first ones add up to d.
 
+``orbit_reading`` reads an analysis as ``bimod.analyze`` did before it
+took the Gamma-values sigma(iota(a)) as the roots of mu: the roots by
+``morphisms._orbit``, one exact division per image, every character
+iota * sigma composed, and each factor's multiplicity in mu_L by
+division.
+
 ``TowerArithmetic`` multiplies in a finite tower by coordinates:
 convolution, then reduction by each layer's relation, on nested tuples
 of ints.  The library does its small finite fields by tables instead.
@@ -41,6 +47,7 @@ of ints.  The library does its small finite fields by tables instead.
 
 from math import comb
 
+from galbim.bimod import _multiplicity_in
 from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from galbim.factor import (
     _elem_sort_key,
@@ -49,7 +56,7 @@ from galbim.factor import (
 )
 from galbim.hopf import lincomb, sparse_product, tensor_product
 from galbim.matrix import Matrix
-from galbim.morphisms import _divide_out
+from galbim.morphisms import _divide_out, _orbit
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
 from galbim.towers import ExtensionField, chain
 
@@ -144,6 +151,21 @@ def kernel_dimensions(P, an):
         N = f.min_poly.evaluate(M, lift=lift)
         dims.append((d - N.rank(), d - (N**d).rank()))
     return dims, sum(dim1 for dim1, _ in dims) == d
+
+
+def orbit_reading(an):
+    """(roots, characters, in_mu) of an analysis: the roots of mu in E,
+    with multiplicities, that ``_orbit`` divides out from iota(a) under
+    Gamma (an AssertionError unless they split mu), the character
+    iota * sigma of each sigma in Gamma, in Gamma's order, and the
+    multiplicity of each factor's min_poly in mu_L, in factor order."""
+    E, L = an.splitting.field, an.bimodule.field
+    mu_E = an.min_poly.map_coeffs(E, E.coerce)
+    roots, rest = _orbit(mu_E, an.iota.apply(an.primitive), an.gamma)
+    assert rest.degree < 1, "the orbit of iota(a) does not split mu"
+    mu_L = an.min_poly.map_coeffs(L, an.center.embedding.apply)
+    return (roots, [an.iota * sigma for sigma in an.gamma],
+            [_multiplicity_in(mu_L, f.min_poly) for f in an.factors])
 
 
 def generalized_eigenspace(M: Matrix, lam, power=None) -> list:

@@ -2,6 +2,7 @@
 property checks, against hand-frozen fixtures."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,7 @@ from oracles import (
     char_poly_right,
     kernel_dimensions,
     left_cosets,
+    orbit_reading,
     support,
 )
 
@@ -615,13 +617,18 @@ def test_supplied_splitting_field_needs_no_factoring(monkeypatch):
 
 def test_non_normal_field_still_splits_by_factoring(monkeypatch):
     # Q(2^(1/3)) has no automorphism but the identity, so mu is split
-    # by splitting_field, with the answers it gave before
+    # by splitting_field, with the answers it gave before; supplied as
+    # E, it holds one root of x^3 - 2, the only Gamma-value of iota(a),
+    # and is refused, naming the two missing roots
     L = extend(QQ, Polynomial(QQ, [-2, 0, 0, 1]), "c")
     calls = []
     real = bimod_module.splitting_field
     monkeypatch.setattr(bimod_module, "splitting_field",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     R = regular_over(L, QQ)
+    with pytest.raises(ResolutionError, match="reach 1 of the 3 roots of "
+                       "mu; 2 degrees unaccounted for"):
+        analyze(R, E=L)
     Q = direct_sum(R, twist(L, automorphisms_over(L, QQ)[0]))
     for P, mults, galois in ((R, [1, 1], True), (Q, [2, 1], False)):
         an = analyze(P)
@@ -794,6 +801,68 @@ def test_semisimple_with_a_repeated_factor_of_mu():
     an = analyze(Q, E=N, hints=hints)
     assert [f.multiplicity for f in an.factors] == [0, 1]
     assert an.semisimple is True
+
+
+# ------------------------------- Gamma-values against the orbit reading
+
+
+def _x3_minus_2():
+    # the twists of Aut(L/Q) for L the splitting field of x^3 - 2, taken
+    # 0, 1 or 2 times (orders 1, 2, 3, 3, 2, 2: the support is S3), and
+    # the regular bimodule of the non-normal Q(2^(1/3)), whose mu is
+    # split by splitting_field
+    L = splitting_field(Polynomial(QQ, [-2, 0, 0, 1])).field
+    G = automorphisms_over(L, QQ)
+    C = extend(QQ, Polynomial(QQ, [-2, 0, 0, 1]), "c")
+    return [(bimodule_of_group(L, G, [2, 1, 0, 2, 1, 0]), {}),
+            (regular_over(C, QQ), {})]
+
+
+def _biquadratic():
+    L, G = biquadratic()
+    P = bimodule_of_group(L, G)
+    return [(P, {}), (direct_sum(P, twist(L, G[0])), {})]
+
+
+def _f2t():
+    # mu = x^4 + t x^2 + t over F2(t): m_a = 2, and e = 0 or 1
+    L, Ft, N, hints = f2t_quartic()
+    R = regular_over(L, Subfield.from_layer(L, Ft))
+    return [(B, dict(E=N, hints=hints))
+            for B in (R,) + repeated_factor_bimodules(L, Ft)]
+
+
+ORBIT_READING_CASES = {
+    "supplied": lambda: [(P, dict(E=L))
+                         for _, P, L in supplied_group_bimodules()],
+    "biquadratic": _biquadratic,
+    "F2(t)": _f2t,
+    "x^3-2": _x3_minus_2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_READING_CASES))
+def test_gamma_values_agree_with_the_orbit_reading(name):
+    # the roots, characters and mu_L multiplicities that analyze reads
+    # off the values sigma(iota(a)) are those that _orbit, composing
+    # every iota * sigma and dividing mu_L give
+    for P, kw in ORBIT_READING_CASES[name]():
+        an = analyze(P, **kw)
+        roots, extended, in_mu = orbit_reading(an)
+        assert Counter(roots) == Counter(an.splitting.roots)
+        chars = [c for f in an.factors for c in f.characters]
+        assert [chars[r] for r in an.rho] == extended
+        # classify's multiplicity per copy of the regular bimodule
+        m_a, p = an.splitting.roots[0][1], P.field.characteristic
+        assert in_mu == [m_a // p**f.insep_exponent for f in an.factors]
+        r = P.rank // an.center.degree_in_ambient()
+        try:
+            classify(P, analysis=an)
+            regular = True
+        except ClassificationFailed:
+            regular = False
+        assert regular is all(f.multiplicity == r * m
+                              for f, m in zip(an.factors, in_mu))
 
 
 def _multiplicity_by_division(f, g):
