@@ -616,8 +616,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
     p = L.characteristic
     M = P.phi(a)
     chi = M.charpoly()   # the multiplicities, see the module docstring
-    total = 0
-    simple = True   # every supported mu_k is a simple factor of mu_L
+    descended = []   # (orbit, mu_k, e) per H-orbit
     for orbit in orbits:
         q = Polynomial.one(E)
         for i in orbit:
@@ -635,8 +634,19 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
                 )
             q = q**p
             e += 1
-        mu_k = Polynomial(L, coeffs)
-        mult = _multiplicity_in(chi, mu_k)
+        descended.append((orbit, Polynomial(L, coeffs), e))
+    # one scan divides the roots of the monic linear mu_k out of chi;
+    # the others are coprime to them and divide what is left
+    found, rest = _divide_out(
+        chi, [-mu_k.coeff(0) for _, mu_k, _ in descended if mu_k.degree == 1])
+    linear_mult = dict(found)
+    total = 0
+    simple = True   # every supported mu_k is a simple factor of mu_L
+    for orbit, mu_k, e in descended:
+        if mu_k.degree == 1:
+            mult = linear_mult.get(-mu_k.coeff(0), 0)
+        else:
+            mult = _multiplicity_in(rest, mu_k)
         # over E, mu_k is q's roots each p^e times and mu_L each m_a times
         simple = simple and (p**e == m_a or not mult)
         total += mu_k.degree * mult
@@ -787,11 +797,7 @@ class Classification:
 
 
 def _multiplicity_in(f: Polynomial, g: Polynomial) -> int:
-    """The largest m with g^m dividing f (f nonzero, g nonconstant).
-    A linear g is the root -g0/g1, divided out synthetically."""
-    if g.degree == 1:
-        found, _ = _divide_out(f, [-g.monic().coeff(0)])
-        return found[0][1] if found else 0
+    """The largest m with g^m dividing f (f nonzero, g nonconstant)."""
     m, (quotient, rest) = 0, f.divmod(g)
     while rest.is_zero():
         m, (quotient, rest) = m + 1, quotient.divmod(g)

@@ -11,9 +11,12 @@ of the images; ``FieldMorphism.key`` (``factor._elem_sort_key`` on each
 image) only orders groups and embedding lists.
 
 Every root a search finds is checked, and divided out to its full
-multiplicity, by one routine, ``_divide_out``: a synthetic division by
-x - r for each candidate r of a list, in order.  Only the candidates
-differ:
+multiplicity, by one routine, ``_divide_out``: one try of each
+candidate r of a list, in order.  A try (``_root_quotient``) runs
+Horner's rule over the nonzero coefficients only, jumping a run of
+zero coefficients by a cached power of r, and fills in the quotient by
+x - r only for a root, so a non-root of a sparse polynomial costs about
+one product per nonzero term.  Only the candidates differ:
 
 - ``_roots_in_pool`` tries a finite candidate pool (tower generators,
   their negatives, supplied hints, the roots a computed splitting field
@@ -28,7 +31,9 @@ differ:
 
 ``bimod.analyze`` searches for no root of mu: they are the values
 sigma(iota(a)) of verified maps fixing the center, and one division
-reads the multiplicity of iota(a).
+reads the multiplicity of iota(a).  One scan over the roots of the
+linear factors mu_k reads their multiplicities in the characteristic
+polynomial.
 
 The enumeration is lazy: ``_enumerate_maps`` yields each map as it
 completes it, so ``bimod.analyze``, which needs one embedding, stops at
@@ -369,8 +374,8 @@ def _divide_out(f, pool):
     """Scan ``pool`` in order and divide each root of f out to its full
     multiplicity, with no factoring.  Returns (found, remaining):
     (root, multiplicity) pairs with distinct roots, and what is left.
-    A try is one synthetic division by x - r: Horner's partial sums are
-    the quotient and, last, the value at r."""
+    A try is ``_root_quotient``: Horner's rule over the nonzero
+    coefficients only, and the quotient only for a root."""
     remaining = f
     found = []
     for r in pool:
@@ -378,17 +383,61 @@ def _divide_out(f, pool):
             break
         mult = 0
         while True:
-            sums = [remaining.coeffs[-1]]
-            for c in reversed(remaining.coeffs[:-1]):
-                sums.append(sums[-1] * r + c)
-            if sums.pop():
+            quotient = _root_quotient(f.field, remaining.coeffs, r)
+            if quotient is None:
                 break
-            remaining = Polynomial(f.field, tuple(reversed(sums)),
-                                   trusted=True)
+            remaining = Polynomial(f.field, quotient, trusted=True)
             mult += 1
         if mult:
             found.append((r, mult))
     return found, remaining
+
+
+def _root_quotient(field, coeffs, r):
+    """The coefficients of f/(x - r), for f over ``field`` with
+    ``coeffs`` (low degree first, the last one nonzero), or None when
+    f(r) != 0.
+
+    Horner's partial sums s_n = c_n, s_k = s_(k+1) r + c_k are the
+    quotient (s_1, ..., s_n) and the value s_0.  Between a nonzero c_i
+    and the next nonzero c_j, a run of g = i - j, they are s_k =
+    s_i r^(i-k), so a run costs one product, s_j = s_i r^g + c_j, with
+    the powers of r built once per try as far as the longest run so
+    far; for monic f the leading run's sums are those powers and cost
+    nothing more.  Only for a root are the sums inside the other runs
+    filled in, s_k = s_(k+1) r.
+    These are the sums synthetic division computes, in any commutative
+    ring.  A non-root costs at most n products, as synthetic division
+    does, and about one per nonzero term of a sparse f.  A root costs
+    n - 1 plus the powers past the leading run's for monic f, and n
+    plus all powers built for any other f."""
+    n = len(coeffs) - 1
+    sums = [None] * n + [coeffs[n]]
+    monic = sums[n] == field.one()
+    powers = [None, r]   # powers[m] = r^m
+    pending = []         # (i, j): runs whose inner sums wait for a root
+    i = n
+    for j in range(n - 1, -1, -1):
+        c = coeffs[j]
+        if not c and j:
+            continue
+        g = i - j
+        while len(powers) <= g:
+            powers.append(powers[-1] * r)
+        if i == n and monic:
+            sums[j + 1:n] = reversed(powers[1:g])
+            t = powers[g]
+        else:
+            t = sums[i] * powers[g]
+            pending.append((i, j))
+        sums[j] = t + c if c else t
+        i = j
+    if sums[0]:
+        return None
+    for i, j in pending:
+        for k in range(i - 1, j, -1):
+            sums[k] = sums[k + 1] * r
+    return tuple(sums[1:])
 
 
 def _orbit(f, r, maps):

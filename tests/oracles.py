@@ -18,9 +18,11 @@ and ``diagonal_character_multiset`` serve the triangularization tests.
 ``roots_in_pool`` is a second root search for ``morphisms._roots_in_pool``
 to agree with: the same pool scan, then a leftover of degree >= 2
 factored and divided by each (x - r)^m, and a linear leftover solved.
-``pool_by_key`` builds the candidate pool of ``morphisms._build_pool``
-with duplicates told apart by ``factor._elem_sort_key`` instead of by
-``==``.
+``synthetic_divide_out`` is the scan ``morphisms._divide_out`` made
+before its tries skipped zero coefficients: one synthetic division by
+x - r over every coefficient per try.  ``pool_by_key`` builds the
+candidate pool of ``morphisms._build_pool`` with duplicates told apart
+by ``factor._elem_sort_key`` instead of by ``==``.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -204,6 +206,32 @@ def roots_in_pool(f, E, pool):
     if remaining.degree == 1:
         found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
         remaining = Polynomial.one(E)
+    return found, remaining
+
+
+def synthetic_divide_out(f, pool):
+    """Scan ``pool`` in order and divide each root of f out to its full
+    multiplicity, with no factoring.  Returns (found, remaining):
+    (root, multiplicity) pairs with distinct roots, and what is left.
+    A try is one synthetic division by x - r: Horner's partial sums are
+    the quotient and, last, the value at r."""
+    remaining = f
+    found = []
+    for r in pool:
+        if remaining.degree < 1:
+            break
+        mult = 0
+        while True:
+            sums = [remaining.coeffs[-1]]
+            for c in reversed(remaining.coeffs[:-1]):
+                sums.append(sums[-1] * r + c)
+            if sums.pop():
+                break
+            remaining = Polynomial(f.field, tuple(reversed(sums)),
+                                   trusted=True)
+            mult += 1
+        if mult:
+            found.append((r, mult))
     return found, remaining
 
 
