@@ -68,6 +68,7 @@ from .matrix import Echelon, Matrix
 from .morphisms import (
     AutomorphismGroup,
     FieldMorphism,
+    _candidate_pool,
     _check_count,
     _divide_out,
     _enumerate_maps,
@@ -524,8 +525,7 @@ class BimoduleAnalysis:
 
 
 def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
-            expected_gamma=None,
-            max_degree=DEFAULT_TOWER_CAP) -> BimoduleAnalysis:
+            expected_gamma=None) -> BimoduleAnalysis:
     """Full composition-series analysis of a bimodule over its center.
 
     In computed mode a normal L is analysed in E = L: when the center
@@ -564,7 +564,7 @@ def analyze(P: Bimodule, E=None, iota_images=None, hints=(),
             E, gamma = L, group
             _check_count("automorphisms", gamma.order, expected_gamma)
     if E is None:
-        splitting = splitting_field(mu, max_degree=max_degree)
+        splitting = splitting_field(mu)
         E = splitting.field
     elif not is_layer_of(K, E):
         raise FieldMismatch(
@@ -899,6 +899,11 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
     """Bounded attempt to split the right spectra of the tower
     generators by stacking binomial extensions.
 
+    Roots are searched for in ``morphisms._candidate_pool`` of each
+    rung's field, the same pool as morphism enumeration: the tower
+    generators (the rational function variable among them) and the
+    hints with their negatives, and +- every product of two of them.
+
     This is a conservative semi-decision procedure: the lineage
     polynomials tracked for adjoined roots are upper bounds for the
     spectra, so the probe may extend further than strictly necessary,
@@ -913,7 +918,7 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
     pool elements, those involving the new generator, and only a new
     lineage polynomial meets the whole pool."""
     L = P.field
-    pool = _probe_pool(L, hints)
+    pool = _candidate_pool(L, hints)
     remainders = []
     tracked = {}
     for g in _tower_generators(L):
@@ -935,7 +940,7 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
             )
         rel, lineage = _peel_binomial(remainders[0], E, tracked, pool)
         w = extend(E, rel, "q%d" % step, max_degree=cap, validate=False)
-        pool = _probe_pool(w, hints)
+        pool = _candidate_pool(w, hints)
         fresh = [r for r in pool if any(r.coords[1:])]   # not from E
         remainders = [
             _divide_out(rem.map_coeffs(w, w.coerce), fresh)[1]
@@ -948,20 +953,6 @@ def split_probe(P: Bimodule, cap=DEFAULT_TOWER_CAP, max_steps=16,
                    for v, mu in tracked.items()}
         tracked[gen] = lineage_w
         E = w
-
-
-def _probe_pool(E, hints):
-    """Small search pool for spectrum roots: tower generators, hints,
-    their negatives, and pairwise generator products."""
-    # not _candidate_pool: its product rounds double the probe's time
-    gens = _tower_generators(E) + [E.coerce(h) for h in hints]
-    pool = []
-    for g in gens:
-        pool.extend([g, -g])
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            pool.extend([g * h, -(g * h)])
-    return pool
 
 
 def _peel_binomial(rem: Polynomial, E, tracked, pool):

@@ -54,7 +54,14 @@ from .fieldops import (
     locate_roots,
     splitting_field,
 )
-from .hopf import HopfAlgebra, lincomb, sparse_product, tensor_product
+from .hopf import (
+    HopfAlgebra,
+    basis_index,
+    lincomb,
+    sparse_product,
+    structure_table,
+    tensor_product,
+)
 from .matrix import Echelon, Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
 from .towers import (
@@ -120,9 +127,7 @@ def field_coaction(L, K, rho_gen):
         raise FieldMismatch("K must be a Hopf algebra")
     gen_image = {}
     for t, c in dict(rho_gen).items():
-        t = int(t)
-        if not 0 <= t < K.dim:
-            raise ValueError("coaction leg %d outside the Hopf basis" % t)
+        t = basis_index("coaction leg", t, K.dim)
         c = L.coerce(c)
         if c:
             gen_image[t] = c
@@ -144,13 +149,9 @@ def finite_coaction(K, mult, unit, rho):
     n = len(unit)
     if len(rho) != n:
         raise ValueError("rho must list one image per algebra basis element")
-    table = {}
-    for (i, j), terms in dict(mult).items():
-        cleaned = lincomb((int(k), F.coerce(c)) for k, c in terms)
-        if cleaned:
-            table[(int(i), int(j))] = tuple(sorted(cleaned.items()))
-    return FiniteCoaction(K, F, table, unit, [
-        lincomb(((int(t), int(i)), F.coerce(c))
+    return FiniteCoaction(K, F, structure_table(F, mult, n), unit, [
+        lincomb(((basis_index("rho algebra", t, n),
+                  basis_index("rho Hopf", i, K.dim)), F.coerce(c))
                 for (t, i), c in dict(rho[s]).items())
         for s in range(n)
     ])

@@ -25,10 +25,6 @@ class DegreeBound(GalbimError):
     """A degree cap (factorization or tower construction) was exceeded."""
 
 
-class ClosureBound(GalbimError):
-    """Group closure exceeded the configured element bound."""
-
-
 class NotAHomomorphism(GalbimError):
     """Proposed generator images violate a defining relation."""
 

@@ -37,7 +37,6 @@ from .morphisms import (
 )
 from .poly import Polynomial
 from .towers import (
-    DEFAULT_TOWER_CAP,
     ExtensionField,
     algebraic_degree,
     chain,
@@ -270,9 +269,7 @@ class SplittingData:
     minimal: object  # True | None
 
 
-def splitting_field(
-    f: Polynomial, max_degree: int = DEFAULT_TOWER_CAP
-) -> SplittingData:
+def splitting_field(f: Polynomial) -> SplittingData:
     """Build a splitting field of f over its coefficient field by
     repeatedly adjoining a root of a nonlinear irreducible factor.
 
@@ -287,12 +284,12 @@ def splitting_field(
     new field, so f itself is factored once, over its coefficient
     field.  The tower and the root order are those of refactoring f
     over every layer.  When the field is new (never f's own coefficient
-    field), the roots are recorded on it, and ``morphisms._build_pool``
-    seeds its candidate pool with them.
+    field), the roots are recorded on it, and
+    ``morphisms._candidate_pool`` seeds its pool with them.
 
     Supported for coefficient towers over the rationals or a prime
     field (anything factor_poly handles); raises DegreeBound when the
-    tower would outgrow the cap."""
+    tower would outgrow ``DEFAULT_TOWER_CAP``."""
     roots, unsplit = [], []
 
     def sort_in(h, mult):
@@ -313,9 +310,7 @@ def splitting_field(
         unsplit.sort(key=lambda pair: _poly_sort_key(pair[0]))
         (g, mult), rest = unsplit[0], unsplit[1:]
         counter += 1
-        E = extend(
-            E, g, "r%d" % counter, max_degree=max_degree, validate=False,
-        )
+        E = extend(E, g, "r%d" % counter, validate=False)
         unsplit.clear()
         found, cofactor = _conjugates(g.map_coeffs(E, E.coerce), E.gen())
         roots.extend((y, mult * m) for y, m in found)

@@ -18,7 +18,9 @@ Sparse elements, here and in ``coact``, are dicts from a basis key to
 a nonzero coefficient; a missing key means zero.  ``lincomb`` enforces
 that convention: every sparse sum goes through it, and so do the
 products on structure constants built from it, ``sparse_product`` and
-``tensor_product``.
+``tensor_product``.  Structure constants given by a caller, here and
+in ``coact.finite_coaction``, are normalised and range-checked once,
+by ``structure_table``.
 
 The antipode is never guessed: when not supplied it is derived from
 its defining identity by forward substitution along the coproduct
@@ -48,6 +50,31 @@ def lincomb(terms):
         else:
             out[key] = c
     return {key: c for key, c in out.items() if c}
+
+
+def basis_index(what, i, dim):
+    """int(i), or ValueError naming it when it is not a basis index of
+    a dim-dimensional algebra."""
+    i = int(i)
+    if not 0 <= i < dim:
+        raise ValueError("%s index %d outside range(%d)" % (what, i, dim))
+    return i
+
+
+def structure_table(field, mult, dim):
+    """The structure constants ``mult`` of a dim-dimensional algebra
+    over ``field``, normalised: (i, j) -> ((k, c), ...) with the c
+    coerced and summed by ``lincomb``, sorted by k, and the pairs whose
+    product vanishes dropped.  Every i, j and product index k is
+    checked by ``basis_index``."""
+    table = {}
+    for (i, j), terms in dict(mult).items():
+        i, j = basis_index("factor", i, dim), basis_index("factor", j, dim)
+        terms = lincomb((basis_index("product", k, dim), field.coerce(c))
+                        for k, c in terms)
+        if terms:
+            table[(i, j)] = tuple(sorted(terms.items()))
+    return table
 
 
 def sparse_product(mult, x, y):
@@ -85,19 +112,14 @@ class HopfAlgebra:
         self.names = list(names)
         d = len(self.names)
         self.dim = d
-        table = {}
-        for (i, j), terms in mult.items():
-            if not (0 <= i < d and 0 <= j < d):
-                raise ValueError("multiplication table index out of range")
-            nt = lincomb((k, field.coerce(c)) for k, c in terms)
-            if nt:
-                table[(i, j)] = tuple(sorted(nt.items()))
-        self.mult = table
+        self.mult = structure_table(field, mult, d)
         if len(coprod) != d:
             raise ValueError("need one coproduct entry per basis element")
         self.coprod = [
             tuple((j, k, c) for (j, k), c in sorted(lincomb(
-                ((j, k), field.coerce(c)) for j, k, c in terms
+                ((basis_index("coproduct leg", j, d),
+                  basis_index("coproduct leg", k, d)), field.coerce(c))
+                for j, k, c in terms
             ).items()))
             for terms in coprod
         ]

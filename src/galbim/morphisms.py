@@ -18,16 +18,18 @@ zero coefficients by a cached power of r, and fills in the quotient by
 x - r only for a root, so a non-root of a sparse polynomial costs about
 one product per nonzero term.  Only the candidates differ:
 
-- ``_roots_in_pool`` tries a finite candidate pool (tower generators,
-  their negatives, supplied hints, the roots a computed splitting field
-  recorded on its field, and two rounds of pairwise products), then
-  the roots ``factor.roots_in_coefficient_field`` gives for what is
-  left, where the field allows it.  Morphism enumeration backtracks
-  over layer generators and takes each generator's images from it;
+- ``_roots_in_pool`` tries the candidate pool (``_candidate_pool``:
+  the tower generators and supplied hints with their negatives, the
+  roots a computed splitting field recorded on its field, and +- the
+  product of every two of the generators and hints), then the roots
+  ``factor.roots_in_coefficient_field`` gives for what is left, where
+  the field allows it.  Morphism enumeration backtracks over layer
+  generators and takes each generator's images from it;
   ``fieldops.locate_roots`` is the same call.
 - ``_orbit`` tries the images of the roots found so far under known
   maps: ``fieldops.splitting_field`` (``_conjugates``) searches no pool.
-- ``bimod.split_probe`` tries its own, smaller pool and never factors.
+- ``bimod.split_probe`` scans the same pool, one per rung, and never
+  factors.
 
 ``bimod.analyze`` searches for no root of mu: they are the values
 sigma(iota(a)) of verified maps fixing the center, and one division
@@ -52,7 +54,6 @@ by each generator is closed under composition.
 from __future__ import annotations
 
 from .errors import (
-    ClosureBound,
     FieldMismatch,
     NotAHomomorphism,
     NotASubgroup,
@@ -63,7 +64,6 @@ from .errors import (
 from .factor import _elem_sort_key, roots_in_coefficient_field
 from .poly import Polynomial
 from .towers import (
-    ExtensionField,
     RationalFunctionField,
     broken_relation,
     chain,
@@ -71,8 +71,6 @@ from .towers import (
     generator_layers,
     is_layer_of,
 )
-
-CLOSURE_BOUND = 1024
 
 
 class FieldMorphism:
@@ -265,24 +263,17 @@ class AutomorphismGroup:
         )
 
     def subgroup_closure(self, indices):
+        """The sorted indices of the subgroup the given elements
+        generate: the identity's orbit under right multiplication by
+        them, a finite set closed under products."""
         tab = self.table()
-        out = {0}
-        out.update(indices)
-        frontier = list(out)
-        while frontier:
-            new = []
-            for i in frontier:
-                for j in list(out):
-                    for k in (tab[i][j], tab[j][i]):
-                        if k not in out:
-                            out.add(k)
-                            new.append(k)
-                if len(out) > CLOSURE_BOUND:
-                    raise ClosureBound(
-                        "subgroup closure exceeded %d elements"
-                        % CLOSURE_BOUND
-                    )
-            frontier = new
+        gens = set(indices)
+        out = [0]
+        for p in out:   # the BFS queue, grown while it is read
+            for g in gens:
+                k = tab[p][g]
+                if k not in out:
+                    out.append(k)
         return sorted(out)
 
     def is_subgroup(self, indices) -> bool:
@@ -326,48 +317,37 @@ def _candidate_pool(field, hints):
     ``fieldops.cached_basis`` so one analysis builds it once and it is
     freed together with its tower.
 
-    A splitting field that ``fieldops.splitting_field`` builds carries
-    its roots (``_split_roots``); they are seeded right after the
-    hints, so the automorphisms and embeddings of a splitting field are
-    found by the scan without refactoring.  The seed moves where a root
-    is found, not which roots there are: groups and embedding lists,
-    sorted by key, are unchanged, while ``locate_roots`` lists roots in
-    scan order.  ``analyze`` scans the pool for Gamma and iota only: the
-    roots of mu are the Gamma-values of iota(a)."""
+    The entries are the generators of the generator layers, bottom
+    first (a rational function layer gives its variable), then the
+    hints, each followed by its negative; then the roots a splitting
+    field that ``fieldops.splitting_field`` built recorded on itself
+    (``_split_roots``), so the automorphisms and embeddings of a
+    splitting field are found by the scan without refactoring; then
+    +-g*h for every pair of distinct entries g, h of generators and
+    hints.  The seeded roots move where a root is found, not which
+    roots there are: groups and embedding lists, sorted by key, are
+    unchanged, while ``locate_roots`` lists roots in scan order.
+    ``analyze`` scans the pool for Gamma and iota only: the roots of mu
+    are the Gamma-values of iota(a)."""
     hints = tuple(field.coerce(h) for h in hints)
     cache = vars(field).setdefault("_pool_cache", {})
     if hints not in cache:
-        cache[hints] = _build_pool(field, hints)
-    return cache[hints]
-
-
-def _build_pool(field, hints):
-    gens = []
-    for layer in chain(field):
-        if isinstance(layer, ExtensionField):
-            gens.append(field.coerce(layer.gen()))
-    pool = {}   # insertion-ordered set: the first of equal elements
-    add = pool.setdefault
-
-    for g in gens:
-        add(g)
-        add(-g)
-    for h in hints:
-        add(h)
-        add(-h)
-    for r in vars(field).get("_split_roots", ()):
-        add(r)
-    # two rounds of products against the generators
-    for _ in range(2):
-        current = list(pool)
-        for a in current:
-            for g in gens:
-                if len(pool) >= 4000:
-                    break
-                p = a * g
+        gens = [field.coerce(layer.gen())
+                for layer in generator_layers(field)] + list(hints)
+        pool = {}   # insertion-ordered set: the first of equal elements
+        add = pool.setdefault
+        for g in gens:
+            add(g)
+            add(-g)
+        for r in vars(field).get("_split_roots", ()):
+            add(r)
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                p = g * h
                 add(p)
                 add(-p)
-    return tuple(pool)
+        cache[hints] = tuple(pool)
+    return cache[hints]
 
 
 def _divide_out(f, pool):

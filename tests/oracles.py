@@ -21,8 +21,10 @@ factored and divided by each (x - r)^m, and a linear leftover solved.
 ``synthetic_divide_out`` is the scan ``morphisms._divide_out`` made
 before its tries skipped zero coefficients: one synthetic division by
 x - r over every coefficient per try.  ``pool_by_key`` builds the
-candidate pool of ``morphisms._build_pool`` with duplicates told apart
-by ``factor._elem_sort_key`` instead of by ``==``.
+candidate pool of ``morphisms._candidate_pool`` (generators and hints
+with their negatives, recorded splitting roots, +- their pairwise
+products) with duplicates told apart by ``factor._elem_sort_key``
+instead of by ``==``.
 
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
@@ -60,7 +62,7 @@ from galbim.hopf import lincomb, sparse_product, tensor_product
 from galbim.matrix import Matrix
 from galbim.morphisms import _divide_out, _orbit
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
-from galbim.towers import ExtensionField, chain
+from galbim.towers import chain
 
 
 def mat_is_semisimple(M: Matrix) -> bool:
@@ -237,30 +239,27 @@ def synthetic_divide_out(f, pool):
 
 def pool_by_key(field, hints):
     """The candidate pool of ``field`` for these hints, as a tuple: the
-    tower generators, the hints, the field's recorded splitting roots,
-    each with its negative, then two rounds of products against the
-    generators (capped at 4000 elements), keeping the first element of
+    generators of every layer above the bottom (a rational function
+    variable among them) and the hints, each with its negative, the
+    field's recorded splitting roots, then +-g*h for every two distinct
+    entries g, h of generators and hints, keeping the first element of
     each ``_elem_sort_key``."""
-    gens = [field.coerce(layer.gen()) for layer in chain(field)
-            if isinstance(layer, ExtensionField)]
+    xs = [field.coerce(layer.gen()) for layer in chain(field)[1:]]
+    xs += [field.coerce(h) for h in hints]
     pool = {}
 
     def add(x):
         pool.setdefault(_elem_sort_key(x), x)
 
-    for x in gens + [field.coerce(h) for h in hints]:
+    for x in xs:
         add(x)
         add(-x)
     for r in vars(field).get("_split_roots", ()):
         add(r)
-    for _ in range(2):
-        for a in list(pool.values()):
-            for g in gens:
-                if len(pool) >= 4000:
-                    break
-                p = a * g
-                add(p)
-                add(-p)
+    for i, g in enumerate(xs):
+        for h in xs[i + 1:]:
+            add(g * h)
+            add(-(g * h))
     return tuple(pool.values())
 
 

@@ -655,7 +655,7 @@ def test_normal_over_a_rational_function_field():
 def test_normal_quartic_over_a_rational_function_field():
     # L = Q(i)(t)[a]/(a^4 - t) is normal over Q(i)(t): Aut(L) sends a
     # to a, -a, i*a and -i*a, and i*a is a product of two generators,
-    # which only the candidate pool's product rounds supply
+    # which only the candidate pool's pairwise products supply
     Qi = extend(QQ, Polynomial(QQ, [1, 0, 1]), "i")
     Ft = RationalFunctionField(Qi, "t")
     L = extend(Ft, Polynomial(Ft, [-Ft.gen()] + [Ft.zero()] * 3 + [Ft.one()]),

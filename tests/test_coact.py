@@ -18,6 +18,7 @@ from galbim.errors import (
 from galbim.fieldbase import QQ
 from galbim.fieldops import min_poly_over
 from galbim.hopf import (
+    HopfAlgebra,
     action_to_coaction,
     adjoint_action,
     dual,
@@ -439,6 +440,59 @@ def test_finite_coaction_violations():
         co.verify_coaction(bad)
     with pytest.raises(ValueError, match="one image"):
         co.finite_coaction(K, DIAG_MULT, [1, 1], [{}])
+
+
+def _one_dim_hopf(mult=None, coprod=None):
+    # Q as a Hopf algebra on the basis {1}
+    return HopfAlgebra(QQ, ["1"], mult or {(0, 0): ((0, 1),)},
+                       coprod or [((0, 0, 1),)], counit=[1], unit=[1])
+
+
+def _one_dim_coaction(mult=None, rho=None):
+    # the trivial coaction of functions on Z2 on the algebra Q
+    return co.finite_coaction(fun_z2_hopf(), mult or {(0, 0): ((0, 1),)},
+                              [1], rho or [{(0, 0): 1, (0, 1): 1}])
+
+
+BAD_INDEX_CASES = {
+    "hopf factor i": (lambda: _one_dim_hopf(mult={(1, 0): ((0, 1),)}),
+                      "factor index 1"),
+    "hopf factor j": (lambda: _one_dim_hopf(mult={(0, -1): ((0, 1),)}),
+                      "factor index -1"),
+    "hopf product k": (lambda: _one_dim_hopf(mult={(0, 0): ((2, 1),)}),
+                       "product index 2"),
+    "hopf first leg": (lambda: _one_dim_hopf(coprod=[((4, 0, 1),)]),
+                       "coproduct leg index 4"),
+    "hopf second leg": (lambda: _one_dim_hopf(coprod=[((0, 4, 1),)]),
+                        "coproduct leg index 4"),
+    "algebra factor j": (
+        lambda: _one_dim_coaction(mult={(0, 1): ((0, 1),)}),
+        "factor index 1"),
+    "algebra product k": (
+        lambda: _one_dim_coaction(mult={(0, 0): ((0, 1), (3, 1))}),
+        "product index 3"),
+    "rho algebra key": (lambda: _one_dim_coaction(rho=[{(1, 0): 1}]),
+                        "rho algebra index 1"),
+    "rho Hopf key": (lambda: _one_dim_coaction(rho=[{(0, 2): 1}]),
+                     "rho Hopf index 2"),
+    "field coaction leg": (
+        lambda: co.field_coaction(extend(QQ, Polynomial(QQ, [1, 0, 1]), "i"),
+                                  fun_z2_hopf(), {2: 1}),
+        "coaction leg index 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INDEX_CASES))
+def test_structure_indices_are_range_checked(name):
+    # each case is a valid structure with one index moved out of range
+    build, message = BAD_INDEX_CASES[name]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_one_dimensional_structures_are_valid():
+    assert _one_dim_hopf().dim == 1
+    co.verify_coaction(_one_dim_coaction())
 
 
 def nichols_mat4_rep():

@@ -416,6 +416,25 @@ def test_morphism_identity_agrees_with_key(name):
             _check_identity(product, entry)
 
 
+@pytest.mark.parametrize("name", ["quartic", "x^3-2"])
+def test_subgroup_closure_matches_exhaustive_closure(name):
+    # every subset of the group, closed by multiplying all pairs of the
+    # exactly composed table until nothing new appears
+    G = (_quartic_gamma() if name == "quartic"
+         else automorphisms_over(GROUP_FIELDS[name](), QQ))
+    assert G.order == {"quartic": 8, "x^3-2": 6}[name]
+    tab = composition_table(G)
+    for mask in range(1 << G.order):
+        subset = [i for i in range(G.order) if mask >> i & 1]
+        closed = {0, *subset}
+        while True:
+            grown = closed | {tab[i][j] for i in closed for j in closed}
+            if grown == closed:
+                break
+            closed = grown
+        assert G.subgroup_closure(subset) == sorted(closed)
+
+
 # ------------------------------------------------------------- fieldops
 
 
@@ -668,11 +687,11 @@ def test_roots_in_pool_completes_a_linear_leftover():
     Qt = RationalFunctionField(QQ, "t")
     t = Qt.gen()
     x = Polynomial.x(Qt)
-    f = (x - 1) ** 2 * (x - t)
+    f = (x - 1) ** 2 * (x - t - 1)
     with pytest.raises(UnsupportedBase):
         roots_in_coefficient_field(f)
     found, remaining = _roots_in_pool(f, _candidate_pool(Qt, [1]))
-    assert found == [(Qt.one(), 2), (t, 1)]
+    assert found == [(Qt.one(), 2), (t + 1, 1)]
     assert remaining.degree == 0
     assert locate_roots(f, Qt, hints=[1]) == found
 
@@ -689,10 +708,10 @@ def test_roots_in_pool_reports_what_it_missed():
     Qt = RationalFunctionField(QQ, "t")
     t = Qt.gen()
     x = Polynomial.x(Qt)
-    f = (x - 1) * (x - t) * (x + t)
+    f = (x - 1) * (x - t - 1) * (x + t + 1)
     found, remaining = _roots_in_pool(f, _candidate_pool(Qt, [1]))
     assert found == [(Qt.one(), 1)]
-    assert remaining == x**2 - t**2
+    assert remaining == x**2 - (t + 1)**2
     with pytest.raises(ResolutionError, match="2 degrees unaccounted"):
         locate_roots(f, Qt, hints=[1])
 
