@@ -146,7 +146,7 @@ class Bimodule:
     def _verify(self):
         nonscalar = [
             M for M in self.images.values()
-            if not _is_scalar_value(M, M.rows[0][0])
+            if M != self._scalar(M.rows[0][0])
         ]
         for i, A in enumerate(nonscalar):
             for B in nonscalar[i + 1:]:
@@ -169,7 +169,7 @@ class Bimodule:
             )
         if self.base is not None:
             for e in _base_elements(self.field, self.base):
-                if not _is_scalar_value(self.phi(e), self.field.coerce(e)):
+                if self.phi(e) != self._scalar(e):
                     raise NotAHomomorphism(
                         "declared base field is not central in the action"
                     )
@@ -213,7 +213,7 @@ class Bimodule:
             linear = True
             for layer in generator_layers(f0):
                 g = self.field.coerce(layer.gen())
-                if not _is_scalar_value(self.phi(g), g):
+                if self.phi(g) != self._scalar(g):
                     linear = False
                     break
             if not linear:
@@ -238,20 +238,6 @@ def _blockwise(Q, A):
     return Matrix.from_blocks(Q.field, [
         [Q.phi(e) if e else zero for e in row] for row in A.rows
     ])
-
-
-def _is_scalar_value(M: Matrix, value) -> bool:
-    d = M.nrows
-    for i in range(d):
-        for j in range(d):
-            want = value if i == j else None
-            e = M.rows[i][j]
-            if want is None:
-                if e:
-                    return False
-            elif e != want:
-                return False
-    return True
 
 
 def _base_elements(field, base):

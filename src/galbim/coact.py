@@ -462,9 +462,8 @@ def bimodule_from_coaction(C):
         raise AxiomViolation(
             "the bimodule center does not match the invariant subfield"
         )
-    ident = Matrix.identity(L, d)
     for a in inv:
-        if P.phi(a) != ident.scale(a):
+        if P.phi(a) != P._scalar(a):
             raise AxiomViolation(
                 "an invariant element fails to be central in the bimodule"
             )

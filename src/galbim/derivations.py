@@ -189,11 +189,8 @@ def contains_m_of_d(P: Bimodule, D: Derivation):
     if P.field is not D.field:
         raise FieldMismatch("bimodule and derivation fields differ")
     L = P.field
-    d = P.rank
     gens = _tower_generators(L)
-    shifted = [
-        P.phi(g) - Matrix.identity(L, d).scale(g) for g in gens
-    ]
+    shifted = [P.phi(g) - P._scalar(g) for g in gens]
     W = stack_kernel(shifted)
     if D.is_zero():
         if len(W) >= 2:

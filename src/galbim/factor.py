@@ -253,14 +253,7 @@ def _zassenhaus(coeffs):
     for cand in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 2):
         if lc % cand == 0:
             continue
-        field = GF(cand)
-        fp = Polynomial(field, monic)
-        if fp.degree != n:
-            continue
-        d = fp.derivative()
-        if d.is_zero():
-            continue
-        if poly_gcd(fp, d).is_constant():
+        if _is_squarefree(Polynomial(GF(cand), monic)):
             p = cand
             break
     if p is None:

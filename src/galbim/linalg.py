@@ -39,7 +39,7 @@ def joint_eigenspace(mats, lams) -> list:
     field = mats[0].field
     n = mats[0].nrows
     shifted = [
-        M - Matrix.identity(field, n).scale(field.coerce(lam))
+        M - Matrix.diagonal(field, [lam] * n)
         for M, lam in zip(mats, lams)
     ]
     return stack_kernel(shifted)

@@ -4,10 +4,12 @@ Rows are tuples of field elements.  Vectors are plain Python lists and
 matrices act on them from the left (column convention), so the right
 kernel is {v : M v = 0}.  ``Echelon``, a span grown one vector at a
 time, is the one Gaussian elimination: ``rref``, ``rank``, ``kernel``,
-``solve``, ``/``, ``inverse``, ``det`` and ``minpoly`` all read their
-answers off one, as do membership and coordinates in a span.
-Characteristic polynomials go through a Hessenberg reduction, which is
-a similarity transform rather than a solve.
+``solve``, ``/``, ``inverse``, ``det``, ``charpoly`` and ``minpoly``
+all read their answers off one, as do membership and coordinates in a
+span.  ``charpoly`` grows one span from the Krylov chains of the
+standard vectors and multiplies the chains' companion blocks;
+``minpoly`` keeps one span per chain and takes the lcm of the chains'
+relations.
 """
 
 from __future__ import annotations
@@ -380,54 +382,33 @@ class Matrix:
     # ------------------------------------------- characteristic structure
 
     def charpoly(self):
-        """Monic characteristic polynomial det(x I - M)."""
+        """Monic characteristic polynomial det(x I - M), from Krylov
+        chains in one ``Echelon``.  Each e_i outside the span so far
+        starts a chain v, Mv, M^2 v, ..., inserted until some M^k v is
+        inside; its coordinates on the chain's own k vectors give the
+        block x^k - sum c_j x^j.  In the basis of all chain vectors M is
+        block upper triangular with these companion blocks, so the
+        characteristic polynomial is their product (Keller-Gehrig,
+        "Fast algorithms for the characteristic polynomial", 1985)."""
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.nrows
         field = self.field
-        if n == 0:
-            return Polynomial.one(field)
-        H = [list(r) for r in self.rows]
-        # similarity reduction to upper Hessenberg form
-        for j in range(n - 2):
-            pivot = None
-            for i in range(j + 1, n):
-                if H[i][j]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != j + 1:
-                H[j + 1], H[pivot] = H[pivot], H[j + 1]
-                for row in H:
-                    row[j + 1], row[pivot] = row[pivot], row[j + 1]
-            inv = field.one() / H[j + 1][j]
-            for r in range(j + 2, n):
-                if H[r][j]:
-                    f = H[r][j] * inv
-                    Hr, Hj = H[r], H[j + 1]
-                    H[r] = [
-                        Hr[k] - f * Hj[k] if Hj[k] else Hr[k]
-                        for k in range(n)
-                    ]
-                    for row in H:
-                        if row[r]:
-                            row[j + 1] = row[j + 1] + f * row[r]
-        # p_k = (x - H[k-1][k-1]) p_{k-1} - sum over trailing products
-        x = Polynomial.x(field)
-        p = [Polynomial.one(field)]
-        for k in range(1, n + 1):
-            term = (x - Polynomial.constant(field, H[k - 1][k - 1])) * p[k - 1]
-            prod = field.one()
-            for m in range(1, k):
-                prod = prod * H[k - m][k - m - 1]
-                if not prod:
-                    break
-                c = H[k - m - 1][k - 1]
-                if c:
-                    term = term - (p[k - m - 1] * (c * prod))
-            p.append(term)
-        return p[n]
+        zero, one = field.zero(), field.one()
+        chi = Polynomial.one(field)
+        span = Echelon(field)
+        for i in range(n):
+            if len(span.rows) == n:
+                break
+            v = [zero] * n
+            v[i] = one
+            start = len(span.rows)
+            while span.insert(v) is not None:
+                v = self.mul_vec(v)
+            if len(span.rows) > start:
+                chi = chi * Polynomial(field, [
+                    -c for c in span.coords(v)[start:]] + [one])
+        return chi
 
     def minpoly(self):
         """Monic minimal polynomial via Krylov chains."""

@@ -187,7 +187,7 @@ class ExtElement:
         f = self.field
         if f._exp is not None:
             return f._sum(f._zero, self, f._half)
-        return ExtElement(f, tuple(-a for a in self.coords))
+        return ExtElement(f, tuple(-a if a else a for a in self.coords))
 
     def __sub__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:

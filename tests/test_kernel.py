@@ -281,6 +281,12 @@ def test_charpoly_matches_leibniz_oracle():
         for _ in range(6):
             M = rand_matrix(rng, QQ, n, rand_fraction)
             assert M.charpoly() == oracle_charpoly(M)
+    # more than one Krylov chain: zero, scalar, nilpotent, non-cyclic
+    jordan = [[int(c == r + 1) for c in range(4)] for r in range(4)]
+    for M in (Matrix.zeros(QQ, 3), Matrix.diagonal(QQ, [5] * 3),
+              Matrix(QQ, jordan), Matrix.diagonal(QQ, [1, 2, 2])):
+        assert M.charpoly() == oracle_charpoly(M)
+    assert Matrix.identity(QQ, 0).charpoly() == Polynomial.one(QQ)
 
 
 def test_charpoly_of_companion_is_the_polynomial():

@@ -287,6 +287,8 @@ def test_minpoly_matches_sympy(name):
         mu = M.minpoly()
         assert [convert(c) for c in reversed(mu.coeffs)] == \
             _sympy_minpoly(S, domain)
+        assert [convert(c) for c in reversed(M.charpoly().coeffs)] == \
+            S.charpoly()
         proper += mu.degree < n
     assert proper >= 3
 

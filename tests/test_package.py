@@ -210,8 +210,9 @@ def _unpassed_parameters(defining, calling):
     """Defaulted parameters of the public functions and methods of
     public classes in the ``defining`` trees that no call in the
     ``calling`` trees passes, as (module, line, function, parameter).
-    Calls match by function name; a call with ``*args`` passes every
-    positional parameter and one with ``**kw`` every parameter."""
+    Calls match by function name and pass only what they spell out:
+    the positions before any ``*args`` and the explicit keywords, so a
+    call that forwards ``*args`` or ``**kw`` passes nothing more."""
     passed = collections.defaultdict(set)
     for tree in calling:
         for call in ast.walk(tree):
@@ -219,10 +220,11 @@ def _unpassed_parameters(defining, calling):
                 continue
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
             got = passed[name]
-            got.update(range(len(call.args)))
-            if any(isinstance(a, ast.Starred) for a in call.args):
-                got.add("*")
-            got.update(k.arg or "**" for k in call.keywords)
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                got.add(i)
+            got.update(k.arg for k in call.keywords if k.arg)
 
     def defaults(fn, method):
         args = fn.args
@@ -250,8 +252,8 @@ def _unpassed_parameters(defining, calling):
                 continue
             got = passed[fn.name]
             for arg, position in defaults(fn, method):
-                if not {arg, "**"} & got and (
-                        position is None or not {position, "*"} & got):
+                if arg not in got and (
+                        position is None or position not in got):
                     unpassed.append((module, fn.lineno, fn.name, arg))
     return sorted(unpassed)
 
@@ -283,5 +285,6 @@ def test_unpassed_parameter_guard_sees_uses():
     ]
     assert _unpassed_parameters(defining, calling) == [
         ("a.py", 1, "f", "kw"), ("a.py", 1, "f", "unused"),
+        ("a.py", 2, "g", "x"), ("a.py", 3, "h", "x"),
         ("a.py", 6, "m", "y"), ("a.py", 8, "s", "y"),
     ]
