@@ -4,7 +4,7 @@ A coaction rho: A -> A (x) K makes A a K-comodule algebra.  The
 invariants A^K = {a : rho(a) = a (x) 1} form a subalgebra, and A (x) K
 carries a bimodule structure over A whose center recovers the
 invariants; central elements of A are integral over the invariants,
-with an exact certificate read off a matrix minimal polynomial.
+with an exact certificate read off one Krylov chain in A (x) K.
 
 Three shapes of comodule algebra are supported, each its own record:
 
@@ -64,6 +64,7 @@ from .hopf import (
 )
 from .matrix import Echelon, Matrix
 from .morphisms import AutomorphismGroup, automorphisms_over, identity_morphism
+from .poly import Polynomial
 from .towers import (
     ExtensionField,
     algebraic_degree,
@@ -81,6 +82,7 @@ class FieldCoaction:
     rho_gen: dict
     _bimodule: Bimodule = dataclasses.field(default=None, init=False)
     _invariants: list = dataclasses.field(default=None, init=False)
+    _powers: list = dataclasses.field(default_factory=list, init=False)
 
     @property
     def base(self):
@@ -189,30 +191,28 @@ def _tk_const(C, a):
     return lincomb((t, a * w) for t, w in enumerate(C.hopf.unit) if w)
 
 
-def _at_rho_gen(C, coeffs):
-    """sum_j coeffs[j] rho(z)^j by Horner, for z the tower generator."""
-    acc = {}
-    for c in reversed(coeffs):
-        acc = lincomb([
-            *_tk_mul(C, acc, C.rho_gen).items(), *_tk_const(C, c).items()
-        ])
-    return acc
-
-
 def _rho_powers(C, count):
-    """[rho(z)^0, ..., rho(z)^(count - 1)] for z the tower generator."""
-    powers = [_tk_const(C, C.field.one())]
-    for _ in range(count - 1):
-        powers.append(_tk_mul(C, powers[-1], C.rho_gen))
+    """rho(z)^0, rho(z)^1, ... as cached on C, extended to ``count``."""
+    powers = C._powers
+    while len(powers) < count:
+        powers.append(_tk_mul(C, powers[-1], C.rho_gen) if powers
+                      else _tk_const(C, C.field.one()))
     return powers
+
+
+def _at_rho_gen(C, coeffs):
+    """sum_j coeffs[j] rho(z)^j, base multiples of the cached powers."""
+    powers = _rho_powers(C, len(coeffs))
+    return lincomb((t, c * w) for c, power in zip(coeffs, powers) if c
+                   for t, w in power.items())
 
 
 def coact_element(C, a):
     """rho(a) for any element of L, as a sparse L (x) K dictionary.
 
     rho is the unique algebra map over the base sending the generator
-    to the stored image, so this is Horner evaluation of the coordinate
-    polynomial of ``a`` at that image.
+    to the stored image, so rho(a) = sum_j c_j rho(z)^j for the
+    coordinates c_j of ``a`` over the base.
     """
     if not isinstance(C, FieldCoaction):
         raise UnsupportedBase("coact_element needs a FieldCoaction")
@@ -546,22 +546,20 @@ def verify_psi_xi_tau(C):
         raise AxiomViolation("psi and xi are not mutually inverse")
 
     rho_pow = _rho_powers(C, n + 1)
+    # tau(1 (x) (z^j (x) k_s)) = (1 (x) k_s) rho(z)^j
+    unit_images = {(s, j): _tk_mul(C, {s: L.one()}, rho_pow[j])
+                   for s in range(d) for j in range(n + 1)}
     # moving rho(z) across the middle tensor must match multiplying it in
-    well = True
-    for s in range(d):
-        for j in range(n):
-            lhs = _tk_mul(C, _tk_mul(C, {s: L.one()}, C.rho_gen), rho_pow[j])
-            rhs = _tk_mul(C, {s: L.one()}, rho_pow[j + 1])
-            if lhs != rhs:
-                well = False
+    well = all(_tk_mul(C, unit_images[s, 1], rho_pow[j])
+               == unit_images[s, j + 1] for s in range(d) for j in range(n))
 
     # tau on z^i (x) (z^j (x) k_s), in (i, s, j) order
     linear = True
     images = []
     for zi, s, j in iproduct(z_pows, range(d), range(n)):
         image = _tk_mul(C, {s: zi}, rho_pow[j])
-        unit_image = _tk_mul(C, {s: L.one()}, rho_pow[j])
-        if image != lincomb((t, zi * c) for t, c in unit_image.items()):
+        if image != lincomb((t, zi * c)
+                            for t, c in unit_images[s, j].items()):
             linear = False
         images.append(image)
 
@@ -612,9 +610,11 @@ class IntegralityCertificate:
 def integrality_certificate(C, z):
     """Certificate that ``z`` is integral over the invariant subfield.
 
-    The minimal polynomial of the bimodule image of z is computed over
-    L, then each coefficient is tested for invariance under the
-    coaction and for membership in the declared base.  A coefficient
+    The bimodule image of z is right multiplication by rho(z) in the
+    unital L-algebra L (x) K, so its minimal polynomial over L is that
+    of rho(z): the first dependence in the chain 1 (x) 1, rho(z), ...
+    Each coefficient is then tested for invariance under the coaction
+    and for membership in the declared base.  A coefficient
     leaving the invariants is reported through the ``failure`` field
     rather than raised: that outcome is the expected one on fixtures
     violating the integrality hypotheses.
@@ -625,8 +625,12 @@ def integrality_certificate(C, z):
         )
     L = C.field
     z = L.coerce(z)
-    P = bimodule_from_coaction(C)
-    mu = P.phi(z).minpoly()
+    bimodule_from_coaction(C)   # checks the center against the invariants
+    chain, power, rz = Echelon(L), _tk_const(C, 1), coact_element(C, z)
+    while (rel := chain.insert_or_coords(
+            [power.get(t, L.zero()) for t in range(C.hopf.dim)], 0)) is None:
+        power = _tk_mul(C, power, rz)
+    mu = Polynomial(L, [-a for a in rel] + [L.one()])
     monic = mu.leading() == L.one()
     annihilates = not mu.evaluate(z)
     escapes = []

@@ -403,11 +403,10 @@ class Matrix:
             v = [zero] * n
             v[i] = one
             start = len(span.rows)
-            while span.insert(v) is not None:
+            while (c := span.insert_or_coords(v, start)) is None:
                 v = self.mul_vec(v)
-            if len(span.rows) > start:
-                chi = chi * Polynomial(field, [
-                    -c for c in span.coords(v)[start:]] + [one])
+            if c:
+                chi = chi * Polynomial(field, [-a for a in c] + [one])
         return chi
 
     def minpoly(self):
@@ -433,9 +432,9 @@ class Matrix:
             v = e
             while True:
                 v = self.mul_vec(v)
-                if chain.insert(v) is None:
+                if (c := chain.insert_or_coords(v, 0)) is not None:
                     mu = poly_lcm(mu, Polynomial(
-                        field, [-c for c in chain.coords(v)] + [one]))
+                        field, [-a for a in c] + [one]))
                     break
                 seen.insert(v)
             if mu.degree == n:
@@ -471,10 +470,8 @@ class Echelon:
         """v less a combination of the rows: zero iff v is in the span."""
         return self._eliminate(v)[0]
 
-    def insert(self, v):
-        """Add v to the span and return the pivot entry of its reduced
-        form, or None when v was already inside."""
-        v, taken = self._eliminate(v)
+    def _accept(self, v, taken):
+        """Add the reduced v as a row; its pivot entry, or None if v = 0."""
         for piv, a in enumerate(v):
             if a:
                 inv = self.one
@@ -486,25 +483,43 @@ class Echelon:
                 return a
         return None
 
+    def _back_substitute(self, taken, start):
+        """The coefficients, from row ``start`` on, of a v inside the span."""
+        # v = sum c_k row_k and row_k = inv_k (w_k - sum f_kj row_j) for
+        # the k-th accepted w_k: back-substitute from the last row
+        c = [self._zero] * len(self.rows)
+        for k, f in taken:
+            c[k] = f
+        for k in reversed(range(start, len(c))):
+            if not c[k]:
+                continue
+            earlier, inv = self._steps[k]
+            c[k] = c[k] * inv
+            for j, f in earlier:
+                if j >= start:
+                    c[j] = c[j] - c[k] * f
+        return c[start:]
+
+    def insert(self, v):
+        """Add v to the span and return the pivot entry of its reduced
+        form, or None when v was already inside."""
+        return self._accept(*self._eliminate(v))
+
+    def insert_or_coords(self, v, start):
+        """One step of a Krylov chain begun at row ``start``: add v and
+        return None or, when v was inside, its coefficients on the
+        accepted vectors from ``start`` on, from the same elimination."""
+        v, taken = self._eliminate(v)
+        if self._accept(v, taken) is None:
+            return self._back_substitute(taken, start)
+
     def coords(self, v):
         """The coefficients of v in the vectors ``insert`` accepted, in
         their order, or None when v is outside their span."""
         v, taken = self._eliminate(v)
         if any(v):
             return None
-        # v = sum c_k row_k and row_k = inv_k (w_k - sum f_kj row_j) for
-        # the k-th accepted w_k: back-substitute from the last row
-        c = [self._zero] * len(self.rows)
-        for k, f in taken:
-            c[k] = f
-        for k in reversed(range(len(c))):
-            if not c[k]:
-                continue
-            earlier, inv = self._steps[k]
-            c[k] = c[k] * inv
-            for j, f in earlier:
-                c[j] = c[j] - c[k] * f
-        return c
+        return self._back_substitute(taken, 0)
 
 
 def _echelon(field, vectors):

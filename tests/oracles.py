@@ -44,6 +44,10 @@ took the Gamma-values sigma(iota(a)) as the roots of mu: the roots by
 iota * sigma composed, and each factor's multiplicity in mu_L by
 division.
 
+``horner_coact`` evaluates sum_j coeffs[j] rho(z)^j by Horner's rule, one
+product in L (x) K per coefficient, as ``coact`` did before it combined
+cached powers of rho(z).
+
 ``TowerArithmetic`` multiplies in a finite tower by coordinates:
 convolution, then reduction by each layer's relation, on nested tuples
 of ints.  The library does its small finite fields by tables instead.
@@ -52,6 +56,7 @@ of ints.  The library does its small finite fields by tables instead.
 from math import comb
 
 from galbim.bimod import _multiplicity_in
+from galbim.coact import _tk_const, _tk_mul
 from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from galbim.factor import (
     _elem_sort_key,
@@ -285,6 +290,17 @@ def char_poly_right(P, a):
             "characteristic polynomial is not a power of the minimal one"
         )
     return mu, k
+
+
+def horner_coact(C, coeffs):
+    """sum_j coeffs[j] rho(z)^j by Horner, for z the tower generator of
+    the FieldCoaction C."""
+    acc = {}
+    for c in reversed(coeffs):
+        acc = lincomb([
+            *_tk_mul(C, acc, C.rho_gen).items(), *_tk_const(C, c).items()
+        ])
+    return acc
 
 
 def qbinom(n, i, q):

@@ -2,6 +2,7 @@
 bimodule, integrality certificates, Galois groups, divisibility, the
 semisimple bound and the truncated counterexample fixtures."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     composition_table,
     factor_multiplicities,
     full_polynomial_dims,
+    horner_coact,
     multiset_key,
 )
 
@@ -329,6 +331,76 @@ def test_field_coaction_validation():
         co.field_coaction(QQ, K, {0: 1})
     with pytest.raises(FieldMismatch):
         co.field_coaction(L, "not a hopf algebra", {0: L.gen()})
+
+
+# ------------------------------- rho from cached powers, against oracles
+
+FIELD_FIXTURES = ["taft_fix", "fun_fix", "trivial_fix", "cyclic_cubic"]
+
+
+def _field_record(request, name):
+    C = request.getfixturevalue(name)
+    return C[0] if name == "taft_fix" else C
+
+
+def _base_draw(B, rng):
+    """Zero a third of the time, else a small element of the base: a
+    rational number over Q, a polynomial of degree <= 1 in u over
+    Q(i)(u)."""
+    if not rng.randrange(3):
+        return B.zero()
+    if B is QQ:
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+    k = B.coefficient_field
+    i = k.gen()
+    return B.coerce(Polynomial(k, [rng.randint(-2, 2) + rng.randint(-1, 1) * i,
+                                   rng.randint(-1, 1)]))
+
+
+def _seeded_elements(C, seed):
+    """0, the generator, and four seeded elements of L whose
+    coordinates over the base are zero about a third of the time."""
+    L, B = C.field, C.base
+    rng = random.Random(seed)
+    return [L.zero(), L.gen()] + [
+        L.from_coords([_base_draw(B, rng) for _ in range(L.degree)])
+        for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_coact_element_matches_horner(request, name):
+    C = _field_record(request, name)
+    L = C.field
+    for x in _seeded_elements(C, 1306):
+        assert co.coact_element(C, x) == horner_coact(C, L.coords(x))
+    image = horner_coact(C, L.relation.coeffs)
+    assert image == {}
+    assert co.verify_coaction(C).relation_image == tuple(sorted(image.items()))
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_certificate_chain_matches_matrix_minpoly(request, name):
+    # the bimodule's phi(x) is right multiplication by rho(x), so the
+    # Krylov chain from 1 (x) 1 must give its matrix minimal polynomial
+    C = _field_record(request, name)
+    P = co.bimodule_from_coaction(C)
+    for x in _seeded_elements(C, 3821):
+        assert co.integrality_certificate(C, x).min_poly == \
+            P.phi(x).minpoly()
+
+
+def test_rho_power_cache_is_bounded_and_exact(taft_fix):
+    C, _, _ = taft_fix
+    L, B = C.field, C.base
+    co.verify_coaction(C)
+    co.invariants(C)
+    report = co.verify_psi_xi_tau(C)
+    co.integrality_certificate(C, L.gen() + 1)
+    assert 0 < len(C._powers) <= L.degree + 1
+    for j, power in enumerate(C._powers):
+        assert power == horner_coact(C, [B.zero()] * j + [B.one()])
+    assert co.verify_psi_xi_tau(C) == report
 
 
 # --------------------------------------- the 5x5 escape counterexample

@@ -15,7 +15,12 @@ neither) and the change of the median in percent.  A metric whose
 median reads worse on the change than on the parent by more than the
 parent's IQR is a regression: it is printed as a ``regressed`` line on
 stderr and listed under ``regressions``, for every seed and workload in
-the file.
+the file.  With ``--claim W:M`` the change claims a gain on metric M of
+workload W: it must read better in at least CLAIM_SHARE of the pairs,
+and its median must beat the parent's by more than the parent's IQR.
+The verdict is printed on stderr and recorded under ``claim.verdicts``
+for every seed in the file, with the pair wins, the margin and the
+parent's IQR.
 
 ``--trace-seed S`` adds one ``run.py --seed S --seconds 0 --trace 1``
 pass per side and workload and records, under ``trace_seed_S``, each
@@ -38,6 +43,7 @@ import subprocess
 import sys
 
 SELF_S_MIN_DELTA = 0.01     # seconds; smaller self-time moves are noise
+CLAIM_SHARE = 0.9           # share of pairs a claimed gain must win
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -93,6 +99,28 @@ def regressions(pairs, metrics):
                         "parent_median": got["parent"]["median"],
                         "change_median": got["change"]["median"],
                         "parent_iqr": got["parent"]["iqr"]})
+    return out
+
+
+def claim_verdicts(pairs, workload, metric, lower_is_better):
+    """Per seed key: whether the change met its claimed gain on the
+    workload's metric, with the numbers that decided it."""
+    out = {}
+    for seed_key, workloads in sorted(pairs.items()):
+        if workload not in workloads:
+            continue
+        entry = workloads[workload]
+        got = entry[metric]
+        gain = margin(got, lower_is_better)
+        out[seed_key] = {
+            "met": bool(got["change_better_pairs"]
+                        >= CLAIM_SHARE * entry["pairs"]
+                        and gain > got["parent"]["iqr"]),
+            "change_better_pairs": got["change_better_pairs"],
+            "pairs": entry["pairs"],
+            "margin": round(gain, 4),
+            "parent_iqr": got["parent"]["iqr"],
+        }
     return out
 
 
@@ -193,13 +221,16 @@ def main():
                           r["change_median"], r["parent_iqr"]),
                       file=sys.stderr)
             if workload == claim_workload:
-                got = entry[claim_metric]
-                met = (got["change_better_pairs"] >= 0.9 * args.pairs
-                       and margin(got, metrics[claim_metric])
-                       > got["parent"]["iqr"])
-                print("claim %s on %s, seed %d: %s" % (
-                    claim_metric, workload, seed,
-                    "met" if met else "not met"), file=sys.stderr)
+                verdict, = claim_verdicts(
+                    {seed: {workload: entry}}, workload, claim_metric,
+                    metrics[claim_metric]).values()
+                print("claim %s on %s, seed %d: %s (%d/%d pairs, margin "
+                      "%.4f, parent IQR %.4f)" % (
+                          claim_metric, workload, seed,
+                          "met" if verdict["met"] else "not met",
+                          verdict["change_better_pairs"], verdict["pairs"],
+                          verdict["margin"], verdict["parent_iqr"]),
+                      file=sys.stderr)
 
     header = {
         "change": args.description or bench.get("change"),
@@ -219,8 +250,11 @@ def main():
         "claim": args.claim and {
             "metric": claim_metric,
             "workload": claim_workload,
-            "rule": "change better in >= 9/10 pairs and the median gain "
-                    "larger than the parent's IQR",
+            "rule": "change better in >= %d%% of pairs and the median "
+                    "gain larger than the parent's IQR"
+                    % round(100 * CLAIM_SHARE),
+            "verdicts": claim_verdicts(pairs, claim_workload, claim_metric,
+                                       metrics[claim_metric]),
         },
     }
     if not args.pairs:   # a trace-only run keeps the pairs' header
