@@ -22,11 +22,11 @@ products on structure constants built from it, ``sparse_product`` and
 in ``coact.finite_coaction``, are normalised and range-checked once,
 by ``structure_table``.
 
-The antipode is never guessed: when not supplied it is derived from
-its defining identity by forward substitution along the coproduct
-(each basis element's diagonal coproduct leg is isolated and inverted
-through a right regular representation), with a dense linear solve as
-a fallback.  Uniqueness for bialgebras makes the result canonical.
+The antipode is never guessed: when not supplied it is read off the
+two integral lines, kernels found by ``sparse_kernel``, by Radford's
+formula (Radford, *Hopf Algebras*, 2012, ch. 10); a bialgebra whose
+integrals are not lines pairing to nonzero has none (Larson and
+Sweedler, Amer. J. Math. 91, 1969).  The antipode is unique.
 """
 
 from __future__ import annotations
@@ -100,6 +100,17 @@ def tensor_product(mult_a, mult_b, x, y):
     )
 
 
+def sparse_kernel(field, dim, entries):
+    """Basis of the right kernel, as lists, of the matrix with dim
+    columns whose entries are given as ((row, column), coefficient)
+    terms, summed by ``lincomb``.  Rows may be any hashable keys; a row
+    left without a nonzero entry drops out, which the kernel ignores."""
+    rows, zero = {}, field.zero()
+    for (row, col), c in lincomb(entries).items():
+        rows.setdefault(row, [zero] * dim)[col] = c
+    return Matrix(field, list(rows.values()), ncols=dim).kernel()
+
+
 class HopfAlgebra:
     """Hopf algebra with a named basis and verified structure tensors."""
 
@@ -155,12 +166,6 @@ class HopfAlgebra:
         out = [F.zero()] * self.dim
         out[i] = F.one()
         return out
-
-    def right_regular(self, vec):
-        """Matrix of w |-> w * vec on coordinate columns."""
-        return Matrix.from_cols(self.field, [
-            self.multiply(self.basis_vector(l), vec) for l in range(self.dim)
-        ])
 
     def counit_of(self, x):
         F = self.field
@@ -327,73 +332,44 @@ class HopfAlgebra:
                             vecs.append(w)
         return gens
 
-    # --------------------------------------------------- antipode solve
+    # ------------------------------------------------------ the antipode
 
     def _solve_antipode(self):
-        F = self.field
-        d = self.dim
-        solved = {}
-        remaining = set(range(d))
-        progress = True
-        while remaining and progress:
-            progress = False
-            for i in sorted(remaining):
-                diag = [F.zero()] * d
-                known = [self.counit[i] * u for u in self.unit]
-                ready = True
-                for j, k, c in self.coprod[i]:
-                    if j == i:
-                        diag[k] = diag[k] + c
-                    elif j in solved:
-                        term = self.multiply(
-                            solved[j], self.basis_vector(k)
-                        )
-                        for u in range(d):
-                            if term[u]:
-                                known[u] = known[u] - c * term[u]
-                    else:
-                        ready = False
-                        break
-                if not ready or not any(diag):
-                    continue
-                R = self.right_regular(diag)
-                sol = R.solve(known)
-                if sol is None:
-                    continue
-                solved[i] = list(sol)
-                remaining.discard(i)
-                progress = True
-        if remaining:
-            return self._solve_antipode_dense()
-        cols = [solved[i] for i in range(d)]
-        return Matrix.from_cols(F, cols)
-
-    def _solve_antipode_dense(self):
-        # full linear system in the d^2 antipode entries
-        F = self.field
-        d = self.dim
-        rows = []
-        rhs = []
-        for i in range(d):
-            coeff = lincomb(
-                ((u, l * d + j), c * cu)
-                for j, k, c in self.coprod[i]
-                for l in range(d)
-                for u, cu in self.mult.get((l, k), ())
-            )
-            block = [[F.zero()] * (d * d) for _ in range(d)]
-            for (u, col), c in coeff.items():
-                block[u][col] = c
-            rows.extend(block)
-            rhs.extend(self.counit[i] * w for w in self.unit)
-        sol = Matrix(F, rows, ncols=d * d).solve(rhs)
-        if sol is None:
+        """S(e_i) = sum of c lambda(e_j e_i) e_k over the legs (j, k, c)
+        of Delta(Lambda) (Radford's formula), for the right integral
+        Lambda e_j = eps(e_j) Lambda of H and the left integral
+        sum lambda(h_1) h_2 = lambda(h) 1 of H*, scaled so that
+        lambda(Lambda) = 1.  Only ``_verify`` checks the result, so
+        ``check=False`` without an antipode leaves it unchecked."""
+        F, d, mult = self.field, self.dim, self.mult
+        right = sparse_kernel(F, d, [
+            *((((j, u), i), c) for i in range(d) for j in range(d)
+              for u, c in mult.get((i, j), ())),
+            *((((j, i), i), -e) for j, e in enumerate(self.counit) if e
+              for i in range(d)),
+        ])
+        left = sparse_kernel(F, d, [
+            *((((m, k), j), c) for m in range(d)
+              for j, k, c in self.coprod[m]),
+            *((((m, u), m), -w) for m in range(d)
+              for u, w in enumerate(self.unit) if w),
+        ])
+        pairing = len(right) == len(left) == 1 and sum(
+            (a * b for a, b in zip(right[0], left[0]) if a and b), F.zero())
+        if not pairing:
             raise AxiomViolation(
-                "the bialgebra admits no antipode: the defining linear "
-                "system is unsolvable"
+                "the bialgebra admits no antipode: its integrals span %d "
+                "and %d dimensions, not two lines pairing to nonzero"
+                % (len(right), len(left))
             )
-        cols = [[sol[l * d + j] for l in range(d)] for j in range(d)]
-        return Matrix.from_cols(F, cols)
+        lam = {u: c / pairing for u, c in enumerate(left[0]) if c}
+        delta = lincomb(((j, k), x * c) for m, x in enumerate(right[0]) if x
+                        for j, k, c in self.coprod[m])
+        cols = [lincomb((k, c * cu * lam[u]) for (j, k), c in delta.items()
+                        for u, cu in mult.get((j, i), ()) if u in lam)
+                for i in range(d)]
+        return Matrix.from_cols(F, [[col.get(k, F.zero()) for k in range(d)]
+                                    for col in cols])
 
 
 # ----------------------------------------------------------- constructors

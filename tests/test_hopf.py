@@ -1,6 +1,7 @@
 """Hopf algebra constructors, duality, antipode derivation and the
 action-to-coaction bridge."""
 
+import random
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from galbim.hopf import (
     dual,
     group_algebra,
     nichols16,
+    sparse_kernel,
     taft,
 )
 from galbim.matrix import Matrix
@@ -102,15 +104,106 @@ def test_broken_counit_rejected():
                     antipode=Matrix.identity(QQ, 2))
 
 
+MONOIDS_WITHOUT_INVERSES = [
+    # {1, g} with g g = g: the integrals are lines, g and the dual of 1,
+    # that pair to zero
+    [[0, 1], [1, 1]],
+    # {1, a, b} with a x = a and b x = b: the integrals Lambda with
+    # Lambda h = eps(h) Lambda span the plane of a and b
+    [[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+]
+
+
 def test_monoid_without_inverses_has_no_antipode():
-    # g idempotent instead of an involution: the antipode system is
-    # unsolvable
-    mult = {(0, 0): ((0, 1),), (0, 1): ((1, 1),),
-            (1, 0): ((1, 1),), (1, 1): ((1, 1),)}
-    coprod = [((0, 0, 1),), ((1, 1, 1),)]
-    with pytest.raises(AxiomViolation):
-        HopfAlgebra(QQ, ["1", "g"], mult, coprod,
-                    counit=[ONE, ONE], unit=[ONE, ZERO])
+    for table in MONOIDS_WITHOUT_INVERSES:
+        n = len(table)
+        mult = {(i, j): ((table[i][j], 1),)
+                for i in range(n) for j in range(n)}
+        coprod = [((i, i, 1),) for i in range(n)]
+        with pytest.raises(AxiomViolation, match="admits no antipode"):
+            HopfAlgebra(QQ, ["1"] + ["m%d" % i for i in range(1, n)],
+                        mult, coprod, counit=[ONE] * n,
+                        unit=[ONE] + [ZERO] * (n - 1))
+
+
+def fun_s3():
+    """Functions on S3 from raw structure constants, with no antipode
+    supplied: the dual basis e_g multiplies pointwise and
+    Delta(e_g) = sum of e_a (x) e_b over a b = g."""
+    table, _ = s3_table()
+    mult = {(g, g): ((g, 1),) for g in range(6)}
+    coprod = [[(a, b, 1) for a in range(6) for b in range(6)
+               if table[a][b] == g] for g in range(6)]
+    counit = [ONE] + [ZERO] * 5
+    return HopfAlgebra(QQ, ["e%d" % g for g in range(6)], mult, coprod,
+                       counit, unit=[ONE] * 6)
+
+
+def test_function_algebra_antipode_inverts():
+    # not pointed: its group-likes are the two characters of S3
+    table, _ = s3_table()
+    H = fun_s3()
+    for g in range(6):
+        inverse = table[g].index(0)
+        assert H.antipode.col(g) == [ONE if k == inverse else ZERO
+                                     for k in range(6)]
+
+
+def taft_3_3():
+    L = extend(QQ, Polynomial(QQ, [1, 1, 1]), "w")
+    return taft(L, 3, 3, L.gen())
+
+
+ANTIPODE_CORPUS = {
+    "Fun(S3)": fun_s3,
+    "S3 over GF(3)": lambda: group_algebra(GF(3), s3_table()[0]),
+    "Taft(3,2) over GF(7)": lambda: taft(GF(7), 3, 2, GF(7).coerce(2)),
+    # d = 27 and not unimodular: the left and right integrals differ
+    "Taft(3,3) over Q(w)": taft_3_3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANTIPODE_CORPUS))
+def test_derived_antipode_passes_exhaustive_check(name):
+    exhaustive_hopf_check(ANTIPODE_CORPUS[name]())
+
+
+def _random_system(rng, field, dim):
+    """((row, column), c) entries of a sparse system with repeated
+    entries, a pair cancelling to zero and a row whose entries all
+    cancel, and its dense matrix with every row key, zero rows too."""
+    entries = []
+    for r in range(rng.randrange(1, 2 * dim)):
+        for col in rng.sample(range(dim), rng.randrange(1, dim + 1)):
+            c = field.coerce(rng.randrange(-3, 4))
+            entries.append(((("row", r), col), c))
+            if rng.random() < 0.3:
+                # the same entry split in two, and a cancelling pair
+                entries.append(((("row", r), col), c))
+                entries.append(((("row", r), col), -c - c))
+                entries.append(((("row", r), col), c))
+    entries += [((("cancel", 0), 0), field.one()),
+                ((("cancel", 0), 0), -field.one())]
+    rng.shuffle(entries)
+    keys = sorted({row for (row, _), _ in entries})
+    dense = [[field.zero()] * dim for _ in keys]
+    for (row, col), c in entries:
+        dense[keys.index(row)][col] += c
+    return entries, Matrix(field, dense, ncols=dim)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF(5)"])
+def test_sparse_kernel_matches_dense_kernel(field):
+    rng = random.Random("sparse_kernel %d" % field.characteristic)
+    for _ in range(40):
+        dim = rng.randrange(1, 7)
+        entries, dense = _random_system(rng, field, dim)
+        assert sparse_kernel(field, dim, entries) == dense.kernel()
+    # no nonzero row: the whole space
+    cancelled = [(((0, 0), 1), field.one()), (((0, 0), 1), -field.one())]
+    identity = [list(row) for row in Matrix.identity(field, 3).rows]
+    for entries in ([], cancelled):
+        assert sparse_kernel(field, 3, entries) == identity
 
 
 Z2 = [[0, 1], [1, 0]]

@@ -8,7 +8,11 @@ Each checkout must hold ``perfbench/run.py`` and ``BENCHMARK.json``; each
 run is ``run.py --workload W --seed S --seconds T --trace 0`` started in
 that checkout.  Pair i runs both sides back to back, the parent first on
 even i and the change first on odd i, so a drift in host speed does not
-favour one side.  For every end-to-end metric of BENCHMARK.json the file
+favour one side.  Each side's ``correct`` (all its runs correct) and
+``failed`` (operations failed over its runs) are recorded as
+[parent, change]; a change that is not correct or fails more
+operations than the parent is printed as a ``change wrong`` line on
+stderr.  For every end-to-end metric of BENCHMARK.json the file
 records each side's median and quartiles (statistics.quantiles, method
 'inclusive'), the number of pairs the change wins (ties count for
 neither) and the change of the median in percent.  A metric whose
@@ -127,7 +131,9 @@ def claim_verdicts(pairs, workload, metric, lower_is_better):
 def measure(args, workload, seed, metrics):
     sides = {"parent": args.parent, "change": args.change}
     samples = {side: {m: [] for m in metrics} for side in sides}
-    correct, failed, commits = True, 0, {}
+    correct = {side: True for side in sides}
+    failed = {side: 0 for side in sides}
+    commits = {}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -135,8 +141,8 @@ def measure(args, workload, seed, metrics):
                                        args.seconds)
             commits[side] = (details["commit"] or "")[:7] or \
                 details["source_sha256"]
-            correct = correct and result["correct"]
-            failed += result["failed"]
+            correct[side] = correct[side] and result["correct"]
+            failed[side] += result["failed"]
             for m in metrics:
                 samples[side][m].append(result["metrics"][m]["value"])
         print("%s seed %d pair %d/%d: %s" % (
@@ -144,7 +150,14 @@ def measure(args, workload, seed, metrics):
                 "%s %.4f/%.4f" % (m, samples["parent"][m][-1],
                                   samples["change"][m][-1])
                 for m in metrics)), file=sys.stderr)
-    entry = {"pairs": args.pairs, "correct": correct, "failed": failed}
+    if not correct["change"] or failed["change"] > failed["parent"]:
+        print("change wrong on %s, seed %d: correct %s/%s, failed %d/%d "
+              "(parent/change)" % (
+                  workload, seed, correct["parent"], correct["change"],
+                  failed["parent"], failed["change"]), file=sys.stderr)
+    entry = {"pairs": args.pairs,
+             "correct": [correct["parent"], correct["change"]],
+             "failed": [failed["parent"], failed["change"]]}
     for m, lower in metrics.items():
         entry[m] = compare(samples["parent"][m], samples["change"][m], lower)
     return entry, commits
