@@ -115,7 +115,7 @@ class HopfAlgebra:
     """Hopf algebra with a named basis and verified structure tensors."""
 
     __slots__ = ("field", "dim", "names", "mult", "coprod", "counit",
-                 "unit", "antipode")
+                 "unit", "antipode", "_gens")
 
     def __init__(self, field, names, mult, coprod, counit, unit,
                  antipode=None, check=True):
@@ -138,6 +138,7 @@ class HopfAlgebra:
             raise ValueError("counit and unit must have length dim")
         self.counit = [field.coerce(c) for c in counit]
         self.unit = [field.coerce(c) for c in unit]
+        self._gens = None
         if antipode is None:
             self.antipode = self._solve_antipode()
         else:
@@ -316,7 +317,10 @@ class HopfAlgebra:
 
     def _generators(self):
         """Basis indices, each outside the span of 1 closed under left
-        multiplication by those before; the last closure is everything."""
+        multiplication by those before; the last closure is everything.
+        Computed once, for ``_solve_antipode`` and ``_verify`` alike."""
+        if self._gens is not None:
+            return self._gens
         span = Echelon(self.field)
         span.insert(self.unit)
         gens, vecs = [], [self.unit]
@@ -330,6 +334,7 @@ class HopfAlgebra:
                         w = self.multiply(self.basis_vector(g), v)
                         if span.insert(w):
                             vecs.append(w)
+        self._gens = gens
         return gens
 
     # ------------------------------------------------------ the antipode
@@ -339,13 +344,18 @@ class HopfAlgebra:
         of Delta(Lambda) (Radford's formula), for the right integral
         Lambda e_j = eps(e_j) Lambda of H and the left integral
         sum lambda(h_1) h_2 = lambda(h) 1 of H*, scaled so that
-        lambda(Lambda) = 1.  Only ``_verify`` checks the result, so
-        ``check=False`` without an antipode leaves it unchecked."""
+        lambda(Lambda) = 1.  The right integral is solved against the
+        generators e_j only: {h : Lambda h = eps(h) Lambda} holds 1 and
+        is closed under products when H is associative and eps is
+        multiplicative, and the generators' closure spans H.  Only
+        ``_verify`` checks those laws, and the result, so ``check=False``
+        without an antipode leaves it unchecked."""
         F, d, mult = self.field, self.dim, self.mult
+        gens = self._generators()
         right = sparse_kernel(F, d, [
-            *((((j, u), i), c) for i in range(d) for j in range(d)
+            *((((j, u), i), c) for i in range(d) for j in gens
               for u, c in mult.get((i, j), ())),
-            *((((j, i), i), -e) for j, e in enumerate(self.counit) if e
+            *((((j, i), i), -self.counit[j]) for j in gens if self.counit[j]
               for i in range(d)),
         ])
         left = sparse_kernel(F, d, [

@@ -46,7 +46,13 @@ division.
 
 ``horner_coact`` evaluates sum_j coeffs[j] rho(z)^j by Horner's rule, one
 product in L (x) K per coefficient, as ``coact`` did before it combined
-cached powers of rho(z).
+cached powers of rho(z).  ``psi_xi_tau_reference`` builds the report of
+``coact.verify_psi_xi_tau`` as it was built before psi, xi and tau shared
+their basis images: both round trips through the public ``psi_map`` and
+``xi_map`` on every basis element, and tau's images from those powers.
+
+``radford_antipode_full`` is ``HopfAlgebra._solve_antipode`` with the right
+integral solved against every basis element instead of the generators.
 
 ``TowerArithmetic`` multiplies in a finite tower by coordinates:
 convolution, then reduction by each layer's relation, on nested tuples
@@ -56,14 +62,22 @@ of ints.  The library does its small finite fields by tables instead.
 from math import comb
 
 from galbim.bimod import _multiplicity_in
-from galbim.coact import _tk_const, _tk_mul
+from galbim.coact import (
+    _TAU_RANK_CAP,
+    PsiXiTauReport,
+    _tk_const,
+    _tk_mul,
+    psi_map,
+    xi_map,
+)
 from galbim.errors import AxiomViolation, FieldMismatch, UnsupportedBase
 from galbim.factor import (
     _elem_sort_key,
     factor_poly,
     roots_in_coefficient_field,
 )
-from galbim.hopf import lincomb, sparse_product, tensor_product
+from galbim.fieldops import cached_basis
+from galbim.hopf import lincomb, sparse_kernel, sparse_product, tensor_product
 from galbim.matrix import Matrix
 from galbim.morphisms import _divide_out, _orbit
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
@@ -301,6 +315,83 @@ def horner_coact(C, coeffs):
             *_tk_mul(C, acc, C.rho_gen).items(), *_tk_const(C, c).items()
         ])
     return acc
+
+
+def psi_xi_tau_reference(C):
+    """The PsiXiTauReport of the FieldCoaction C, or AxiomViolation when
+    psi and xi are not mutually inverse on the basis z^i (x) k_t."""
+    L, K, B = C.field, C.hopf, C.base
+    n, d = L.degree, K.dim
+    sinv = K.antipode.inverse()
+    z_pows = cached_basis(L, B)
+    for zi in z_pows:
+        for t in range(d):
+            e = {t: zi}
+            if (psi_map(C, xi_map(C, e, sinv)) != e
+                    or xi_map(C, psi_map(C, e), sinv) != e):
+                raise AxiomViolation("psi and xi are not mutually inverse")
+    rho_pow = [horner_coact(C, [B.zero()] * j + [B.one()])
+               for j in range(n + 1)]
+    unit_images = {(s, j): _tk_mul(C, {s: L.one()}, rho_pow[j])
+                   for s in range(d) for j in range(n + 1)}
+    well = all(_tk_mul(C, unit_images[s, 1], rho_pow[j])
+               == unit_images[s, j + 1] for s in range(d) for j in range(n))
+    linear, images = True, []
+    for zi in z_pows:
+        for s in range(d):
+            for j in range(n):
+                image = _tk_mul(C, {s: zi}, rho_pow[j])
+                linear = linear and image == lincomb(
+                    (t, zi * c) for t, c in unit_images[s, j].items())
+                images.append(image)
+    source, target = n * n * d * d, n * d
+    rank = bijective = skipped = None
+    if source <= _TAU_RANK_CAP:
+        cols = [[B.coerce(c) for u in range(d)
+                 for c in L.coords(tk.get(u, L.zero()))] for tk in images]
+        rank = d * Matrix.from_cols(B, cols).rank()
+        bijective = bool(well and rank == d * target)
+    else:
+        skipped = ("rank skipped: source dimension %d exceeds the cap %d"
+                   % (source, _TAU_RANK_CAP))
+    return PsiXiTauReport(
+        psi_xi_identity=True, dimension_checked=n * d,
+        tau_well_defined=well, tau_left_linear=linear, tau_rank=rank,
+        tau_target_dim=d * target, tau_bijective=bijective,
+        tau_skipped=skipped)
+
+
+def radford_antipode_full(H):
+    """(right, S): the kernel basis of Lambda e_j = eps(e_j) Lambda over
+    every basis j, and the antipode matrix read off it and the left
+    integral of H* by Radford's formula, or AxiomViolation when the
+    integrals are not two lines pairing to nonzero."""
+    F, d, mult = H.field, H.dim, H.mult
+    right = sparse_kernel(F, d, [
+        *((((j, u), i), c) for i in range(d) for j in range(d)
+          for u, c in mult.get((i, j), ())),
+        *((((j, i), i), -e) for j, e in enumerate(H.counit) if e
+          for i in range(d)),
+    ])
+    left = sparse_kernel(F, d, [
+        *((((m, k), j), c) for m in range(d) for j, k, c in H.coprod[m]),
+        *((((m, u), m), -w) for m in range(d)
+          for u, w in enumerate(H.unit) if w),
+    ])
+    pairing = len(right) == len(left) == 1 and sum(
+        (a * b for a, b in zip(right[0], left[0])), F.zero())
+    if not pairing:
+        raise AxiomViolation("the bialgebra admits no antipode")
+    lam = [c / pairing for c in left[0]]
+    cols = []
+    for i in range(d):
+        col = [F.zero()] * d
+        for m, x in enumerate(right[0]):
+            for j, k, c in H.coprod[m] if x else ():
+                for u, cu in mult.get((j, i), ()):
+                    col[k] = col[k] + x * c * cu * lam[u]
+        cols.append(col)
+    return right, Matrix.from_cols(F, cols)
 
 
 def qbinom(n, i, q):

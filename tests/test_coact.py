@@ -39,6 +39,7 @@ from oracles import (
     full_polynomial_dims,
     horner_coact,
     multiset_key,
+    psi_xi_tau_reference,
 )
 
 Z2_TABLE = [[0, 1], [1, 0]]
@@ -388,6 +389,46 @@ def test_certificate_chain_matches_matrix_minpoly(request, name):
     for x in _seeded_elements(C, 3821):
         assert co.integrality_certificate(C, x).min_poly == \
             P.phi(x).minpoly()
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_bimodule_center_is_the_invariant_subfield(request, name):
+    # the certificate does not build the bimodule, so its center check
+    # runs here, on every record
+    C = _field_record(request, name)
+    L = C.field
+    P = co.bimodule_from_coaction(C)
+    center, exact = P.center()
+    assert exact
+    assert center.degree_in_ambient() == L.degree // len(co.invariants(C))
+    fresh = co.field_coaction(L, C.hopf, C.rho_gen)
+    for x in _seeded_elements(C, 3205):
+        cert = co.integrality_certificate(fresh, x)
+        assert cert.monic and cert.annihilates
+    assert fresh._bimodule is None
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_psi_xi_tau_matches_reference(request, name):
+    C = _field_record(request, name)
+    report = co.verify_psi_xi_tau(C)
+    assert report == psi_xi_tau_reference(C)
+    # Fun(Z/2) and the trivial coaction are small enough for tau's rank
+    assert (report.tau_rank is None) == (name in ("taft_fix",
+                                                  "cyclic_cubic"))
+
+
+def test_wrong_antipode_breaks_psi_xi(fun_fix):
+    # Fun(Z/2) with S swapping e_0 and e_1 instead of the identity
+    K = fun_fix.hopf
+    wrong = HopfAlgebra(QQ, K.names, K.mult, K.coprod, K.counit, K.unit,
+                        antipode=Matrix(QQ, [[0, 1], [1, 0]]), check=False)
+    L = fun_fix.field
+    C = co.field_coaction(L, wrong, fun_fix.rho_gen)
+    for check in (co.verify_psi_xi_tau, psi_xi_tau_reference):
+        with pytest.raises(AxiomViolation,
+                           match="psi and xi are not mutually inverse"):
+            check(C)
 
 
 def test_rho_power_cache_is_bounded_and_exact(taft_fix):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from galbim import hopf
 from galbim.errors import (
     AxiomViolation,
     NotModuleAlgebra,
@@ -26,7 +27,12 @@ from galbim.matrix import Matrix
 from galbim.poly import Polynomial
 from galbim.towers import extend
 
-from oracles import exhaustive_hopf_check, qbinom, tensor_square_product
+from oracles import (
+    exhaustive_hopf_check,
+    qbinom,
+    radford_antipode_full,
+    tensor_square_product,
+)
 
 ONE = QQ.one()
 ZERO = QQ.zero()
@@ -149,9 +155,9 @@ def test_function_algebra_antipode_inverts():
                                      for k in range(6)]
 
 
-def taft_3_3():
-    L = extend(QQ, Polynomial(QQ, [1, 1, 1]), "w")
-    return taft(L, 3, 3, L.gen())
+def _taft_over_q_omega(n):
+    W = extend(QQ, Polynomial(QQ, [1, 1, 1]), "w")
+    return taft(W, 3, n, W.gen())
 
 
 ANTIPODE_CORPUS = {
@@ -159,13 +165,65 @@ ANTIPODE_CORPUS = {
     "S3 over GF(3)": lambda: group_algebra(GF(3), s3_table()[0]),
     "Taft(3,2) over GF(7)": lambda: taft(GF(7), 3, 2, GF(7).coerce(2)),
     # d = 27 and not unimodular: the left and right integrals differ
-    "Taft(3,3) over Q(w)": taft_3_3,
+    "Taft(3,3) over Q(w)": lambda: _taft_over_q_omega(3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ANTIPODE_CORPUS))
 def test_derived_antipode_passes_exhaustive_check(name):
     exhaustive_hopf_check(ANTIPODE_CORPUS[name]())
+
+
+# every Hopf algebra the tests build without an antipode
+BUILT_WITHOUT_S = {
+    **ANTIPODE_CORPUS,
+    "Taft(2,2) over Q": lambda: taft(QQ, 2, 2, QQ.from_int(-1)),
+    "Taft(2,2) over Q(i)": lambda: taft(
+        extend(QQ, Polynomial(QQ, [1, 0, 1]), "i"), 2, 2, -1),
+    "Taft(3,2) over Q(w)": lambda: _taft_over_q_omega(2),
+    "Nichols-16": lambda: nichols16(QQ),
+    "S3 over Q": lambda: group_algebra(QQ, s3_table()[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_WITHOUT_S))
+def test_antipode_matches_all_basis_integral_oracle(name, monkeypatch):
+    # the library solves the right integral against the generators only;
+    # the oracle solves it against every basis element
+    kernels = []
+
+    def recorded(*args):
+        kernels.append(sparse_kernel(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(hopf, "sparse_kernel", recorded)
+    H = BUILT_WITHOUT_S[name]()
+    monkeypatch.undo()
+    right, S = radford_antipode_full(H)
+    assert len(kernels) == 2 and len(right) == 1
+    assert kernels[0] == right
+    assert H.antipode == S
+
+
+def test_generators_are_computed_once_per_construction(monkeypatch):
+    # _solve_antipode and _verify share one _generators() run, the only
+    # caller of multiply during construction
+    calls = []
+    multiply = HopfAlgebra.multiply
+
+    def counted(self, x, y):
+        calls.append(1)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(HopfAlgebra, "multiply", counted)
+    T = taft(QQ, 2, 2, QQ.from_int(-1))
+    built = len(calls)
+    rebuilt = HopfAlgebra(QQ, T.names, T.mult, T.coprod, T.counit, T.unit,
+                          antipode=T.antipode, check=False)
+    del calls[:]
+    assert rebuilt._generators() == T._generators() == [1, 2]
+    assert len(calls) == built > 0
+    assert T._generators() is T._generators()
 
 
 def _random_system(rng, field, dim):

@@ -19,9 +19,13 @@ neither) and the change of the median in percent.  A metric whose
 median reads worse on the change than on the parent by more than the
 parent's IQR is a regression: it is printed as a ``regressed`` line on
 stderr and listed under ``regressions``, for every seed and workload in
-the file.  With ``--claim W:M`` the change claims a gain on metric M of
-workload W: it must read better in at least CLAIM_SHARE of the pairs,
-and its median must beat the parent's by more than the parent's IQR.
+the file.  Each entry also carries the metric's ``bound`` from
+BENCHMARK.json, a share of the parent's median as in perfbench/README.md,
+and ``beyond_bound``, whether the change's median is worse by more than
+that share; the stderr line shows both.  With ``--claim W:M`` the change
+claims a gain on metric M of workload W: it must read better in at least
+CLAIM_SHARE of the pairs, and its median must beat the parent's by more
+than the parent's IQR.
 The verdict is printed on stderr and recorded under ``claim.verdicts``
 for every seed in the file, with the pair wins, the margin and the
 parent's IQR.
@@ -88,9 +92,16 @@ def margin(got, lower_is_better):
     return sign * (got["parent"]["median"] - got["change"]["median"])
 
 
-def regressions(pairs, metrics):
+def worse_share(got, lower_is_better):
+    """How much worse the change's median reads, as a share of the
+    parent's median (negative when it reads better)."""
+    return -margin(got, lower_is_better) / got["parent"]["median"]
+
+
+def regressions(pairs, metrics, bounds):
     """(seed, workload, metric) entries whose change median is worse
-    than the parent's by more than the parent's IQR."""
+    than the parent's by more than the parent's IQR, each with the
+    metric's bound and whether the change is worse than it allows."""
     out = []
     for seed_key, workloads in sorted(pairs.items()):
         for workload, entry in sorted(workloads.items()):
@@ -102,7 +113,9 @@ def regressions(pairs, metrics):
                         "workload": workload, "metric": m,
                         "parent_median": got["parent"]["median"],
                         "change_median": got["change"]["median"],
-                        "parent_iqr": got["parent"]["iqr"]})
+                        "parent_iqr": got["parent"]["iqr"],
+                        "bound": bounds[m],
+                        "beyond_bound": worse_share(got, lower) > bounds[m]})
     return out
 
 
@@ -212,6 +225,7 @@ def main():
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     claim_workload, claim_metric = \
         args.claim.split(":") if args.claim else (None, None)
 
@@ -227,11 +241,17 @@ def main():
             entry, commits = measure(args, workload, seed, metrics)
             pairs.setdefault("seed_%d" % seed, {})[workload] = entry
             for r in regressions({"seed_%d" % seed: {workload: entry}},
-                                 metrics):
+                                 metrics, bounds):
                 print("regressed %s on %s, seed %d: median %.4f -> %.4f, "
-                      "parent IQR %.4f" % (
+                      "parent IQR %.4f, worse by %.2f%% against a bound of "
+                      "%g%% (%s)" % (
                           r["metric"], workload, seed, r["parent_median"],
-                          r["change_median"], r["parent_iqr"]),
+                          r["change_median"], r["parent_iqr"],
+                          100 * worse_share(entry[r["metric"]],
+                                            metrics[r["metric"]]),
+                          100 * r["bound"],
+                          "beyond the bound" if r["beyond_bound"]
+                          else "within the bound"),
                       file=sys.stderr)
             if workload == claim_workload:
                 verdict, = claim_verdicts(
@@ -276,7 +296,7 @@ def main():
         bench["trace_seed_%d" % args.trace_seed] = {
             workload: trace_diff(args, workload, args.trace_seed)
             for workload in args.workloads.split(",")}
-    bench["regressions"] = regressions(pairs, metrics)
+    bench["regressions"] = regressions(pairs, metrics, bounds)
     bench = {**header, **{k: v for k, v in bench.items()
                           if k not in header}, "pairs": pairs}
     with open(args.out, "w") as fh:
