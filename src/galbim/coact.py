@@ -563,10 +563,12 @@ def verify_psi_xi_tau(C):
     well = all(_tk_mul(C, unit_images[s, 1], rho_pow[j])
                == unit_images[s, j + 1] for s in range(d) for j in range(n))
 
-    # tau on z^i (x) (z^j (x) k_s), in (i, s, j) order
-    linear = True
-    images = []
-    for zi, s, j in iproduct(z_pows, range(d), range(n)):
+    # tau on z^i (x) (z^j (x) k_s), in (i, s, j) order.  At i = 0
+    # (z^0 = 1) the images are the unit images, and as the k_s span K,
+    # left linearity there is rho(z^j) = rho(z)^j.
+    linear = rho_basis == rho_pow[:n]
+    images = [unit_images[s, j] for s in range(d) for j in range(n)]
+    for zi, s, j in iproduct(z_pows[1:], range(d), range(n)):
         image = _tk_mul(C, {s: zi}, rho_pow[j])
         if image != lincomb((t, zi * c)
                             for t, c in unit_images[s, j].items()):

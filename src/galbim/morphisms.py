@@ -16,7 +16,17 @@ candidate r of a list, in order.  A try (``_root_quotient``) runs
 Horner's rule over the nonzero coefficients only, jumping a run of
 zero coefficients by a cached power of r, and fills in the quotient by
 x - r only for a root, so a non-root of a sparse polynomial costs about
-one product per nonzero term.  Only the candidates differ:
+one product per nonzero term.  Before that, a try is screened at a
+place (``_places``): a ring map from the tower to F_P, P a prime near
+10^6, through ``towers.evaluate``.  If f(r) = 0 then its image is 0,
+so a nonzero f(r) mod P proves r is not a root with no tower product.
+A place needs only a root mod P of each mapped layer relation, so the
+screen is sound on a reducible ``validate=False`` rung too; it proves
+nothing about irreducibility.  Its scope is characteristic-0 towers
+whose algebraic layers have degree at most 2 (their roots come from
+the quadratic formula); other fields, and an f or r whose denominator
+vanishes at the place, keep every try exact.  Only the candidates
+differ:
 
 - ``_roots_in_pool`` tries the candidate pool (``_candidate_pool``:
   the tower generators and supplied hints with their negatives, the
@@ -53,6 +63,8 @@ by each generator is closed under composition.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     FieldMismatch,
     NotAHomomorphism,
@@ -62,8 +74,10 @@ from .errors import (
     UnsupportedBase,
 )
 from .factor import _elem_sort_key, roots_in_coefficient_field
+from .fieldbase import GF
 from .poly import Polynomial
 from .towers import (
+    ExtensionField,
     RationalFunctionField,
     broken_relation,
     chain,
@@ -350,27 +364,146 @@ def _candidate_pool(field, hints):
     return cache[hints]
 
 
+# Places of characteristic-0 towers: these primes (both residues mod 4
+# among them), then these images of a rational function variable.
+_PLACE_PRIMES = (1000003, 1000033, 1000037, 1000039,
+                 1000081, 1000099, 1000117, 1000121)
+_VARIABLE_IMAGES = (2, 3, 5, 6, 7, 10, 11, 13)
+
+
+def _places(field):
+    """The places (F_P, images) of a characteristic-0 tower, lazily and
+    depth first: ring maps, through ``evaluate`` with ``lift =
+    F_P.coerce``, sending each rational function variable to an entry
+    of ``_VARIABLE_IMAGES`` and each algebraic generator to a root mod
+    P of its layer's mapped relation.  A layer extends its base's
+    places in order, so a field with no place of its own costs the
+    search through the next place of the base; a layer of degree 3 or
+    more, and characteristic p, have none.  The places found are
+    memoized on the field handle, like ``_pool_cache``, so a new layer
+    reuses its base's search and they die with the tower."""
+    found, search = vars(field).setdefault(
+        "_places", ([], _place_search(field)))
+    for i in itertools.count():
+        if i == len(found):
+            place = next(search, None)
+            if place is None:
+                return
+            found.append(place)
+        yield found[i]
+
+
+def _place_search(field):
+    if field.characteristic:
+        return
+    if isinstance(field, RationalFunctionField):
+        for F, images in _places(field.coefficient_field):
+            for v in _VARIABLE_IMAGES:
+                yield F, {**images, field: F.from_int(v)}
+    elif isinstance(field, ExtensionField):
+        if field.degree > 2:
+            return
+        for F, images in _places(field.base):
+            try:
+                b, c = (evaluate(field.relation.coeff(k), field.base, images,
+                                 F.coerce).value for k in (1, 0))
+            except (FieldMismatch, NotInvertible):
+                continue
+            root = _sqrt_mod(b * b - 4 * c, F.p)
+            if root is None:
+                continue
+            half = (F.p + 1) // 2
+            for r in dict.fromkeys((root, -root % F.p)):
+                yield F, {**images, field: F.from_int((r - b) * half)}
+    else:
+        for p in _PLACE_PRIMES:
+            yield GF(p), {}
+
+
+def _sqrt_mod(a, p):
+    """A square root of a mod the odd prime p, or None when a is not a
+    square (Tonelli-Shanks)."""
+    a %= p
+    if pow(a, (p - 1) // 2, p) > 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) > 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:
+        i, u = 0, t
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _at_place(place, field, xs):
+    """The images mod P of the elements ``xs`` of ``field`` at ``place``
+    as ints, or None when there is no place or one of them does not
+    map (a denominator vanishes there)."""
+    if place is None:
+        return None
+    F, images = place
+    try:
+        return [evaluate(x, field, images, F.coerce).value if x else 0
+                for x in xs]
+    except (FieldMismatch, NotInvertible):
+        return None
+
+
 def _divide_out(f, pool):
     """Scan ``pool`` in order and divide each root of f out to its full
     multiplicity, with no factoring.  Returns (found, remaining):
     (root, multiplicity) pairs with distinct roots, and what is left.
     A try is ``_root_quotient``: Horner's rule over the nonzero
-    coefficients only, and the quotient only for a root."""
+    coefficients only, and the quotient only for a root.
+
+    At the first place of f's field (``_places``) a try is screened
+    first: f and r are mapped to F_P, and a nonzero f(r) mod P proves r
+    is not a root, since a place is a ring map on the elements it is
+    defined on; the exact try then never runs.  Only a value 0 mod P,
+    or an f or r that does not map, leaves the try to the tower.  After
+    a root the mapped remainder is the synthetic quotient mod P, so the
+    try that ends a multiplicity count is screened too."""
+    field = f.field
+    place = next(_places(field), None)
+    fbar = _at_place(place, field, reversed(f.coeffs))   # high first
     remaining = f
     found = []
     for r in pool:
         if remaining.degree < 1:
             break
+        rbar = _at_place(place, field, (r,))
         mult = 0
         while True:
-            quotient = _root_quotient(f.field, remaining.coeffs, r)
+            sums = None
+            if fbar is not None and rbar is not None:
+                sums = _sums_mod(fbar, rbar[0], place[0].p)
+                if sums[-1]:
+                    break
+            quotient = _root_quotient(field, remaining.coeffs, r)
             if quotient is None:
                 break
-            remaining = Polynomial(f.field, quotient, trusted=True)
+            remaining = Polynomial(field, quotient, trusted=True)
             mult += 1
+            fbar = (sums[:-1] if sums is not None
+                    else _at_place(place, field, reversed(quotient)))
         if mult:
             found.append((r, mult))
     return found, remaining
+
+
+def _sums_mod(coeffs, r, p):
+    """Horner's partial sums mod p of the polynomial with ``coeffs``
+    (high degree first) at r: the quotient by x - r, then the value."""
+    sums, acc = [], 0
+    for c in coeffs:
+        acc = (acc * r + c) % p
+        sums.append(acc)
+    return sums
 
 
 def _root_quotient(field, coeffs, r):

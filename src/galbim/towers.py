@@ -24,9 +24,10 @@ them: field morphisms, the left actions phi: L -> Mat_d(L) of
 bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
 
 * ``images`` sends a layer to the image of its generator (algebraic
-  layer) or of its variable (rational function layer).  Coefficients
-  are folded in by Horner through ``Polynomial.evaluate``, layer by
-  layer down the tower.
+  layer) or of its variable (rational function layer).  Coordinates
+  (and numerator and denominator coefficients) are folded in by
+  Horner's rule, layer by layer down the tower; a zero one is skipped,
+  not mapped.
 * ``lift`` maps everything at and below the first layer that is not in
   ``images`` into the codomain.  A map whose bottom run of layers sends
   each generator to itself (its canonical prefix) leaves that run out
@@ -39,11 +40,22 @@ bimodules and derivations (as a |-> [[a, D(a)], [0, a]]).
 
 ``broken_relation(images, lift)`` is its check: the images define a ring
 map when each algebraic layer's image satisfies that layer's relation.
+
+A place of a characteristic-0 tower (``morphisms._places``) is such a
+map into F_P: ``images`` in ``GF(P)`` and ``lift = GF(P).coerce``.  It
+is defined on the elements whose denominators do not vanish there;
+``evaluate`` raises on the others.
+
+Per-field memos live in the handle's own ``vars``, so they are freed
+with the tower: ``_pool_cache`` and ``_places`` (``morphisms``),
+``_basis_cache`` and ``_split_roots`` (``fieldops``), and ``_span`` on
+a ``fieldops.Subfield``.  These are all the keys written there.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import (
     DegreeBound,
@@ -127,7 +139,10 @@ class ExtElement:
     of one field with a zero operand returns the other operand itself.
 
     An element of the base layer hashes as its coordinate there, so it
-    agrees with the equal element of any lower layer.
+    agrees with the equal element of any lower layer.  Outside a tabled
+    field (below), a product with an int, a rational in characteristic
+    0 or an element of a lower layer scales the coordinates, with no
+    lift.
 
     In a finite field of at most ``TABLE_CAP`` elements, once its tables
     exist (see ``ExtensionField``), sums, differences, negations, products
@@ -211,11 +226,19 @@ class ExtElement:
         return b - a
 
     def __mul__(self, other):
-        if isinstance(other, ExtElement) and other.field is self.field:
-            f = self.field
+        f = self.field
+        if isinstance(other, ExtElement) and other.field is f:
             if f._small:
                 return f._table_mul(self, other)
             return f._mul(self, other)
+        if not f._small and (
+            other.__class__ is int
+            or other.__class__ is Fraction and not f.characteristic
+            or isinstance(other, (ExtElement, RationalFunction))
+            and is_layer_of(other.field, f.base)
+        ):
+            return ExtElement(f, tuple(c * other if c else c
+                                       for c in self.coords))
         pair = self._lift_pair(other)
         if pair is None:
             return NotImplemented
@@ -608,17 +631,27 @@ def evaluate(x, layer, images, lift):
         return lift(x)
     x = layer.coerce(x)
     if isinstance(layer, ExtensionField):
-        return Polynomial(layer.base, x.coords).evaluate(
-            img, lift=lambda c: evaluate(c, layer.base, images, lift)
-        )
-
-    def down(c):
-        return evaluate(c, layer.coefficient_field, images, lift)
-
-    num = x.num.evaluate(img, lift=down)
+        return _horner(x.coords, img, layer.base, images, lift)
+    base = layer.coefficient_field
+    num = _horner(x.num.coeffs, img, base, images, lift)
     if x.is_polynomial():
         return num
-    return num / x.den.evaluate(img, lift=down)
+    return num / _horner(x.den.coeffs, img, base, images, lift)
+
+
+def _horner(coeffs, img, base, images, lift):
+    """sum coeffs[k] img^k for coefficients in ``base`` (low degree
+    first) by Horner's rule, each nonzero coefficient mapped by
+    ``evaluate`` and each zero one skipped; with no nonzero coefficient
+    it is the image of base's zero."""
+    acc = None
+    for c in reversed(coeffs):
+        if acc is not None:
+            acc = acc * img
+        if c:
+            c = evaluate(c, base, images, lift)
+            acc = c if acc is None else acc + c
+    return evaluate(base.zero(), base, images, lift) if acc is None else acc
 
 
 def broken_relation(images, lift):

@@ -13,16 +13,39 @@ Q(sqrt 2), where every product is one call, one try of
 ``morphisms._root_quotient`` costs exactly what its docstring states,
 against the n of synthetic division: a non-root never more, a root of
 monic f n - 1 plus the powers past the leading run, so a root whose
-later run is longer than the leading one costs more than n."""
+later run is longer than the leading one costs more than n.
 
+The screen at a place (``morphisms._places``): the place map is a ring
+map (a hypothesis property on every characteristic-0 field here and on
+the rungs ``split_probe`` adjoins on radical's spectral bimodule, the
+reducible x^2 + q2 included), every such rung has a place, a candidate
+whose denominator vanishes at the place is tried exactly, a non-root
+try at a place makes no tower product, and a field with no place (a
+cubic layer, GF(9)) makes the products it makes unscreened."""
+
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import galbim.bimod as bimod_module
+from galbim import morphisms
+from galbim.bimod import Bimodule, split_probe
+from galbim.errors import DegreeBound
 from galbim.fieldbase import GF, QQ
-from galbim.morphisms import _divide_out, _root_quotient
+from galbim.matrix import Matrix
+from galbim.morphisms import _at_place, _divide_out, _places, _root_quotient
 from galbim.poly import Polynomial
-from galbim.towers import ExtensionField, RationalFunctionField, extend
+from galbim.towers import (
+    ExtensionField,
+    RationalFunctionField,
+    broken_relation,
+    chain,
+    extend,
+    from_coords_over,
+    tower_basis,
+)
 
 from oracles import synthetic_divide_out
 
@@ -183,3 +206,158 @@ def test_try_cost_model(coeffs, root, count_products):
         assert ours == _try_cost(coeffs, is_root)
         if not is_root:
             assert ours <= theirs == n
+
+
+# ------------------------------------------------------------- places
+
+
+@functools.cache
+def _spectral_rungs():
+    """[L, q1, ..., q5] for radical's spectral bimodule over L =
+    Q(s)[t]/(t^2 - s): the fields ``split_probe`` adjoins at the
+    default cap before it raises DegreeBound, the last of them the
+    reducible rung x^2 + q2."""
+    Fs = RationalFunctionField(QQ, "s")
+    L = extend(Fs, Polynomial(Fs, [-Fs.gen(), Fs.zero(), Fs.one()]), "t")
+    t, s, z = L.gen(), L.coerce(Fs.gen()), L.zero()
+    P = Bimodule(L, {L: Matrix(L, [[s, z, z], [z, z, t], [z, L.one(), z]]),
+                     Fs: Matrix.diagonal(L, [s * s, t, t])}, base=QQ)
+    rungs = [L]
+
+    def record(*args, **kw):
+        rungs.append(extend(*args, **kw))
+        return rungs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bimod_module, "extend", record)
+        with pytest.raises(DegreeBound):
+            split_probe(P)
+    return rungs
+
+
+def _bottom_elements(bottom):
+    """Small nonzero elements of Q, or of Q(s) with denominator 1 or
+    s + c, which vanishes at some places."""
+    small = st.integers(-3, 3)
+    if bottom is QQ:
+        return st.fractions(min_value=-3, max_value=3,
+                            max_denominator=3).filter(bool)
+    k = bottom.coefficient_field
+    den = st.one_of(st.just([1]), small.map(lambda c: [c, 1]))
+    return st.tuples(st.lists(small, min_size=1, max_size=3)
+                     .filter(any), den).map(
+        lambda parts: bottom.coerce(Polynomial(k, parts[0]))
+        / bottom.coerce(Polynomial(k, parts[1])))
+
+
+def _tower_elements(field, bottom):
+    """Elements of ``field`` with at most four nonzero coordinates over
+    ``bottom``."""
+    n = len(tower_basis(field, bottom))
+    return st.dictionaries(st.integers(0, n - 1), _bottom_elements(bottom),
+                           max_size=4).map(
+        lambda coords: from_coords_over(
+            field, [coords.get(k, 0) for k in range(n)], bottom))
+
+
+RING_MAP_FIELDS = sorted(set(FIELDS) - {"GF9"}) + [
+    "spectral-%d" % i for i in range(6)]
+
+
+@pytest.mark.parametrize("name", RING_MAP_FIELDS)
+def test_place_is_a_ring_map(name):
+    if name.startswith("spectral"):
+        field = _spectral_rungs()[int(name[-1])]
+    else:
+        field = FIELDS[name]()[0]
+    bottom = next((layer for layer in chain(field)
+                   if isinstance(layer, RationalFunctionField)), QQ)
+    place = next(_places(field))
+    F, images = place
+    assert broken_relation(images, F.coerce) is None
+    mapped = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(x=_tower_elements(field, bottom), y=_tower_elements(field, bottom))
+    def check(x, y):
+        xy = _at_place(place, field, [x, y])
+        mapped.append(xy is not None)
+        if xy is None:
+            return
+        a, b = xy
+        assert _at_place(place, field, [x + y, x * y, -x]) == [
+            (a + b) % F.p, a * b % F.p, -a % F.p]
+
+    check()
+    assert sum(mapped) >= len(mapped) // 3
+
+
+def test_spectral_rungs_have_places():
+    rungs = _spectral_rungs()
+    assert repr(rungs[-1].relation) == "x^2 + q2"
+    for field in rungs:
+        F, images = next(_places(field))
+        assert broken_relation(images, F.coerce) is None
+        assert set(images) == set(chain(field)[1:])
+
+
+def test_unmapped_candidate_takes_the_exact_try():
+    L, _ = _radical_tower()
+    Fs = L.base
+    place = next(_places(L))
+    t, s = L.gen(), L.coerce(Fs.gen())
+    r = t / (s - place[1][Fs].value)   # its denominator vanishes there
+    assert _at_place(place, L, [r]) is None
+    assert _at_place(place, L, [t, s]) is not None
+    x = Polynomial.x(L)
+    pool = [L.one(), r, t, -t, s, r * t, r]
+    for f in ((x - r) * (x - t) ** 2 * (x - s),   # f does not map
+              (x - t) ** 2 * (x - s) * x,         # f maps, r does not
+              (x - r * t) * (x + t)):
+        found, rest = _divide_out(f, pool)
+        want, same = synthetic_divide_out(f, pool)
+        assert found == want and rest.coeffs == same.coeffs
+        assert found
+
+
+@pytest.mark.parametrize("name", ["Q(s)[t]", "Q(sqrt2,sqrt3,sqrt5)"])
+def test_non_root_try_at_a_place_makes_no_tower_product(name,
+                                                        count_products):
+    F, elements = FIELDS[name]()
+    assert next(_places(F), None) is not None
+    x = Polynomial.x(F)
+    roots = elements[1:3]
+    f = (x - roots[0]) ** 2 * (x - roots[1]) * (x**4 + elements[-1])
+    for r in elements[3:]:
+        assert f.evaluate(r)   # not a root
+        (found, rest), products = count_products(_divide_out, f, [r])
+        assert found == [] and rest.coeffs == f.coeffs
+        assert products == 0, r
+    (found, _), _ = count_products(_divide_out, f, elements)
+    assert [m for _, m in found] == [2, 1]
+
+
+def _cubic_tower():
+    A = extend(QQ, Polynomial(QQ, [1, 0, 1]), "i")
+    B = extend(A, Polynomial(A, [A.from_int(-2), A.zero(), A.zero(),
+                                 A.one()]), "c")
+    i, c = B.coerce(A.gen()), B.gen()
+    return B, [B.one(), -B.one(), i, c, i * c, c - i, c * c / 3]
+
+
+@pytest.mark.parametrize("build", [_cubic_tower, _gf9],
+                         ids=["Q(i)(cbrt2)", "GF9"])
+def test_field_without_place_keeps_its_products(build, count_products,
+                                                monkeypatch):
+    F, elements = build()
+    assert next(_places(F), None) is None
+    runs = []
+    for screened in (True, False):
+        if not screened:
+            monkeypatch.setattr(morphisms, "_places", lambda field: iter(()))
+        rng = random.Random(5)
+        runs.append([count_products(_divide_out, f, pool)
+                     for _, f, pool in _cases(F, elements, rng)])
+    for ((found, rest), ours), ((want, same), theirs) in zip(*runs):
+        assert found == want and rest.coeffs == same.coeffs
+        assert ours == theirs

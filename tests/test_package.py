@@ -58,6 +58,52 @@ def test_layertrace_targets_resolve():
     assert missing == []
 
 
+def _vars_keys(tree):
+    """The keys written through ``vars(...)``: ``vars(x)[key] = ...``
+    and ``vars(x).setdefault(key, ...)``, with ``vars(x).update`` as
+    the key ``update(...)``."""
+    def through_vars(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "vars")
+
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and through_vars(node.value)):
+            keys.add(ast.unparse(node.slice).strip("'\""))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and through_vars(node.func.value)):
+            if node.func.attr == "setdefault":
+                keys.add(ast.unparse(node.args[0]).strip("'\""))
+            elif node.func.attr == "update":
+                keys.add("update(...)")
+    return keys
+
+
+def test_per_field_memos_are_listed():
+    from galbim import towers
+
+    listed = re.search(r"Per-field memos.*?(?:\n\n|$)", towers.__doc__,
+                       re.S).group(0)
+    written = set().union(*(_vars_keys(ast.parse(path.read_text()))
+                            for path in sorted(SRC.glob("*.py"))))
+    assert written == set(re.findall(r"``(_\w+)``", listed))
+
+
+def test_vars_key_guard_sees_writes():
+    tree = ast.parse(
+        "vars(f).setdefault('_a', {})\n"
+        "x = vars(g)['_b'] = 1\n"
+        "vars(h).update(c=1)\n"
+        "vars(k).get('_d')\n"
+        "y = vars(k)['_e']\n"
+        "d = {}\nd['_f'] = 1\nd.setdefault('_g', 1)\n"
+    )
+    assert _vars_keys(tree) == {"_a", "_b", "update(...)"}
+
+
 def test_every_error_is_raised():
     source = "\n".join(p.read_text() for p in sorted(SRC.glob("*.py")))
     classes = [

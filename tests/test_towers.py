@@ -173,6 +173,38 @@ def test_cross_layer_arithmetic_coerces_up():
     ]
 
 
+def _lower_layer_scalars():
+    """(elements, scalars) of quartic's L = Q(i)(u)[z]/((z^2+1)^2 - u)
+    and of radical's Q(s)[t]/(t^2 - s), with scalars from lower layers."""
+    Qi = make_qi()
+    Fu = RationalFunctionField(Qi, "u")
+    u, i = Fu.gen(), Qi.gen()
+    L = extend(Fu, Polynomial(Fu, [1 - u, 0, 2, 0, 1]), "z")
+    z = L.gen()
+    Fs = RationalFunctionField(QQ, "s")
+    s = Fs.gen()
+    T = extend(Fs, Polynomial(Fs, [-s, 0, 1]), "t")
+    t = T.gen()
+    return [
+        ([z, z**3 / (u + 1) - i * z, L.one() + z * z], [
+            Fraction(-3, 7), 5, 2 - 3 * i, (u + i) / (u * u - 2)]),
+        ([t, s * t + 1 / (s - 1), T.zero()], [
+            Fraction(5, 2), -4, (s * s + 1) / (s - 3)]),
+    ]
+
+
+def test_lower_layer_scalar_scales_coordinates():
+    for elements, scalars in _lower_layer_scalars():
+        for x in elements:
+            F = x.field
+            for c in scalars:
+                lifted = F._mul(x, F.coerce(c))
+                for product in (x * c, c * x):
+                    assert product.field is F
+                    assert product.coords == lifted.coords
+                    assert bool(product) == bool(lifted)
+
+
 def test_equal_elements_of_different_layers_hash_alike():
     K = make_sqrt_tower()
     a = K.base.gen()
