@@ -4,10 +4,13 @@ Routes by field:
 
 * prime fields and finite extension towers: distinct-degree splitting
   plus Cantor-Zassenhaus equal-degree splitting with a seeded generator,
-  so results are deterministic run to run;
+  so results are deterministic run to run; the modular powers, gcds and
+  divisions run in ``poly``'s list kernel, on ints over GF(p) and on
+  element indices over a tabled GF(q) (at most ``TABLE_CAP`` elements);
 * the rationals: squarefree decomposition, reduction mod a good prime,
   Hensel lifting and subset recombination against a Landau-Mignotte
-  bound;
+  bound, trying a subset only when its constant terms' product divides
+  the constant term of what is left;
 * algebraic extension towers over the rationals: Trager's norm descent.
   The norm of f(x - s*alpha) is evaluated at integer points c, each
   value the resultant of the generator's minimal polynomial over the
@@ -355,6 +358,15 @@ def _recombine(target, lifted, pk):
     while 2 * size <= len(remaining):
         hit = False
         for combo in combinations(range(len(remaining)), size):
+            # a true factor's constant term is its symmetric residue and
+            # divides current's: skip the subset unless it does (0 divides
+            # only 0)
+            const = 1
+            for idx in combo:
+                const = const * remaining[idx][0] % pk
+            const = _sym_mod(const, pk)
+            if current[0] % const if const else current[0]:
+                continue
             prod = [1]
             for idx in combo:
                 prod = _int_poly_mul(prod, remaining[idx])

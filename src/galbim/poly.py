@@ -7,11 +7,14 @@ numerator; operations take fast paths while denominators are 1 so that
 polynomial-only computations never pay for gcds, and adding zero costs
 nothing.
 
-Over a prime field, products, division, gcds and modular powers run on
-lists of ints (the ``_int_poly_*`` kernel below), converting once per
-call, and return the field's interned residues, so coefficients, ``==``
-and ``hash`` are those of any other polynomial over F_p.  Hensel lifting
-and recombination in ``factor`` use the same mul and divmod over Z.
+Over a finite field with tables, products, division, gcds and modular
+powers run on lists (the list kernel below), converting once per call:
+over F_p lists of ints, over a tabled extension (GF(4), GF(9), GF(81)
+as GF(3)[j][k], ...) lists of element indices.  They return the field's
+interned elements, so coefficients, ``==`` and ``hash`` are those of any
+other polynomial over that field (a dividend of lower degree than its
+divisor comes back as it is).  Hensel lifting and recombination in
+``factor`` use the int mul and divmod over Z.
 """
 
 from __future__ import annotations
@@ -127,9 +130,11 @@ class Polynomial:
             return Polynomial.zero(self.field)
         field = self.field
         # a constant factor is a scaling, cheaper on the elements
-        if field.__class__ is PrimeField and len(a) > 1 and len(b) > 1:
-            return _fp_poly(field, _trim_mod(
-                _int_poly_mul(_ints(a), _ints(b)), field.p))
+        if len(a) > 1 and len(b) > 1:
+            ar = _list_arithmetic(field)
+            if ar is not None:
+                return ar.poly(field, ar.mul(
+                    field, ar.lists(field, a), ar.lists(field, b)))
         zero = field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -164,10 +169,11 @@ class Polynomial:
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
         field = self.field
-        if field.__class__ is PrimeField:
-            quo, rem = _int_poly_divmod(
-                _ints(self.coeffs), _ints(other.coeffs), field.p)
-            return _fp_poly(field, quo), _fp_poly(field, rem)
+        ar = _list_arithmetic(field)
+        if ar is not None:
+            quo, rem = ar.divmod(field, ar.lists(field, self.coeffs),
+                                 ar.lists(field, other.coeffs))
+            return ar.poly(field, quo), ar.poly(field, rem)
         zero = self.field.zero()
         one = self.field.one()
         rem = list(self.coeffs)
@@ -301,9 +307,10 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.field is not g.field:
         raise FieldMismatch("gcd of polynomials over different fields")
     field = f.field
-    if field.__class__ is PrimeField:
-        return _fp_poly(field, _int_poly_gcd(
-            _ints(f.coeffs), _ints(g.coeffs), field.p))
+    ar = _list_arithmetic(field)
+    if ar is not None:
+        return ar.poly(field, _list_gcd(
+            ar, field, ar.lists(field, f.coeffs), ar.lists(field, g.coeffs)))
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b
@@ -388,9 +395,11 @@ def squarefree_decomposition(f: Polynomial):
 
 def poly_pow_mod(base: Polynomial, n: int, modulus: Polynomial) -> Polynomial:
     field = base.field
-    if field.__class__ is PrimeField and modulus.field is field:
-        return _fp_poly(field, _int_poly_pow_mod(
-            _ints(base.coeffs), n, _ints(modulus.coeffs), field.p))
+    ar = _list_arithmetic(field) if modulus.field is field else None
+    if ar is not None:
+        return ar.poly(field, _list_pow_mod(
+            ar, field, ar.lists(field, base.coeffs), n,
+            ar.lists(field, modulus.coeffs)))
     result = Polynomial.one(field)
     base = base % modulus
     while n:
@@ -436,23 +445,141 @@ def power(x, n, one):
     return out
 
 
-# ------------------------------------------------- int-list kernel (GF(p))
-# Polynomials as lists of ints, low degree first.  Over GF(p) a list is
-# *reduced* (entries in 0..p-1) and trimmed (no trailing zero; zero is
-# []); over Z, where Hensel lifting and recombination use the same mul
-# and divmod, entries are any ints.
+# ------------------------------------- list kernel (GF(p) and tabled GF(q))
+# Polynomials as lists, low degree first, trimmed (no trailing zero; zero
+# is []), in one of two list arithmetics that ``_list_arithmetic`` picks
+# by field: over GF(p) ints reduced into 0..p-1 (``_FpLists``), over a
+# tabled finite extension element indices (``_FqLists``).  In both, 0 is
+# zero and 1 is one, so gcd and modular power are written once over
+# either.  Over Z, where Hensel lifting and recombination use the same
+# int mul and divmod, entries are any ints.
 
 
-def _ints(coeffs):
-    return [c.value for c in coeffs]
+def _list_arithmetic(field):
+    """The list arithmetic of polynomials over ``field``: ``_FpLists``
+    over a prime field, ``_FqLists`` over a finite extension whose tables
+    exist or are built now, None where coefficients compute one by one
+    (above ``TABLE_CAP``, a ring that is not a field, characteristic 0)."""
+    if field.__class__ is PrimeField:
+        return _FpLists
+    if getattr(field, "_small", False) and (
+            field._exp is not None or field._tabulate()):
+        return _FqLists
+    return None
 
 
-def _fp_poly(field, ints):
-    """The polynomial over the prime field with a reduced, trimmed list:
-    interned residues up to the table cap."""
-    els = field._els
-    get = field._residue if els is None else els.__getitem__
-    return Polynomial(field, tuple(map(get, ints)), trusted=True)
+def _list_gcd(ar, field, a, b):
+    """Monic gcd by the Euclidean algorithm, in list arithmetic ``ar``."""
+    while b:
+        a, b = b, ar.divmod(field, a, b)[1]
+    if a and a[-1] != 1:
+        a = ar.divmod(field, a, a[-1:])[0]
+    return a
+
+
+def _list_pow_mod(ar, field, a, n, m):
+    """a**n mod m by binary powering, in list arithmetic ``ar``; [1]
+    when n is 0."""
+    out = [1]
+    a = ar.divmod(field, a, m)[1]
+    while n:
+        if n & 1:
+            out = ar.divmod(field, ar.mul(field, out, a), m)[1]
+        n >>= 1
+        if n:
+            a = ar.divmod(field, ar.mul(field, a, a), m)[1]
+    return out
+
+
+class _FpLists:
+    """GF(p) as lists of the residues' values."""
+
+    @staticmethod
+    def lists(field, coeffs):
+        return [c.value for c in coeffs]
+
+    @staticmethod
+    def poly(field, ints):
+        """Interned residues up to the table cap."""
+        els = field._els
+        get = field._residue if els is None else els.__getitem__
+        return Polynomial(field, tuple(map(get, ints)), trusted=True)
+
+    @staticmethod
+    def mul(field, a, b):
+        return _trim_mod(_int_poly_mul(a, b), field.p)
+
+    @staticmethod
+    def divmod(field, a, b):
+        return _int_poly_divmod(a, b, field.p)
+
+
+class _FqLists:
+    """A tabled GF(q) as lists of element indices, as
+    ``element_from_index`` counts.  Inside a product or a division each
+    coefficient is its logarithm to the field's primitive element g
+    (None for zero), taken mod q - 1: a product adds logarithms, and a
+    sum g^o + g^t is g^(o + z(t - o)) by the Zech logarithm z."""
+
+    @staticmethod
+    def lists(field, coeffs):
+        index_of = field._index_of
+        return [c._index if c._index is not None else index_of(c)
+                for c in coeffs]
+
+    @staticmethod
+    def poly(field, idx):
+        return Polynomial(field, tuple(map(field._els.__getitem__, idx)),
+                          trusted=True)
+
+    @staticmethod
+    def mul(field, a, b):
+        log, zech, n = field._log, field._zech, len(field._log) - 1
+        out = [None] * (len(a) + len(b) - 1)
+        terms = [(j, log[c]) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                _fq_addmul(out, i, log[c], terms, n, zech)
+        return _fq_indices(field, out)
+
+    @staticmethod
+    def divmod(field, a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        log, zech, n = field._log, field._zech, len(field._log) - 1
+        db = len(b) - 1
+        rem = [log[c] for c in a]
+        quo = [None] * max(len(a) - db, 0)
+        inv = -log[b[-1]]
+        terms = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[db + k]
+            if c is not None:
+                c = quo[k] = (c + inv) % n
+                # subtract: g^half = -1
+                _fq_addmul(rem, k, c + field._half, terms, n, zech)
+        return _fq_indices(field, quo), _fq_indices(field, rem[:db])
+
+
+def _fq_addmul(acc, k, c, terms, n, zech):
+    """acc[k + j] += g^c g^y for each (j, y) of ``terms``, on logarithms
+    mod n = q - 1, None for zero."""
+    for j, y in terms:
+        t, o = (c + y) % n, acc[k + j]
+        if o is None:
+            acc[k + j] = t
+        else:
+            z = zech[t - o]
+            acc[k + j] = None if z is None else (o + z) % n
+
+
+def _fq_indices(field, logs):
+    """The trimmed index list of a list of logarithms (None for zero)."""
+    exp = field._exp
+    out = [0 if x is None else exp[x]._index for x in logs]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _trim_mod(a, p):
@@ -495,29 +622,6 @@ def _int_poly_divmod(a, b, p=None):
     while rem and not rem[-1]:
         rem.pop()
     return quo, rem
-
-
-def _int_poly_gcd(a, b, p):
-    """Monic gcd over GF(p) by the Euclidean algorithm."""
-    while b:
-        a, b = b, _int_poly_divmod(a, b, p)[1]
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _int_poly_pow_mod(a, n, m, p):
-    """a**n mod m over GF(p) by binary powering; [1] when n is 0."""
-    out = [1]
-    a = _int_poly_divmod(a, m, p)[1]
-    while n:
-        if n & 1:
-            out = _int_poly_divmod(_int_poly_mul(out, a), m, p)[1]
-        n >>= 1
-        if n:
-            a = _int_poly_divmod(_int_poly_mul(a, a), m, p)[1]
-    return out
 
 
 # ------------------------------------------------------ rational functions

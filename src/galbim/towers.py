@@ -15,8 +15,11 @@ A finite extension of at most ``TABLE_CAP`` elements (GF(4), GF(9),
 GF(27), GF(81) as GF(3)[j][k], ...) computes by tables from its first
 product on: interned elements that know their index, a primitive
 element's log and antilog tables, and Zech logarithms for sums (see
-``ExtensionField``).  Fields that never multiply, and larger ones,
-keep the coordinate arithmetic: convolution, then reduction.
+``ExtensionField``).  The same tables serve polynomials over the field:
+``poly``'s list kernel multiplies, divides, takes gcds and modular
+powers on lists of element indices.  Fields that never multiply, and
+larger ones, keep the coordinate arithmetic: convolution, then
+reduction.
 
 A ring map out of a tower is fixed by its generator images, and
 ``evaluate(x, layer, images, lift)`` is the one evaluator for all of
@@ -306,11 +309,14 @@ class ExtensionField:
     and needs no q x q table.  From then on every product, inverse,
     sum, difference and negation, and ``coerce``, ``from_coords`` and
     ``element_from_index``, return interned elements.  ``zero()``,
-    ``one()`` and ``gen()`` are interned as they are.  A field that
-    never multiplies builds nothing, and one above the cap keeps the
-    coordinate arithmetic.  A relation passed with ``validate=False``
-    that factors gives a ring with zero divisors: the search for g
-    finds that out and the ring keeps the coordinate arithmetic too.
+    ``one()`` and ``gen()`` are interned as they are.  The tables also
+    serve polynomial arithmetic over the field (``poly._FqLists``, on
+    element indices), whose first operation builds them if need be.  A
+    field that never multiplies, elements or polynomials, builds
+    nothing, and one above the cap keeps the coordinate arithmetic.  A
+    relation passed with ``validate=False`` that factors gives a ring
+    with zero divisors: the search for g finds that out and the ring
+    keeps the coordinate arithmetic too.
     """
 
     def __init__(self, base, relation: Polynomial, var: str, validate=True):

@@ -602,3 +602,70 @@ class TowerArithmetic:
                     conv[k - d + i],
                     self.neg(self.mul(c, rel[i], below), below), below)
         return tuple(conv[:d])
+
+
+class TowerPolynomials:
+    """Schoolbook polynomial arithmetic over a finite tower (or a finite
+    ring given by unvalidated relations) on lists of ``tower_ints``
+    values, low degree first and trimmed, with ``TowerArithmetic`` for
+    the coefficients: products by convolution; division by the leading
+    coefficient's inverse, taken as c^(q-2) and checked, so a leading
+    zero divisor raises ZeroDivisionError when there is a quotient; the Euclidean gcd made monic;
+    modular powers by binary powering."""
+
+    def __init__(self, F):
+        self.ar = TowerArithmetic(F)
+        self.zero = self.ar.zero(self.ar.depth)
+        self.one = tower_ints(F.one())
+        self.q = F.finite_size
+
+    def trim(self, a):
+        a = list(a)
+        while a and a[-1] == self.zero:
+            a.pop()
+        return a
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.ar.add(out[i + j], self.ar.mul(x, y))
+        return self.trim(out)
+
+    def inverse(self, c):
+        out, x, n = self.one, c, self.q - 2
+        while n:
+            if n & 1:
+                out = self.ar.mul(out, x)
+            x, n = self.ar.mul(x, x), n >> 1
+        if self.ar.mul(out, c) != self.one:
+            raise ZeroDivisionError("%r is not a unit" % (c,))
+        return out
+
+    def divmod(self, a, b):
+        if len(a) < len(b):
+            return [], self.trim(a)
+        inv = self.inverse(b[-1])
+        rem, db = list(a), len(b) - 1
+        quo = [self.zero] * max(len(a) - db, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = self.ar.mul(rem[db + k], inv)
+            for j, y in enumerate(b):
+                rem[j + k] = self.ar.add(rem[j + k],
+                                         self.ar.neg(self.ar.mul(c, y)))
+        return self.trim(quo), self.trim(rem[:db])
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.divmod(a, a[-1:])[0] if a else a
+
+    def pow_mod(self, a, n, m):
+        out, a = [self.one], self.divmod(a, m)[1]
+        while n:
+            if n & 1:
+                out = self.divmod(self.mul(out, a), m)[1]
+            a, n = self.divmod(self.mul(a, a), m)[1], n >> 1
+        return out

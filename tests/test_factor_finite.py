@@ -1,22 +1,25 @@
-"""Factoring over prime fields and over GF(9), against sympy.
+"""Factoring over prime fields and their extensions, against sympy.
 
 Oracles (skipped when sympy is missing):
 
 * over GF(2), GF(3), GF(5) and GF(7), sympy's
   ``Poly(..., modulus=p).factor_list()``: the monic factors' coefficient
   lists and their multiplicities must agree;
-* over GF(9) = GF(3)[j]/(j^2 + 1), where sympy cannot factor, the norm
-  N(g) = Res_j(g(x, j), j^2 + 1), taken by sympy over GF(3).  Each factor
-  g is irreducible over GF(9) exactly when N(g) is irreducible over
-  GF(3), or when g lies in GF(3)[x], is irreducible there and has odd
-  degree (then N(g) = g^2).  The norms of the factors, with
-  multiplicity, multiply to N(f).
+* over GF(4), GF(9), GF(25) and the nested GF(3)[j][k] of order 81,
+  where sympy cannot factor, the norm N(g) down to GF(p): the resultant
+  with each layer's relation, top layer first, taken by sympy over
+  GF(p).  A monic g of degree d over GF(p^n) is irreducible exactly
+  when N(g) = h^m for one irreducible h over GF(p) and d = lcm(n, deg h)
+  / n (every irreducible factor of g then has that degree: its roots
+  are roots of h).  The factors, with multiplicity, multiply to f in
+  ``oracles.TowerPolynomials``' schoolbook arithmetic.
 
 The polynomials are seeded: random monic ones of degree 24, 20, 16 and
 12 (the sizes of the benchmark's radical workload) and products of
 random factors raised to powers, some of them to the p-th.
 """
 
+import math
 import random
 
 import pytest
@@ -24,10 +27,14 @@ import pytest
 from galbim.factor import factor_poly
 from galbim.fieldbase import GF
 from galbim.poly import Polynomial
-from galbim.towers import extend
+from galbim.towers import generator_layers
+
+from oracles import TowerPolynomials, tower_ints
+from test_finite_tables import FIELDS
 
 sp = pytest.importorskip("sympy")
-X, J = sp.symbols("x j")
+X = sp.Symbol("x")
+GENS = sp.symbols("j k")
 
 
 def _random_monic(F, degree, rng):
@@ -68,34 +75,49 @@ def test_factor_matches_sympy_over_prime_fields(p):
         assert got == want, f
 
 
-def _expr(g):
-    """g(x, j) as a sympy expression, for g over GF(3)[j]/(j^2 + 1)."""
-    return sum((c.coords[0].value + c.coords[1].value * J) * X**k
-               for k, c in enumerate(g.coeffs))
+def _expr(c, gens):
+    """An element of a finite tower as a sympy expression in ``gens``,
+    the generators of its layers, bottom first."""
+    coords = getattr(c, "coords", None)
+    if coords is None:
+        return c.value
+    return sum(_expr(x, gens[:-1]) * gens[-1]**i
+               for i, x in enumerate(coords))
 
 
 def _norm(g):
-    """Res_j(g(x, j), j^2 + 1) over GF(3), as a Poly in x."""
-    res = sp.Poly(_expr(g), J, X, modulus=3).resultant(
-        sp.Poly(J**2 + 1, J, X, modulus=3))
-    return sp.Poly(res.as_expr(), X, modulus=3)
+    """N(g) down to GF(p), as a Poly in x: the resultant with each
+    layer's relation, top layer first."""
+    layers = generator_layers(g.field)
+    gens = GENS[:len(layers)]
+    p = g.field.characteristic
+    expr = sum(_expr(c, gens) * X**k for k, c in enumerate(g.coeffs))
+    for i in range(len(layers) - 1, -1, -1):
+        rel = sum(_expr(c, gens[:i]) * gens[i]**k
+                  for k, c in enumerate(layers[i].relation.coeffs))
+        vars_ = (gens[i],) + gens[:i] + (X,)
+        expr = sp.Poly(expr, *vars_, modulus=p).resultant(
+            sp.Poly(rel, *vars_, modulus=p)).as_expr()
+    return sp.Poly(expr, X, modulus=p)
 
 
-def test_factor_matches_norm_oracle_over_gf9():
-    F3 = GF(3)
-    F9 = extend(F3, Polynomial(F3, [1, 0, 1]), "j")
-    for f in _polynomials(F9, 3, 1309):
+@pytest.mark.parametrize("name, seed", [
+    ("GF4", 1310), ("GF9", 1309), ("GF25", 1331), ("GF81", 1387)])
+def test_factor_matches_norm_oracle_over_extensions(name, seed):
+    F = FIELDS[name]()
+    p = F.characteristic
+    n = math.prod(layer.degree for layer in generator_layers(F))
+    ref = TowerPolynomials(F)
+    for f in _polynomials(F, p, seed):
         lead, parts = factor_poly(f)
-        assert lead == F9.one()
-        product = sp.Poly(1, X, modulus=3)
+        assert lead == F.one()
+        product = [ref.one]
         for g, m in parts:
-            assert g.leading() == F9.one()
-            norm = _norm(g)
-            if all(not c.coords[1] for c in g.coeffs):
-                down = sp.Poly(_expr(g), X, modulus=3)
-                assert norm == down**2, g
-                assert down.is_irreducible and g.degree % 2 == 1, g
-            else:
-                assert norm.is_irreducible, g
-            product = product * norm**m
-        assert product == _norm(f), f
+            assert g.leading() == F.one()
+            (h, _), = _norm(g).factor_list()[1]
+            assert h.is_irreducible, g
+            assert g.degree * n == math.lcm(n, h.degree()), g
+            for _ in range(m):
+                product = ref.mul(product,
+                                  [tower_ints(c) for c in g.coeffs])
+        assert product == [tower_ints(c) for c in f.coeffs], f

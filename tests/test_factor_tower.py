@@ -6,7 +6,9 @@ over Q(i), Q(sqrt 2), Q(2^(1/3)) and the depth-2 tower Q(i)(sqrt 2)
 from Q(i); and, for Hensel lifting, the defining congruences checked
 directly on integer lists.  The mod-p screen that picks Trager's shift
 is checked against the exact norm over Q at every shift it accepts, and
-the exact fallback against the screened factorizations.
+the exact fallback against the screened factorizations.  Recombination's
+constant-term test keeps the factors and their order (x^3 + 3x^2 - x
+still splits off x) while it cuts the trial divisions over Z.
 """
 
 import random
@@ -21,6 +23,7 @@ from galbim.factor import (
     _factor_finite_squarefree,
     _hensel_lift_list,
     _hensel_lift_pair,
+    _int_poly_divmod,
     _int_poly_mul,
     _norm_to_base,
     _screen,
@@ -30,6 +33,7 @@ from galbim.factor import (
     factor_poly,
 )
 from galbim.fieldbase import GF, QQ
+from galbim.fieldops import splitting_field
 from galbim.poly import Polynomial, poly_gcd
 from galbim.towers import extend
 
@@ -288,3 +292,47 @@ def test_hensel_lift_rejects_common_factor():
     f_int = _int_poly_mul([1, 1], [-1, 0, 1])
     with pytest.raises(ArithmeticError):
         _hensel_lift_pair(f_int, g, h, 5, 10)
+
+
+def test_recombination_splits_off_a_zero_constant_term():
+    """A subset whose constant terms multiply to 0 mod p^k is tried only
+    against a remainder with constant term 0: x^3 + 3x^2 - x still
+    splits off x, over Q and in its splitting field."""
+    f = Polynomial(QQ, [0, -1, 3, 1])
+    assert factor_poly(f) == (1, [(Polynomial(QQ, [0, 1]), 1),
+                                  (Polynomial(QQ, [-1, 3, 1]), 1)])
+    data = splitting_field(f)
+    assert data.field.degree == 2
+    assert sorted(map(str, (r for r, _ in data.roots))) == \
+        ["-r1 - 3", "0", "r1"]
+
+
+def test_constant_term_test_skips_trial_divisions(monkeypatch):
+    """Splitting x^8 - 10x^6 + 47x^4 - 110x^2 + 841 factors its degree-6
+    leftover over its stem field, a norm of degree 48 with many modular
+    factors.  The roots come out as before, in the same order, with
+    far fewer trial divisions over Z (88 here; 4,229 without the
+    constant-term test)."""
+    divisions = []
+
+    def counted(a, b, p=None):
+        if p is None:
+            divisions.append(1)
+        return _int_poly_divmod(a, b, p)
+
+    monkeypatch.setattr(factor, "_int_poly_divmod", counted)
+    mu = Polynomial(QQ, [841, 0, -110, 0, 47, 0, -10, 0, 1])
+    data = splitting_field(mu)
+    assert str(data.field) == \
+        "Q[r1]/(r1^8 - 10*r1^6 + 47*r1^4 - 110*r1^2 + 841)"
+    assert [(str(r), m) for r, m in data.roots] == [(r, 1) for r in (
+        "7/12644*r1^7 + 55/3161*r1^5 - 923/6322*r1^3 + 15325/12644*r1",
+        "35/37932*r1^7 + 275/9483*r1^5 - 4615/18966*r1^3 + 8683/12644*r1",
+        "-7/9483*r1^7 - 220/9483*r1^5 + 1846/9483*r1^3 + 160/3161*r1",
+        "r1",
+        "-r1",
+        "7/9483*r1^7 + 220/9483*r1^5 - 1846/9483*r1^3 - 160/3161*r1",
+        "-35/37932*r1^7 - 275/9483*r1^5 + 4615/18966*r1^3 - 8683/12644*r1",
+        "-7/12644*r1^7 - 55/3161*r1^5 + 923/6322*r1^3 - 15325/12644*r1",
+    )]
+    assert 0 < len(divisions) <= 200

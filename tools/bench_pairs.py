@@ -37,6 +37,11 @@ between the sides, and every ``.self_s`` (with ``trace.solve_s``) that
 moves by at least SELF_S_MIN_DELTA seconds, as [parent, change] pairs.
 ``--pairs 0`` runs the trace passes alone.
 
+The ``host`` header records whether the runs had bytecode caching off
+(``PYTHONDONTWRITEBYTECODE`` set in the environment that run.py
+inherits): with it off, every pass compiles the library again, so lines
+added to it raise ``setup_s``.
+
 An existing ``--out`` file is updated in place: the header is rewritten
 and each measured seed and workload replaces its old entry, so keys
 added by hand (notes) survive.  Standard library only.
@@ -268,10 +273,12 @@ def main():
     header = {
         "change": args.description or bench.get("change"),
         "parent": commits.get("parent", bench.get("parent")),
-        "host": "%d-CPU %s, Python %s; times are seconds at the harness's "
-                "reference host speed" % (
+        "host": "%d-CPU %s, Python %s, bytecode caching %s; times are "
+                "seconds at the harness's reference host speed" % (
                     len(os.sched_getaffinity(0)), platform.system(),
-                    platform.python_version()),
+                    platform.python_version(),
+                    "off (PYTHONDONTWRITEBYTECODE set)"
+                    if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    "--seconds %g --trace 0" % args.seconds,
         "method": "%d pairs per workload, parent and change each run from "
