@@ -42,7 +42,8 @@ class RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        raise FieldMismatch("cannot coerce %r into Q" % (x,))
+        # no repr(x): products across tower layers fall back through here
+        raise FieldMismatch("cannot coerce type %s into Q" % type(x).__name__)
 
     def __repr__(self):
         return "Q"
@@ -226,7 +227,8 @@ class PrimeField:
             if x.denominator % self.p == 0:
                 raise FieldMismatch("denominator divisible by %d" % self.p)
             return self._residue(x.numerator) / self._residue(x.denominator)
-        raise FieldMismatch("cannot coerce %r into F_%d" % (x, self.p))
+        raise FieldMismatch("cannot coerce type %s into F_%d"
+                            % (type(x).__name__, self.p))
 
     # Frobenius is the identity on F_p, so every element is its own
     # p-th root.  Perfect fields expose this hook; imperfect ones

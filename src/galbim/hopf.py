@@ -22,6 +22,17 @@ products on structure constants built from it, ``sparse_product`` and
 in ``coact.finite_coaction``, are normalised and range-checked once,
 by ``structure_table``.
 
+The two product kernels pay only for the terms that contribute.  A
+structure constant 1 or -1 (all of them in Taft(2,2), Nichols-16 and
+the matrix algebras) is never multiplied by: its term is the product
+of the two coefficients, or that product negated.  Whether a constant
+is 1 or -1 is decided by comparing it with the int once per table
+entry visited (``ExtElement == int`` reads the coordinates, with no
+lift), and the product of the two coefficients is formed once per
+entry, not once per term of it.  ``tensor_product`` joins its operands
+on the first leg: a pair of second legs is looked at only when the
+first legs multiply to nonzero.
+
 The antipode is never guessed: when not supplied it is read off the
 two integral lines, kernels found by ``sparse_kernel``, by Radford's
 formula (Radford, *Hopf Algebras*, 2012, ch. 10); a bialgebra whose
@@ -81,23 +92,45 @@ def sparse_product(mult, x, y):
     """x * y for sparse x and y under the structure constants ``mult``,
     a dict (i, j) -> ((k, c), ...) whose missing pairs multiply to 0."""
     return lincomb(
-        (k, xi * yj * c)
-        for i, xi in x.items()
-        for j, yj in y.items()
-        for k, c in mult.get((i, j), ())
+        (k, xy if c == 1 else -xy if c == -1 else xy * c)
+        for i, xi in x.items() for j, yj in y.items()
+        if (ij := mult.get((i, j)))
+        for xy in (xi * yj,) for k, c in ij
     )
+
+
+def _by_first_leg(x):
+    """The terms ((a, b), c) of a sparse tensor x as a -> [(b, c), ...]."""
+    legs = {}
+    for (a, b), c in x.items():
+        legs.setdefault(a, []).append((b, c))
+    return legs
 
 
 def tensor_product(mult_a, mult_b, x, y):
     """x * y in A (x) B for sparse x and y keyed by (a, b) pairs, with
-    A and B given by their structure constants as in sparse_product."""
-    return lincomb(
-        ((u, v), cx * cy * cu * cv)
-        for (a, b), cx in x.items()
-        for (c, e), cy in y.items()
-        for u, cu in mult_a.get((a, c), ())
-        for v, cv in mult_b.get((b, e), ())
-    )
+    A and B given by their structure constants as in sparse_product.
+    The terms are joined on the first leg: a pair of B legs is looked
+    at only when its A legs multiply to nonzero."""
+    ys = _by_first_leg(y)
+    terms = []
+    for a, x_legs in _by_first_leg(x).items():
+        for c, y_legs in ys.items():
+            ac = mult_a.get((a, c))
+            if not ac:
+                continue
+            for b, cx in x_legs:
+                for e, cy in y_legs:
+                    be = mult_b.get((b, e))
+                    if not be:
+                        continue
+                    xy = cx * cy
+                    for u, cu in ac:
+                        w = xy if cu == 1 else -xy if cu == -1 else xy * cu
+                        terms.extend(
+                            ((u, v), w if cv == 1 else -w if cv == -1
+                             else w * cv) for v, cv in be)
+    return lincomb(terms)
 
 
 def sparse_kernel(field, dim, entries):

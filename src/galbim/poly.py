@@ -636,7 +636,9 @@ class RationalFunction:
     ``polynomial``.  A sum with a zero operand returns the other
     operand, coerced into the field when it is a plain constant, with
     no gcd; the field check runs first, so mixing fields still raises
-    FieldMismatch.
+    FieldMismatch.  A product with a constant factor (numerator of
+    degree 0, denominator 1) scales the other factor's numerator and
+    keeps its denominator, again with no gcd.
 
     A constant hashes as its coefficient, so it agrees with the equal
     element of the coefficient field.
@@ -705,10 +707,12 @@ class RationalFunction:
             return NotImplemented
         if not self.num or not other.num:
             return self.field.zero()
-        if self._polynomial and other._polynomial:
+        # two polynomials, or a constant b: a keeps its denominator, no gcd
+        a, b = (self, other) if other._polynomial else (other, self)
+        if b._polynomial and (a._polynomial or not b.num.degree):
             return RationalFunction(
-                self.field, self.num * other.num, self.den, trusted=True,
-                polynomial=True,
+                self.field, a.num * b.num, a.den, trusted=True,
+                polynomial=a._polynomial,
             )
         # cross-reduce before multiplying to keep degrees small
         a, d2 = _cross_reduce(self.num, other.den)

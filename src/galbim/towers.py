@@ -142,10 +142,11 @@ class ExtElement:
     of one field with a zero operand returns the other operand itself.
 
     An element of the base layer hashes as its coordinate there, so it
-    agrees with the equal element of any lower layer.  Outside a tabled
-    field (below), a product with an int, a rational in characteristic
-    0 or an element of a lower layer scales the coordinates, with no
-    lift.
+    agrees with the equal element of any lower layer.  ``== n`` for an
+    int n compares the coordinates with n, as ``== from_int(n)`` would,
+    without building that element.  Outside a tabled field (below), a
+    product with an int, a rational in characteristic 0 or an element
+    of a lower layer scales the coordinates, with no lift.
 
     In a finite field of at most ``TABLE_CAP`` elements, once its tables
     exist (see ``ExtensionField``), sums, differences, negations, products
@@ -275,6 +276,9 @@ class ExtElement:
     def __eq__(self, other):
         if isinstance(other, ExtElement) and other.field is self.field:
             return other.coords == self.coords
+        if other.__class__ is int:
+            coords = self.coords
+            return not any(coords[1:]) and coords[0] == other
         try:
             pair = self._lift_pair(other)
         except FieldMismatch:

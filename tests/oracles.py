@@ -26,6 +26,15 @@ with their negatives, recorded splitting roots, +- their pairwise
 products) with duplicates told apart by ``factor._elem_sort_key``
 instead of by ``==``.
 
+``schoolbook_product`` and ``schoolbook_tensor_product`` multiply
+sparse elements on structure constants as ``hopf.sparse_product`` and
+``hopf.tensor_product`` do, but by the schoolbook rule: every pair of
+terms of the two operands (a product that vanishes included) is looked
+up, and every constant is multiplied in with plain ``*``, with no
+shortcut for the constants 1 and -1 and no join on the first leg.
+``tensor_square_product`` and ``exhaustive_hopf_check`` multiply with
+them, never with the library kernels that they check.
+
 ``exhaustive_hopf_check`` checks every Hopf algebra axiom on every basis
 tuple: associativity on all d^3 triples, and the multiplicativity of the
 coproduct and the counit on all d^2 pairs.  ``HopfAlgebra._verify``
@@ -77,7 +86,7 @@ from galbim.factor import (
     roots_in_coefficient_field,
 )
 from galbim.fieldops import cached_basis
-from galbim.hopf import lincomb, sparse_kernel, sparse_product, tensor_product
+from galbim.hopf import lincomb, sparse_kernel
 from galbim.matrix import Matrix
 from galbim.morphisms import _divide_out, _orbit
 from galbim.poly import Polynomial, poly_gcd, squarefree_decomposition
@@ -416,10 +425,39 @@ def qbinom(n, i, q):
     return row[i]
 
 
+def _collect(terms):
+    """Sum (key, coefficient) terms into a dict and drop the zeros."""
+    out = {}
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def schoolbook_product(mult, x, y):
+    """x * y for sparse x and y under the structure constants ``mult``,
+    (i, j) -> ((k, c), ...), by the schoolbook rule."""
+    return _collect(
+        (k, xi * yj * c)
+        for i, xi in x.items() for j, yj in y.items()
+        for k, c in mult.get((i, j), ())
+    )
+
+
+def schoolbook_tensor_product(mult_a, mult_b, x, y):
+    """x * y in A (x) B for sparse x and y keyed by (a, b) pairs, by the
+    schoolbook rule on both legs."""
+    return _collect(
+        ((u, v), cx * cy * cu * cv)
+        for (a, b), cx in x.items() for (c, e), cy in y.items()
+        for u, cu in mult_a.get((a, c), ())
+        for v, cv in mult_b.get((b, e), ())
+    )
+
+
 def tensor_square_product(H, A, B):
     """Product in H (x) H of sparse elements given as dicts
     (i, j) -> coefficient."""
-    return tensor_product(H.mult, H.mult, A, B)
+    return schoolbook_tensor_product(H.mult, H.mult, A, B)
 
 
 def left_cosets(G, indices):
@@ -452,8 +490,8 @@ def exhaustive_hopf_check(H):
     one = {u: c for u, c in enumerate(H.unit) if c}
     for i in range(d):
         e = {i: F.one()}
-        if (sparse_product(mult, one, e) != e
-                or sparse_product(mult, e, one) != e):
+        if (schoolbook_product(mult, one, e) != e
+                or schoolbook_product(mult, e, one) != e):
             raise AxiomViolation("unit law fails at basis %d" % i)
     for i in range(d):
         for j in range(d):
@@ -510,7 +548,8 @@ def exhaustive_hopf_check(H):
                 for k, c in H.basis_product(i, j)
                 for a, b, cc in H.coprod[k]
             )
-            if tensor_product(mult, mult, deltas[i], deltas[j]) != want:
+            if (schoolbook_tensor_product(mult, mult, deltas[i], deltas[j])
+                    != want):
                 raise AxiomViolation(
                     "coproduct is not multiplicative at (%d, %d)" % (i, j)
                 )
