@@ -356,9 +356,10 @@ def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
     generators: X -> [Q.phi(X_ij)] is a ring map Mat_m(L) ->
     Mat_mn(L), so a -> [Q.phi(P.phi(a)_ij)] is a ring map L ->
     Mat_mn(L) that agrees with the images built here on every tower
-    generator, and a ring map out of L is fixed by those values.  The
-    product's ``phi`` evaluates this way, from its factors' cached
-    values."""
+    generator, and a ring map out of L is fixed by those values.  A
+    shared base is central in it too: P.phi(e) = e Id gives blocks
+    Q.phi(e) = e Id.  So the product is built unchecked, and its
+    ``phi`` evaluates this way, from its factors' cached values."""
     if P.field is not Q.field:
         raise FieldMismatch("tensor factors live over different fields")
     field = P.field
@@ -366,7 +367,7 @@ def tensor(P: Bimodule, Q: Bimodule) -> Bimodule:
               for layer in generator_layers(field)}
     base = P.base if P.base is Q.base else None
     T = Bimodule(field, images, rank=P.rank * Q.rank, base=base,
-                 label="tensor")
+                 check=False, label="tensor")
     T._factors = (P, Q)
     return T
 

@@ -164,7 +164,7 @@ def m_of_d_isomorphic(D1: Derivation, D2: Derivation):
         if v:
             pivot = layer
             break
-    a = D2.values[pivot] / D1.values[pivot]
+    a = D2.values[pivot] * (F.one() / D1.values[pivot])
     if not a:
         return False, None
     if all(a * v == D2.values[l] for l, v in D1.values.items()):

@@ -98,7 +98,7 @@ def roots_in_coefficient_field(f: Polynomial):
     """Roots of f inside its own coefficient field, with multiplicity.
     A linear f gives its root over any field, with no factoring."""
     if f.degree == 1:
-        return [(-f.coeff(0) / f.coeff(1), 1)]
+        return [(-f.coeff(0) * (f.field.one() / f.coeff(1)), 1)]
     _, factors = factor_poly(f)
     out = []
     for g, mult in factors:
@@ -131,7 +131,7 @@ def _poly_sort_key(g: Polynomial):
 def _elem_sort_key(c):
     # deterministic total order on the element kinds we print; it only
     # sorts (roots, factors, morphisms), identity is the elements' ==/hash
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return (0, c.numerator, c.denominator)
     value = getattr(c, "value", None)
     if isinstance(value, int):

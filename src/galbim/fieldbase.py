@@ -4,8 +4,13 @@ A *field handle* is an object with ``zero()``, ``one()``, ``from_int``,
 ``coerce`` and a ``characteristic`` attribute.  Elements themselves
 implement Python arithmetic operators; containers (polynomials,
 matrices) carry a single field handle rather than tagging every entry.
-Rationals are plain ``fractions.Fraction`` values, which are already in
-canonical form (reduced, positive denominator).
+A rational is a Python ``int`` or a ``fractions.Fraction`` (reduced,
+positive denominator).  Both are exact, and an int compares and hashes
+equal to the matching Fraction; arithmetic on ints stays in ints, which
+skips Fraction's gcds.  ``QQ.one()`` is ``Fraction(1)``, the exact
+divisor: write a quotient as ``one() / b``, never ``a / b``, which
+divides two ints to a float.  Stored units are ints over Q: a tower
+builds its unit, generator and reduction rows with ``from_int``.
 
 Small finite fields are tables.  A prime field F_p with p at most
 ``TABLE_CAP`` builds its p residues once, the first time it does
@@ -24,24 +29,29 @@ from .errors import FieldMismatch, NotInvertible
 
 
 class RationalField:
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers; an element is an ``int`` or a
+    ``Fraction``.  ``zero()``, ``from_int`` and ``coerce`` return an int
+    for an integer (a Fraction with denominator 1 included), while
+    ``one()`` is ``Fraction(1)``, so ``one() / b`` is exact for every b."""
 
     characteristic = 0
 
     def zero(self):
-        return _QZERO
+        return 0
 
     def one(self):
         return _QONE
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if x.__class__ is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         # no repr(x): products across tower layers fall back through here
         raise FieldMismatch("cannot coerce type %s into Q" % type(x).__name__)
 
@@ -49,7 +59,6 @@ class RationalField:
         return "Q"
 
 
-_QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 QQ = RationalField()

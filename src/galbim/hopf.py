@@ -42,6 +42,8 @@ Sweedler, Amer. J. Math. 91, 1969).  The antipode is unique.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     AxiomViolation,
     NotModuleAlgebra,
@@ -405,6 +407,8 @@ class HopfAlgebra:
                 "and %d dimensions, not two lines pairing to nonzero"
                 % (len(right), len(left))
             )
+        if pairing.__class__ is int:    # over Q: int / int is a float
+            pairing = Fraction(pairing)
         lam = {u: c / pairing for u, c in enumerate(left[0]) if c}
         delta = lincomb(((j, k), x * c) for m, x in enumerate(right[0]) if x
                         for j, k, c in self.coprod[m])

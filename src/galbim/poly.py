@@ -41,13 +41,15 @@ class Polynomial:
     def zero(field):
         return Polynomial(field, (), trusted=True)
 
+    # the stored unit is coerce(one()): the int 1 over Q, one() elsewhere
     @staticmethod
     def one(field):
-        return Polynomial(field, (field.one(),), trusted=True)
+        return Polynomial(field, (field.coerce(field.one()),), trusted=True)
 
     @staticmethod
     def x(field):
-        return Polynomial(field, (field.zero(), field.one()), trusted=True)
+        return Polynomial(field, (field.zero(), field.coerce(field.one())),
+                          trusted=True)
 
     @staticmethod
     def constant(field, c):

@@ -321,6 +321,10 @@ class ExtensionField:
     relation passed with ``validate=False`` that factors gives a ring
     with zero divisors: the search for g finds that out and the ring
     keeps the coordinate arithmetic too.
+
+    The unit, the generator and the reduction rows are built from
+    ``base.from_int(1)``, so over Q their coordinates are ints and a
+    product with them stays out of ``Fraction`` arithmetic.
     """
 
     def __init__(self, base, relation: Polynomial, var: str, validate=True):
@@ -339,7 +343,7 @@ class ExtensionField:
             self.validated = _validate_irreducible(relation)
         d = self.degree
         zero_b = base.zero()
-        one_b = base.one()
+        one_b = base.from_int(1)
         self._zero = ExtElement(self, (zero_b,) * d)
         self._one = ExtElement(self, (one_b,) + (zero_b,) * (d - 1))
         if d >= 2:
@@ -646,7 +650,10 @@ def evaluate(x, layer, images, lift):
     num = _horner(x.num.coeffs, img, base, images, lift)
     if x.is_polynomial():
         return num
-    return num / _horner(x.den.coeffs, img, base, images, lift)
+    den = _horner(x.den.coeffs, img, base, images, lift)
+    if den.__class__ is int:    # a map into Q: int / int is a float
+        den = Fraction(den)
+    return num / den
 
 
 def _horner(coeffs, img, base, images, lift):

@@ -234,7 +234,7 @@ def roots_in_pool(f, E, pool):
             found.append((r, mult))
             remaining = remaining // Polynomial(E, [-r, E.one()]) ** mult
     if remaining.degree == 1:
-        found.append((-remaining.coeff(0) / remaining.coeff(1), 1))
+        found.append((-remaining.coeff(0) * (E.one() / remaining.coeff(1)), 1))
         remaining = Polynomial.one(E)
     return found, remaining
 
@@ -391,7 +391,8 @@ def radford_antipode_full(H):
         (a * b for a, b in zip(right[0], left[0])), F.zero())
     if not pairing:
         raise AxiomViolation("the bialgebra admits no antipode")
-    lam = [c / pairing for c in left[0]]
+    inv = F.one() / pairing
+    lam = [c * inv for c in left[0]]
     cols = []
     for i in range(d):
         col = [F.zero()] * d

@@ -334,3 +334,71 @@ def test_unpassed_parameter_guard_sees_uses():
         ("a.py", 2, "g", "x"), ("a.py", 3, "h", "x"),
         ("a.py", 6, "m", "y"), ("a.py", 8, "s", "y"),
     ]
+
+
+# A quotient the library may write: a field's one() (or a name bound to
+# it) over anything, exact over Q because QQ.one() is Fraction(1); a
+# matrix quotient; residues of F_p.  Any other numerator needs a divisor
+# that its function makes a Fraction (``b = Fraction(b)``): Q's elements
+# are ints as well as Fractions, and int / int is a float.
+_EXACT_QUOTIENT = re.compile(
+    r"((\w+\.)*one\(\)|(self\.)?one|Matrix\.identity\(.*\)"
+    r"|self\._residue\(.*\)) / "
+)
+
+
+def _bare_divisions(tree):
+    """(line, source) of each division in ``tree`` that is neither an
+    allowed quotient nor by a divisor made a Fraction in its function."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+
+    def fraction_names(node):
+        while node in parent and not isinstance(node, ast.FunctionDef):
+            node = parent[node]
+        return {t.id for a in ast.walk(node) if isinstance(a, ast.Assign)
+                and getattr(a.value, "func", None) is not None
+                and getattr(a.value.func, "id", None) == "Fraction"
+                for t in a.targets if isinstance(t, ast.Name)}
+
+    bare = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            bare.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            source = ast.unparse(node)
+            if not (_EXACT_QUOTIENT.match(source)
+                    or getattr(node.right, "id", None)
+                    in fraction_names(node)):
+                bare.append((node.lineno, source))
+    return sorted(bare)
+
+
+def test_no_bare_divisions():
+    bare = [
+        "%s:%d %s" % (path.name, line, source)
+        for path in sorted(SRC.glob("*.py"))
+        for line, source in _bare_divisions(ast.parse(path.read_text()))
+    ]
+    assert bare == []
+
+
+def test_bare_division_guard_sees_divisions():
+    tree = ast.parse(
+        "def f(F, a, b, M):\n"
+        "    x = F.one() / b + one / a + self.one / a\n"
+        "    y = Matrix.identity(F, 2) / M\n"
+        "    return a / b\n"
+        "def g(a, b):\n"
+        "    if b.__class__ is int:\n"
+        "        b = Fraction(b)\n"
+        "    return a / b, b / a\n"
+        "def h(a, b):\n"
+        "    a /= b\n"
+        "    return a * (F.zero() / b)\n"
+        "c = 1 / 2\n"
+    )
+    assert _bare_divisions(tree) == [
+        (4, "a / b"), (8, "b / a"), (10, "a /= b"),
+        (11, "F.zero() / b"), (12, "1 / 2"),
+    ]

@@ -10,6 +10,8 @@ products of numerators and denominators.  ``ExtElement == int`` must
 agree with ``== from_int``, ints compared mod p included.  A product
 that falls back across tower layers formats nothing."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +38,7 @@ def _constants(F):
     if hasattr(F, "gen"):
         others += [F.gen(), F.gen() + one, -F.gen()]
     elif F is QQ:
-        others.append(QQ.from_int(1) / 2)
+        others.append(QQ.one() / 2)
     return [one, -one] + [c for c in others if c]
 
 
@@ -81,7 +83,12 @@ def test_kernels_match_the_schoolbook_products(case):
     assert flat == schoolbook_product(mult_a, *first)
     for out in (got, flat):
         assert all(out.values())
-        assert all(type(c) is type(F.one()) for c in out.values())
+        if F is QQ:
+            # Q's elements are ints and Fractions, never floats
+            assert all(isinstance(c, (int, Fraction)) and c == QQ.coerce(c)
+                       for c in out.values())
+        else:
+            assert all(type(c) is type(F.one()) for c in out.values())
 
 
 def test_unit_constants_are_not_multiplied(monkeypatch):
