@@ -306,7 +306,7 @@ def _verify_finite(C):
         for key, w in C.rho[s].items()
     )
     expected = lincomb(
-        ((t, i), a * F.coerce(b)) for t, a in enumerate(C.unit)
+        ((t, i), a * b) for t, a in enumerate(C.unit)
         for i, b in enumerate(K.unit)
     )
     if one_image != expected:
@@ -314,7 +314,7 @@ def _verify_finite(C):
 
     for s in range(n):
         back = lincomb(
-            (t, c * F.coerce(K.counit[i])) for (t, i), c in C.rho[s].items()
+            (t, c * K.counit[i]) for (t, i), c in C.rho[s].items()
         )
         if back != {s: F.one()}:
             raise AxiomViolation(
@@ -342,7 +342,7 @@ def _verify_finite(C):
             for (u, j), e in C.rho[t].items()
         )
         rhs = lincomb(
-            ((t, j, k), c * F.coerce(w)) for (t, i), c in C.rho[s].items()
+            ((t, j, k), c * w) for (t, i), c in C.rho[s].items()
             for j, k, w in K.coprod[i]
         )
         if lhs != rhs:

@@ -23,6 +23,7 @@ towers.py does the same for finite extension towers of at most
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import FieldMismatch, NotInvertible
@@ -194,7 +195,7 @@ class PrimeField:
     """F_p for a prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.characteristic = p

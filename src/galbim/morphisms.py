@@ -12,11 +12,8 @@ image) only orders groups and embedding lists.
 
 Every root a search finds is checked, and divided out to its full
 multiplicity, by one routine, ``_divide_out``: one try of each
-candidate r of a list, in order.  A try (``_root_quotient``) runs
-Horner's rule over the nonzero coefficients only, jumping a run of
-zero coefficients by a cached power of r, and fills in the quotient by
-x - r only for a root, so a non-root of a sparse polynomial costs about
-one product per nonzero term.  Before that, a try is screened at a
+candidate r of a list, in order.  A try (``_root_quotient``) is one
+synthetic division by x - r.  Before that, a try is screened at a
 place (``_places``): a ring map from the tower to F_P, P a prime near
 10^6, through ``towers.evaluate``.  If f(r) = 0 then its image is 0,
 so a nonzero f(r) mod P proves r is not a root with no tower product.
@@ -458,8 +455,7 @@ def _divide_out(f, pool):
     """Scan ``pool`` in order and divide each root of f out to its full
     multiplicity, with no factoring.  Returns (found, remaining):
     (root, multiplicity) pairs with distinct roots, and what is left.
-    A try is ``_root_quotient``: Horner's rule over the nonzero
-    coefficients only, and the quotient only for a root.
+    A try is ``_root_quotient``, one synthetic division by x - r.
 
     At the first place of f's field (``_places``) a try is screened
     first: f and r are mapped to F_P, and a nonzero f(r) mod P proves r
@@ -484,7 +480,7 @@ def _divide_out(f, pool):
                 sums = _sums_mod(fbar, rbar[0], place[0].p)
                 if sums[-1]:
                     break
-            quotient = _root_quotient(field, remaining.coeffs, r)
+            quotient = _root_quotient(remaining.coeffs, r)
             if quotient is None:
                 break
             remaining = Polynomial(field, quotient, trusted=True)
@@ -506,51 +502,22 @@ def _sums_mod(coeffs, r, p):
     return sums
 
 
-def _root_quotient(field, coeffs, r):
-    """The coefficients of f/(x - r), for f over ``field`` with
-    ``coeffs`` (low degree first, the last one nonzero), or None when
-    f(r) != 0.
-
-    Horner's partial sums s_n = c_n, s_k = s_(k+1) r + c_k are the
-    quotient (s_1, ..., s_n) and the value s_0.  Between a nonzero c_i
-    and the next nonzero c_j, a run of g = i - j, they are s_k =
-    s_i r^(i-k), so a run costs one product, s_j = s_i r^g + c_j, with
-    the powers of r built once per try as far as the longest run so
-    far; for monic f the leading run's sums are those powers and cost
-    nothing more.  Only for a root are the sums inside the other runs
-    filled in, s_k = s_(k+1) r.
-    These are the sums synthetic division computes, in any commutative
-    ring.  A non-root costs at most n products, as synthetic division
-    does, and about one per nonzero term of a sparse f.  A root costs
-    n - 1 plus the powers past the leading run's for monic f, and n
-    plus all powers built for any other f."""
-    n = len(coeffs) - 1
-    sums = [None] * n + [coeffs[n]]
-    monic = sums[n] == field.one()
-    powers = [None, r]   # powers[m] = r^m
-    pending = []         # (i, j): runs whose inner sums wait for a root
-    i = n
-    for j in range(n - 1, -1, -1):
-        c = coeffs[j]
-        if not c and j:
-            continue
-        g = i - j
-        while len(powers) <= g:
-            powers.append(powers[-1] * r)
-        if i == n and monic:
-            sums[j + 1:n] = reversed(powers[1:g])
-            t = powers[g]
+def _root_quotient(coeffs, r):
+    """The coefficients of f/(x - r), for f with ``coeffs`` (low degree
+    first), or None when f(r) != 0, by synthetic division: the partial
+    sums s_n = c_n, s_k = s_(k+1) r + c_k are the quotient (s_1, ...,
+    s_n) and the value s_0.  A product is made only for s_(k+1) not 0
+    or 1, so a try costs at most n products."""
+    s = coeffs[-1]
+    sums = [s]
+    for c in reversed(coeffs[:-1]):
+        if s:
+            t = r if s == 1 else s * r
+            s = t + c if c else t
         else:
-            t = sums[i] * powers[g]
-            pending.append((i, j))
-        sums[j] = t + c if c else t
-        i = j
-    if sums[0]:
-        return None
-    for i, j in pending:
-        for k in range(i - 1, j, -1):
-            sums[k] = sums[k + 1] * r
-    return tuple(sums[1:])
+            s = c
+        sums.append(s)
+    return None if s else tuple(reversed(sums[:-1]))
 
 
 def _orbit(f, r, maps):

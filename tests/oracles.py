@@ -18,13 +18,14 @@ and ``diagonal_character_multiset`` serve the triangularization tests.
 ``roots_in_pool`` is a second root search for ``morphisms._roots_in_pool``
 to agree with: the same pool scan, then a leftover of degree >= 2
 factored and divided by each (x - r)^m, and a linear leftover solved.
-``synthetic_divide_out`` is the scan ``morphisms._divide_out`` made
-before its tries skipped zero coefficients: one synthetic division by
-x - r over every coefficient per try.  ``pool_by_key`` builds the
-candidate pool of ``morphisms._candidate_pool`` (generators and hints
-with their negatives, recorded splitting roots, +- their pairwise
-products) with duplicates told apart by ``factor._elem_sort_key``
-instead of by ``==``.
+``synthetic_divide_out`` is the scan ``morphisms._divide_out`` makes,
+without its screen at a place and with a product for every partial
+sum: one synthetic division by x - r over every coefficient per try.
+``pool_by_key`` builds the candidate pool of
+``morphisms._candidate_pool`` (generators and hints with their
+negatives, recorded splitting roots, +- their pairwise products) with
+duplicates told apart by ``factor._elem_sort_key`` instead of by
+``==``.
 
 ``schoolbook_product`` and ``schoolbook_tensor_product`` multiply
 sparse elements on structure constants as ``hopf.sparse_product`` and

@@ -461,10 +461,8 @@ def test_endomorphism_certificate_five_by_five():
     rows[4][2] = x ** 3
     M = Matrix(F, rows)
 
-    def in_ring(c):
-        if not c.is_polynomial():
-            return False
-        return not (c.num.coeff(1) / c.den.coeff(0))
+    def in_ring(c):  # Q[x^2, x^3]: polynomials without a linear term
+        return c.is_polynomial() and not c.num.coeff(1)
 
     cert = co.endomorphism_certificate(M, in_ring)
     mu, chi = cert.min_poly, cert.char_poly

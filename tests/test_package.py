@@ -2,8 +2,9 @@
 the benchmark's per-layer trace targets name only things that exist,
 every library exception has a raise site in the package, no module
 imports a name it never uses, every private helper and every public
-function, class and method has a use, and every defaulted parameter of
-a public function is passed somewhere."""
+function, class and method has a use, every defaulted parameter of
+a public function is passed somewhere, no division can yield a float
+and no float constant is written."""
 
 import ast
 import collections
@@ -402,3 +403,28 @@ def test_bare_division_guard_sees_divisions():
         (4, "a / b"), (8, "b / a"), (10, "a /= b"),
         (11, "F.zero() / b"), (12, "1 / 2"),
     ]
+
+
+def _float_constants(tree):
+    """(line, source) of each float or complex literal in ``tree``."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, (float, complex)))
+
+
+def test_no_float_constants():
+    found = [
+        "%s:%d %s" % (path.name, line, source)
+        for path in sorted(SRC.glob("*.py"))
+        for line, source in _float_constants(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_float_constant_guard_sees_floats():
+    tree = ast.parse(
+        "def f(p):\n"
+        "    q = int(p**0.5) + 1\n"
+        "    return q * 2, 1e3, 2j, '0.5', 10**6\n"
+    )
+    assert _float_constants(tree) == [(2, "0.5"), (3, "1000.0"), (3, "2j")]
