@@ -84,7 +84,7 @@ def factor_poly(f: Polynomial, max_degree: int = DEFAULT_DEGREE_CAP):
     out = []
     for g, mult in squarefree:
         if kind == "finite":
-            parts = _factor_finite_squarefree(g, seed=0)
+            parts = _factor_finite_squarefree(g)
         elif kind == "rational":
             parts = _factor_rational_squarefree(g)
         else:
@@ -164,12 +164,12 @@ def _random_poly(field, degree, rng):
     return Polynomial(field, coeffs)
 
 
-def _factor_finite_squarefree(f: Polynomial, seed: int):
+def _factor_finite_squarefree(f: Polynomial):
     """Irreducible factors of a squarefree monic f over a finite field."""
     field = f.field
     q = _finite_size(field)
     f = f.monic()
-    rng = random.Random(seed * 1000003 + q * 1009 + f.degree)
+    rng = random.Random(q * 1009 + f.degree)
     out = []
     # distinct-degree splitting: strip factors of degree d for d = 1, 2, ...
     x = Polynomial.x(field)
@@ -263,7 +263,7 @@ def _zassenhaus(coeffs):
         raise UnsupportedBase("no small prime keeps the polynomial squarefree")
     field = GF(p)
     fp = Polynomial(field, monic).monic()
-    modular = _factor_finite_squarefree(fp, seed=0)
+    modular = _factor_finite_squarefree(fp)
     if len(modular) == 1:
         return [coeffs]
     # Landau-Mignotte style bound on factor coefficients of the monic T

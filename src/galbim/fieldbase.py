@@ -13,16 +13,15 @@ divides two ints to a float.  Stored units are ints over Q: a tower
 builds its unit, generator and reduction rows with ``from_int``.
 
 Small finite fields are tables.  A prime field F_p with p at most
-``TABLE_CAP`` builds its p residues once, the first time it does
-arithmetic, and from then on every operation returns one of them instead
-of allocating; above the cap (a large modulus) it never builds the list.
-towers.py does the same for finite extension towers of at most
-``TABLE_CAP`` elements, with log, antilog and Zech tables.
+``TABLE_CAP`` builds its p residues in its constructor, and every
+operation returns one of them instead of allocating; above the cap (a
+large modulus) it builds no list.  towers.py does the same for finite
+extension towers of at most ``TABLE_CAP`` elements, with log, antilog
+and Zech tables.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -69,7 +68,7 @@ class PrimeFieldElement:
     """Residue in F_p.  Immutable; arithmetic stays in one field.
 
     For p up to ``TABLE_CAP`` the field keeps its p residues as interned
-    elements, built the first time it does arithmetic, and every result
+    elements, built with the field, and every result
     (sums, differences, products, negation, inverses, powers,
     ``from_int``, ``coerce``, ``element_from_index``) is one of them, so
     arithmetic allocates nothing.  Above the cap every result is a new
@@ -201,15 +200,9 @@ class PrimeField:
         self.characteristic = p
         self._zero = PrimeFieldElement(self, 0)
         self._one = PrimeFieldElement(self, 1)
-
-    @functools.cached_property
-    def _els(self):
-        """The p residues, interned, with zero() and one() among them;
-        built on first use, None when p exceeds TABLE_CAP."""
-        if self.p > TABLE_CAP:
-            return None
-        return [self._zero, self._one] + [
-            PrimeFieldElement(self, v) for v in range(2, self.p)
+        # the p residues, interned, with zero() and one() among them
+        self._els = None if p > TABLE_CAP else [self._zero, self._one] + [
+            PrimeFieldElement(self, v) for v in range(2, p)
         ]
 
     def _residue(self, n):

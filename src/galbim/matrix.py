@@ -260,9 +260,7 @@ class Matrix:
         rows = tuple(zip(*self.rows)) or ((),) * self.ncols
         return Matrix(self.field, rows, trusted=True, ncols=self.nrows)
 
-    def map_entries(self, fn, field=None):
-        if field is None:
-            field = self.field
+    def map_entries(self, fn, field):
         return Matrix(
             field, [[fn(a) for a in row] for row in self.rows]
         )

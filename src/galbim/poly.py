@@ -459,13 +459,12 @@ def power(x, n, one):
 
 def _list_arithmetic(field):
     """The list arithmetic of polynomials over ``field``: ``_FpLists``
-    over a prime field, ``_FqLists`` over a finite extension whose tables
-    exist or are built now, None where coefficients compute one by one
-    (above ``TABLE_CAP``, a ring that is not a field, characteristic 0)."""
+    over a prime field, ``_FqLists`` over a tabled finite extension, None
+    where coefficients compute one by one (above ``TABLE_CAP``, a ring
+    that is not a field, characteristic 0)."""
     if field.__class__ is PrimeField:
         return _FpLists
-    if getattr(field, "_small", False) and (
-            field._exp is not None or field._tabulate()):
+    if getattr(field, "_exp", None) is not None:
         return _FqLists
     return None
 
@@ -525,9 +524,7 @@ class _FqLists:
 
     @staticmethod
     def lists(field, coeffs):
-        index_of = field._index_of
-        return [c._index if c._index is not None else index_of(c)
-                for c in coeffs]
+        return [c._index for c in coeffs]
 
     @staticmethod
     def poly(field, idx):

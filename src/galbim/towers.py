@@ -12,14 +12,13 @@ caller is then vouching for the relation, which is how externally
 supplied splitting data enters).
 
 A finite extension of at most ``TABLE_CAP`` elements (GF(4), GF(9),
-GF(27), GF(81) as GF(3)[j][k], ...) computes by tables from its first
-product on: interned elements that know their index, a primitive
-element's log and antilog tables, and Zech logarithms for sums (see
-``ExtensionField``).  The same tables serve polynomials over the field:
-``poly``'s list kernel multiplies, divides, takes gcds and modular
-powers on lists of element indices.  Fields that never multiply, and
-larger ones, keep the coordinate arithmetic: convolution, then
-reduction.
+GF(27), GF(81) as GF(3)[j][k], ...) is tabled as it is built:
+interned elements that know their index, a primitive element's log and
+antilog tables, and Zech logarithms for sums (see ``ExtensionField``).
+The same tables serve polynomials over the field: ``poly``'s list
+kernel multiplies, divides, takes gcds and modular powers on lists of
+element indices.  Larger fields keep the coordinate arithmetic:
+convolution, then reduction.
 
 A ring map out of a tower is fixed by its generator images, and
 ``evaluate(x, layer, images, lift)`` is the one evaluator for all of
@@ -148,12 +147,11 @@ class ExtElement:
     product with an int, a rational in characteristic 0 or an element
     of a lower layer scales the coordinates, with no lift.
 
-    In a finite field of at most ``TABLE_CAP`` elements, once its tables
-    exist (see ``ExtensionField``), sums, differences, negations, products
-    and inverses are the field's interned elements, each holding its
-    index (as ``element_from_index`` counts) in ``_index``.  Any other
-    element of such a field gets its index computed from its coordinates
-    the first time it meets the tables, and keeps it.  ``coords``, ``==``
+    In a tabled finite field (see ``ExtensionField``), sums,
+    differences, negations, products and inverses are the field's
+    interned elements.  Every element of such a field, interned or
+    built from coordinates, holds its index (as ``element_from_index``
+    counts) in ``_index`` from the moment it is made.  ``coords``, ``==``
     and ``hash`` do not depend on whether an element is interned."""
 
     __slots__ = ("field", "coords", "_nonzero", "_index")
@@ -162,7 +160,7 @@ class ExtElement:
         self.field = field
         self.coords = coords
         self._nonzero = any(coords)
-        self._index = None
+        self._index = None if field._els is None else field._index_of(self)
 
     def _lift_pair(self, other):
         """(self, other) lifted into a common field, or None.
@@ -232,10 +230,10 @@ class ExtElement:
     def __mul__(self, other):
         f = self.field
         if isinstance(other, ExtElement) and other.field is f:
-            if f._small:
+            if f._exp is not None:
                 return f._table_mul(self, other)
             return f._mul(self, other)
-        if not f._small and (
+        if f._exp is None and (
             other.__class__ is int
             or other.__class__ is Fraction and not f.characteristic
             or isinstance(other, (ExtElement, RationalFunction))
@@ -306,21 +304,18 @@ class ExtensionField:
     """Algebraic extension base[x]/(relation), relation monic.
 
     A finite field of at most ``TABLE_CAP`` elements (every layer finite,
-    q = p^n) builds tables on its first product or inverse: its q
-    elements, interned, in ``element_from_index`` order; a primitive
-    element g with the log and antilog tables of its powers; and the
-    Zech logarithms z(n) = log(1 + g^n), so a sum costs three lookups
-    and needs no q x q table.  From then on every product, inverse,
-    sum, difference and negation, and ``coerce``, ``from_coords`` and
-    ``element_from_index``, return interned elements.  ``zero()``,
-    ``one()`` and ``gen()`` are interned as they are.  The tables also
-    serve polynomial arithmetic over the field (``poly._FqLists``, on
-    element indices), whose first operation builds them if need be.  A
-    field that never multiplies, elements or polynomials, builds
-    nothing, and one above the cap keeps the coordinate arithmetic.  A
-    relation passed with ``validate=False`` that factors gives a ring
-    with zero divisors: the search for g finds that out and the ring
-    keeps the coordinate arithmetic too.
+    q = p^n) builds tables in its constructor: its q elements, interned,
+    in ``element_from_index`` order; a primitive element g with the log
+    and antilog tables of its powers; and the Zech logarithms
+    z(n) = log(1 + g^n), so a sum costs three lookups and needs no
+    q x q table.  Every product, inverse, sum, difference and negation,
+    and ``coerce``, ``from_coords`` and ``element_from_index``, return
+    interned elements; ``zero()``, ``one()`` and ``gen()`` are among
+    them.  The tables also serve polynomial arithmetic over the field
+    (``poly._FqLists``, on element indices).  A field above the cap
+    keeps the coordinate arithmetic.  So does a ring with zero divisors,
+    which a relation passed with ``validate=False`` that factors gives
+    (the search for g finds that out), and every layer above it.
 
     The unit, the generator and the reduction rows are built from
     ``base.from_int(1)``, so over Q their coordinates are ints and a
@@ -344,12 +339,11 @@ class ExtensionField:
         d = self.degree
         zero_b = base.zero()
         one_b = base.from_int(1)
+        # tables: set by _tabulate, below; None on every other field
+        self._els = self._log = self._exp = self._zech = None
         self._zero = ExtElement(self, (zero_b,) * d)
         self._one = ExtElement(self, (one_b,) + (zero_b,) * (d - 1))
-        if d >= 2:
-            self._gen = ExtElement(
-                self, (zero_b, one_b) + (zero_b,) * (d - 2)
-            )
+        self._gen = ExtElement(self, (zero_b, one_b) + (zero_b,) * (d - 2))
         # reduction rows: coordinates of gen^(d+k) for k = 0..d-2
         rows = []
         first = tuple(-relation.coeff(i) for i in range(d))
@@ -365,9 +359,8 @@ class ExtensionField:
             rows.append(tuple(shifted))
         self._reduction = rows
         size = getattr(base, "finite_size", None)
-        # tables: built by _tabulate; _exp is set last and marks them built
-        self._small = size is not None and size**d <= TABLE_CAP
-        self._els = self._log = self._exp = self._zech = None
+        if size is not None and size**d <= TABLE_CAP:
+            self._tabulate()
 
     # ----------------------------------------------------------- handle
 
@@ -400,9 +393,7 @@ class ExtensionField:
             raise ValueError("too many coordinates")
         coords += [self.base.zero()] * (self.degree - len(coords))
         x = ExtElement(self, tuple(coords))
-        if self._els is not None:
-            return self._els[self._index_of(x)]
-        return x
+        return x if x._index is None else self._els[x._index]
 
     def coords(self, x):
         return self.coerce(x).coords
@@ -441,11 +432,8 @@ class ExtensionField:
     def _inverse(self, a: ExtElement):
         if not a:
             raise NotInvertible("division by zero in %r" % self)
-        if self._small and (self._exp is not None or self._tabulate()):
-            ia = a._index
-            if ia is None:
-                ia = self._index_of(a)
-            return self._exp[len(self._log) - 1 - self._log[ia]]
+        if self._exp is not None:
+            return self._exp[len(self._log) - 1 - self._log[a._index]]
         poly_a = Polynomial(self.base, a.coords)
         d, s, _t = poly_ext_gcd(poly_a, self.relation)
         if not d.is_one():
@@ -459,23 +447,16 @@ class ExtensionField:
     # ------------------------------------------------------------ tables
 
     def _index_of(self, a: ExtElement):
-        """a's index, as element_from_index counts; kept on a."""
+        """a's index, as element_from_index counts, from its coordinates."""
         size = self.base.finite_size
         k = 0
         for c in reversed(a.coords):
             k = k * size + _index(c)
-        a._index = k
         return k
 
     def _table_mul(self, a: ExtElement, b: ExtElement):
-        """a * b from the tables, which the first product builds."""
-        if self._exp is None and not self._tabulate():
-            return self._mul(a, b)
+        """a * b from the tables."""
         ia, ib = a._index, b._index
-        if ia is None:
-            ia = self._index_of(a)
-        if ib is None:
-            ib = self._index_of(b)
         if not (ia and ib):
             return self._zero
         log = self._log
@@ -486,10 +467,6 @@ class ExtensionField:
         for shift _half (g^_half = -1).  With la = log a, lb = log b,
         a + g^shift b = g^(la + z(lb + shift - la))."""
         ia, ib = a._index, b._index
-        if ia is None:
-            ia = self._index_of(a)
-        if ib is None:
-            ib = self._index_of(b)
         log = self._log
         if not ib:
             return self._els[ia]
@@ -500,14 +477,11 @@ class ExtensionField:
         return self._zero if z is None else self._exp[la + z]
 
     def _tabulate(self):
-        """Build the tables (see the class docstring); True when built.
-        False, for good, when the ring is not a field."""
+        """Build the tables (see the class docstring), unless the base
+        has none or the ring is not a field."""
         base = self.base
-        if isinstance(base, ExtensionField) and base._exp is None and not (
-            base._small and base._tabulate()
-        ):
-            self._small = False
-            return False
+        if base._els is None:
+            return
         size = base.finite_size
         # index k = sum of the base indices of coords[i] times size^i,
         # so the first coordinate runs fastest
@@ -516,8 +490,6 @@ class ExtensionField:
             for coords in itertools.product(base._els, repeat=self.degree)
         ]
         els[0], els[1], els[size] = self._zero, self._one, self._gen
-        for k, x in enumerate(els):
-            x._index = k
         q, one = len(els), self._one
         # g is the first element whose powers run through all q - 1
         # units.  In a field the powers of each candidate come back to 1;
@@ -530,10 +502,11 @@ class ExtensionField:
                 if x == one:
                     break
             if x != one:
-                self._small = False
-                return False
+                return
             if len(exp) == q - 1:
                 break
+        for k, x in enumerate(els):
+            x._index = k
         log = [None] * q
         for n, x in enumerate(exp):
             log[x._index] = n
@@ -545,7 +518,6 @@ class ExtensionField:
         self._half = (q - 1) // 2 if self.characteristic != 2 else 0
         self._els, self._log, self._zech = els, log, zech + zech
         self._exp = exp + exp
-        return True
 
     # ------------------------------------------------- finite field hooks
 
@@ -578,7 +550,7 @@ def _index(x):
     ``element_from_index`` counts."""
     if isinstance(x, PrimeFieldElement):
         return x.value
-    return x._index if x._index is not None else x.field._index_of(x)
+    return x._index
 
 
 def _validate_irreducible(relation: Polynomial) -> bool:

@@ -116,6 +116,7 @@ def test_twist_rank_and_center(quad):
     sigma = next(g for g in G if not g.is_identity())
     T = twist(L, sigma)
     assert T.rank == 1
+    assert repr(T) == "<twist of rank 1 over Q[r]/(r^2 - 2)>"
     sub, exact = T.center()
     assert exact
     assert sub.field is QQ

@@ -104,6 +104,9 @@ def test_linear_structure():
     Y = X.scale(t)
     assert (X + Y).apply(t) == L.one() + t
     assert (Y - Y).is_zero()
+    assert X and not Y - Y
+    assert [repr(D) for D in (X, Y, Y - Y)] == [
+        "Derivation(t -> 1)", "Derivation(t -> t)", "Derivation(0)"]
     assert (-X).apply(t) == L.coerce(-1)
     assert X != Y
     assert X == Derivation(L, {L: L.one()})

@@ -264,7 +264,7 @@ def _split_instances(count):
         fp = Polynomial(GF(p), target)
         if not poly_gcd(fp, fp.derivative()).is_one():
             continue
-        modular = _factor_finite_squarefree(fp, seed=0)
+        modular = _factor_finite_squarefree(fp)
         if len(modular) >= 3:
             found.append((target, modular, p))
     return found

@@ -5,8 +5,8 @@ reduction on int tuples, checked on every pair of elements of GF(4),
 GF(8), GF(9), GF(25), GF(27) and the nested GF(3)[j][k] of order 81.
 Also checked: every result is interned, equal and hash-equal to an
 element built from its coordinates; the prime-field and cross-layer
-contracts; that tables are built only by a product, never above the cap,
-and do not keep a dropped tower alive.
+contracts; that tables are built with the field, never above the cap,
+and do not keep a dropped field alive.
 """
 
 import gc
@@ -57,7 +57,7 @@ def test_tables_match_tower_arithmetic(name):
     F = FIELDS[name]()
     oracle = TowerArithmetic(F)
     q = F.finite_size
-    assert F.gen() * F.one() is F.gen()   # the first product builds
+    assert F.gen() * F.one() is F.gen()
     els = [F.element_from_index(k) for k in range(q)]
     ints = [tower_ints(x) for x in els]
     assert len(set(ints)) == q
@@ -121,6 +121,7 @@ def test_prime_field_contracts():
     assert 1 - three is F5.from_int(3)
     assert three.inverse() is F5.from_int(2)
     assert three**3 is F5.from_int(2)
+    assert 2 / three is F5.from_int(4)
     assert list(F5.elements()) == [F5.element_from_index(k) for k in range(5)]
 
 
@@ -136,18 +137,19 @@ def test_cross_layer_hash_contract():
     assert F81.coerce(F9.gen()) is F81.element_from_index(3)
 
 
-def test_tables_are_built_by_the_first_product():
+def test_tables_are_built_with_the_field():
     F = FIELDS["GF8"]()
+    assert F._exp is not None and len(F._els) == 8
+    assert F._els[:3] == [F.zero(), F.one(), F.gen()]
     w = F.gen()
     s = w + F.one() + F.coerce(1)
-    assert s == w and F.from_coords([1, 1]) - w == F.one()
-    assert F._exp is None
-    assert w * w == F.from_coords([0, 0, 1])
-    assert F._exp is not None
+    assert s is w and F.from_coords([1, 1]) - w is F.one()
+    assert w * w is F.from_coords([0, 0, 1])
     fresh = PrimeField(4093)
-    assert "_els" not in vars(fresh)
+    assert len(fresh._els) == 4093 and fresh._els[1] is fresh.one()
     assert fresh.from_int(2) * fresh.from_int(3) == 6
     assert fresh.from_int(6) is fresh.from_int(4099)
+    assert PrimeField(4099)._els is None
 
 
 def test_no_tables_above_the_cap():
@@ -190,7 +192,13 @@ def test_dropped_tower_is_freed():
     j = F.gen()
     assert j * j * j * j == F.one()
     assert F._exp is not None
-    ref = weakref.ref(F)
-    del F, j
+    # a tabled field dropped without any product, and a prime field built
+    # directly, not through GF: each is a cycle through its own elements
+    unused = extend(GF(3), Polynomial(GF(3), [2, 2, 0, 1]), "w")
+    assert unused._exp is not None
+    Fp = PrimeField(4093)
+    assert Fp._els is not None
+    refs = [weakref.ref(x) for x in (F, unused, Fp)]
+    del F, j, unused, Fp
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 3

@@ -153,6 +153,7 @@ def test_matrix_kernels_match_sympy(name):
             assert (x if x is None else vector(x)) == want
             inconsistent += want is None
         assert oracle(M * N) == S.matmul(oracle(N))
+        assert oracle(-M) == -S
         if n != m or name not in CASES:
             continue
         square += 1

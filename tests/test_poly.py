@@ -158,6 +158,7 @@ def test_divmod_with_monic_and_non_monic_divisors(F):
             assert a == q * divisor + r
             assert r.degree < divisor.degree
         assert b.leading() == F.one() and b.scale(lead).leading() != F.one()
+        assert 3 - a == -(a - 3)
 
 
 def test_inverse_at_depth_three():

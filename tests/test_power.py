@@ -1,7 +1,8 @@
 """``poly.power``, the binary power behind ``__pow__`` of polynomials,
 rational functions, tower elements and matrices, equals the n-fold
 product for n = 0..12: a hypothesis property over Q, GF(7), Q(i)(sqrt2),
-polynomials over Q and 2x2 matrices over Q."""
+polynomials over Q and 2x2 matrices over Q.  For an invertible element
+of GF(7), Q(i)(sqrt2) or Mat2(Q), x**-2 is the square of its inverse."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from galbim.errors import NotInvertible
 from galbim.fieldbase import GF, QQ
 from galbim.matrix import Matrix
 from galbim.poly import Polynomial, power
@@ -60,5 +62,12 @@ def test_power_is_the_repeated_product(kind):
             assert power(x, n, one) == product
             assert x**n == product
             product = product * x
+        if kind in ("Q", "Q[x]"):
+            return
+        try:
+            inverse = x.inverse()
+        except NotInvertible:
+            return
+        assert x**-2 == inverse**2
 
     check()

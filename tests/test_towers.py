@@ -265,6 +265,7 @@ def test_conjugation_morphism():
     i = Qi.gen()
     conj = FieldMorphism(Qi, Qi, {Qi: -i})
     assert conj.apply(3 + 2 * i) == 3 - 2 * i
+    assert repr(conj) == "{i -> -i}"
     assert (conj * conj).is_identity()
     with pytest.raises(NotAHomomorphism):
         FieldMorphism(Qi, Qi, {Qi: Qi.coerce(2)})
