@@ -244,10 +244,8 @@ def _factor_rational_squarefree(f: Polynomial):
 
 def _zassenhaus(coeffs):
     """Irreducible integer factors of a primitive squarefree integer
-    polynomial (content 1), as coefficient lists."""
+    polynomial (content 1) of degree at least 2, as coefficient lists."""
     n = len(coeffs) - 1
-    if n == 1:
-        return [coeffs]
     lc = coeffs[-1]
     # monic transform: T(x) = lc^(n-1) * F(x / lc), whose lead is 1
     monic = [coeffs[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
@@ -338,14 +336,8 @@ def _hensel_lift_pair(f_int, g_p, h_p, p, k):
 
 
 def _int_poly_addmul(base, delta, pj, mod):
-    out = list(base)
-    while len(out) < len(delta):
-        out.append(0)
-    for i, c in enumerate(delta):
-        out[i] = _sym_mod(out[i] + pj * c, mod)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return [_sym_mod(b + pj * c, mod)
+            for b, c in zip_longest(base, delta, fillvalue=0)]
 
 
 def _recombine(target, lifted, pk):
@@ -371,8 +363,6 @@ def _recombine(target, lifted, pk):
             for idx in combo:
                 prod = _int_poly_mul(prod, remaining[idx])
             cand = [_sym_mod(c, pk) for c in prod]
-            while len(cand) > 1 and cand[-1] == 0:
-                cand.pop()
             quo, rem = _int_poly_divmod(current, cand)
             if any(rem_c != 0 for rem_c in rem):
                 continue
@@ -408,14 +398,9 @@ def _factor_tower_squarefree(f: Polynomial, max_degree: int):
         norm, max_degree=max(max_degree, norm.degree)
     )
     out = []
-    alpha = K.gen()
     for nf, _mult in norm_factors:
         # lift N_i to K[x], undo the shift x -> x + s*alpha, gcd with f
-        lifted = nf.map_coeffs(K, K.coerce)
-        x_shift = Polynomial(
-            K, [K.coerce(shift) * alpha, K.one()]
-        )
-        cand = lifted.compose(x_shift)
+        cand = _shift_by_generator(nf.map_coeffs(K, K.coerce), -shift)
         g = poly_gcd(f, cand)
         if g.degree > 0:
             out.append(g.monic())

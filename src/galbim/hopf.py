@@ -12,7 +12,12 @@ because the x with (x y) z = x (y z) for all y, z form a subalgebra
 holding 1, and so, given associativity, Delta(1) = 1 (x) 1 and
 eps(1) = 1, do the x with Delta(x y) = Delta(x) Delta(y) (or eps) for
 all y.  The one exception is ``dual``: the axioms are self-dual, so it
-inherits its input's check.
+inherits its input's check.  The right counit law, coassociativity,
+Delta(1) = 1 (x) 1 and multiplicativity of Delta are the comodule-algebra
+laws of Delta as the coaction of H on itself (Montgomery, *Hopf Algebras
+and Their Actions on Rings*, 1993, ch. 4), so they are written once, in
+``_comodule_laws``, which also checks every ``coact.FiniteCoaction`` and
+the coaction ``action_to_coaction`` builds.
 
 Sparse elements, here and in ``coact``, are dicts from a basis key to
 a nonzero coefficient; a missing key means zero.  ``lincomb`` enforces
@@ -133,6 +138,43 @@ def tensor_product(mult_a, mult_b, x, y):
                             ((u, v), w if cv == 1 else -w if cv == -1
                              else w * cv) for v, cv in be)
     return lincomb(terms)
+
+
+def _comodule_laws(K, mult, unit, rho, left, name):
+    """Check that rho (one sparse image (t, i) -> c per basis element)
+    makes the algebra with structure constants ``mult`` and unit
+    coordinates ``unit`` a K-comodule algebra: the counit law
+    (id (x) eps)rho = id, coassociativity, rho(1) = 1 (x) 1 and
+    rho(x y) = rho(x) rho(y) for x in ``left`` and every y, in that
+    order.  Raises AxiomViolation naming the first law broken, with
+    ``name`` naming rho; returns the number of products checked."""
+    F, n = K.field, len(unit)
+    for s in range(n):
+        back = lincomb((t, c * K.counit[i]) for (t, i), c in rho[s].items())
+        if back != {s: F.one()}:
+            raise AxiomViolation("counit law fails at basis %d" % s)
+    for s in range(n):
+        lhs = lincomb(((u, j, i), c * e) for (t, i), c in rho[s].items()
+                      for (u, j), e in rho[t].items())
+        rhs = lincomb(((t, j, k), c * w) for (t, i), c in rho[s].items()
+                      for j, k, w in K.coprod[i])
+        if lhs != rhs:
+            raise AxiomViolation("coassociativity fails at basis %d" % s)
+    one_image = lincomb((key, a * c) for s, a in enumerate(unit) if a
+                        for key, c in rho[s].items())
+    if one_image != lincomb(((t, i), a * b) for t, a in enumerate(unit) if a
+                            for i, b in enumerate(K.unit) if b):
+        raise AxiomViolation("%s of the unit is not 1 (x) 1" % name)
+    products = 0
+    for s in left:
+        for t in range(n):
+            want = lincomb((key, m * c) for v, m in mult.get((s, t), ())
+                           for key, c in rho[v].items())
+            if tensor_product(mult, K.mult, rho[s], rho[t]) != want:
+                raise AxiomViolation("%s is not multiplicative at (%d, %d)"
+                                     % (name, s, t))
+            products += 1
+    return products
 
 
 def sparse_kernel(field, dim, entries):
@@ -267,56 +309,21 @@ class HopfAlgebra:
                             "associativity fails at (%d, %d, %d)"
                             % (i, j, k)
                         )
-        # counit laws
+        # counit laws: eps(1) = 1 and the left one here; the right one,
+        # coassociativity and the bialgebra laws of Delta are those of
+        # Delta as the coaction of H on itself
         if self.counit_of(self.unit) != F.one():
             raise AxiomViolation("counit of the unit is not 1")
         for i in range(d):
-            terms = self.coprod[i]
-            left = lincomb((k, c * self.counit[j]) for j, k, c in terms)
-            right = lincomb((j, c * self.counit[k]) for j, k, c in terms)
-            e = {i: F.one()}
-            if left != e or right != e:
+            left = lincomb((k, c * self.counit[j])
+                           for j, k, c in self.coprod[i])
+            if left != {i: F.one()}:
                 raise AxiomViolation("counit law fails at basis %d" % i)
-        # coassociativity, sparse 3-tensors
-        for i in range(d):
-            terms = self.coprod[i]
-            left = lincomb(
-                ((a, b, k), c * cc)
-                for j, k, c in terms for a, b, cc in self.coprod[j]
-            )
-            right = lincomb(
-                ((j, a, b), c * cc)
-                for j, k, c in terms for a, b, cc in self.coprod[k]
-            )
-            if left != right:
-                raise AxiomViolation(
-                    "coassociativity fails at basis %d" % i
-                )
-        # bialgebra compatibility
-        delta_one = lincomb(
-            ((j, k), ci * c)
-            for i, ci in one.items() for j, k, c in self.coprod[i]
-        )
-        unit_sparse = {
-            (j, k): cj * ck for j, cj in one.items() for k, ck in one.items()
-        }
-        if delta_one != unit_sparse:
-            raise AxiomViolation("coproduct of the unit is not 1 (x) 1")
-        # Delta on every pair before eps on any, so the law named does not
-        # depend on which pairs are checked
-        deltas = [self.coproduct_sparse(i) for i in range(d)]
-        for i in gens:
-            for j in range(d):
-                ij = self.basis_product(i, j)
-                want = lincomb(
-                    ((a, b), c * cc)
-                    for k, c in ij for a, b, cc in self.coprod[k]
-                )
-                if tensor_product(mult, mult, deltas[i], deltas[j]) != want:
-                    raise AxiomViolation(
-                        "coproduct is not multiplicative at (%d, %d)"
-                        % (i, j)
-                    )
+        _comodule_laws(self, mult, self.unit,
+                       [self.coproduct_sparse(i) for i in range(d)],
+                       gens, "coproduct")
+        # eps after Delta on every pair, so the law named does not depend
+        # on which pairs are checked
         for i in gens:
             for j in range(d):
                 ij = self.basis_product(i, j)
@@ -621,22 +628,20 @@ def action_to_coaction(H: HopfAlgebra, action, algebra_mult,
     vector.  Returns (dual Hopf algebra, rho) with rho the sparse
     coaction a_s |-> sum_t,i rho[s][(t, i)] a_t (x) e^i, i.e.
     rho(a) = sum_i (e_i . a) (x) e^i.  The module-algebra laws are
-    checked as the comodule-algebra laws of rho by
-    ``coact.verify_coaction``; a failure raises NotModuleAlgebra with
-    the failing law's message."""
-    from .coact import finite_coaction, verify_coaction
-
-    d = H.dim
-    dA = len(algebra_unit)
+    checked as the comodule-algebra laws of rho by ``_comodule_laws``,
+    the check HopfAlgebra runs on its coproduct; a failure raises
+    NotModuleAlgebra with the failing law's message."""
+    F, d, dA = H.field, H.dim, len(algebra_unit)
     if len(action) != d:
         raise ValueError("need one action matrix per basis element")
-    cols = [
-        [{u: x for u, x in enumerate(M.col(s)) if x} for s in range(dA)]
-        for M in action
-    ]
+    if any((M.nrows, M.ncols) != (dA, dA) for M in action):
+        raise ValueError("each action matrix must be %d x %d" % (dA, dA))
     K = dual(H)
+    # coerced: a matrix from Matrix.from_cols keeps whatever entries it
+    # was given, and the laws are checked on F's own elements
     rho = [
-        lincomb(((t, i), x) for i in range(d) for t, x in cols[i][s].items())
+        lincomb(((t, i), F.coerce(x)) for i, M in enumerate(action)
+                for t, x in enumerate(M.col(s)) if x)
         for s in range(dA)
     ]
     # Under rho(a) = sum_i (e_i . a) (x) e^i each module-algebra law is
@@ -647,7 +652,9 @@ def action_to_coaction(H: HopfAlgebra, action, algebra_mult,
     #   the action is a homomorphism  <=> coassociativity, read as
     #                                     (e_j e_i) . a = e_j . (e_i . a).
     try:
-        verify_coaction(finite_coaction(K, algebra_mult, algebra_unit, rho))
+        _comodule_laws(K, structure_table(F, algebra_mult, dA),
+                       [F.coerce(c) for c in algebra_unit], rho, range(dA),
+                       "the coaction")
     except AxiomViolation as exc:
         raise NotModuleAlgebra(
             "the action is not a module algebra: %s" % exc

@@ -66,6 +66,7 @@ from .errors import (
     Reducible,
     UnsupportedBase,
 )
+from .factor import factor_poly
 from .fieldbase import TABLE_CAP, PrimeFieldElement, QQ
 from .poly import (
     Polynomial,
@@ -556,8 +557,6 @@ def _index(x):
 def _validate_irreducible(relation: Polynomial) -> bool:
     """True if verified irreducible; False if the base does not support
     factorization (caller vouches); raises Reducible when it factors."""
-    from .factor import factor_poly
-
     try:
         _, factors = factor_poly(
             relation, max_degree=max(relation.degree, 1)

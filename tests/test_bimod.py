@@ -123,6 +123,17 @@ def test_twist_rank_and_center(quad):
     assert sub.degree_in_ambient() == 2
 
 
+def test_moved_scalars_without_a_declared_base():
+    # phi(t) = t + 1 moves the scalar layer Q(t), so the center is not a
+    # linear condition over it, and no base was declared to fall back on
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    P = Bimodule(Qt, {Qt: Matrix(Qt, [[t + Qt.one()]])})
+    assert P.center() == (None, False)
+    with pytest.raises(UnsupportedBase):
+        analyze(P)
+
+
 def test_twist_composition_convention(quad):
     # tensor(twist(g), twist(h)) acts through g then h: twist(g * h)
     L, G = quad

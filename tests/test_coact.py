@@ -517,12 +517,21 @@ def test_finite_trivial_coaction_bound():
 
 def test_finite_coaction_violations():
     K = fun_z2_hopf()
-    # dropping a leg starves the unit of its k_1 component
+    # the Z2-action diag(1, -1) moves 1; it is no algebra map either,
+    # and the unit law is checked before multiplicativity
+    bad = co.finite_coaction(
+        K, DIAG_MULT, [1, 1],
+        [{(0, 0): 1, (0, 1): 1}, {(1, 0): 1, (1, 1): -1}],
+    )
+    with pytest.raises(AxiomViolation, match="1 \\(x\\) 1"):
+        co.verify_coaction(bad)
+    # dropping a leg starves the unit of its k_1 component, and the k_1
+    # leg stops being a coaction: coassociativity is checked first
     bad = co.finite_coaction(
         K, DIAG_MULT, [1, 1],
         [{(0, 0): 1}, {(1, 0): 1, (1, 1): 1}],
     )
-    with pytest.raises(AxiomViolation, match="1 \\(x\\) 1"):
+    with pytest.raises(AxiomViolation, match="coassociativity"):
         co.verify_coaction(bad)
     # swapping the k_0 legs keeps the unit law but breaks the counit
     bad = co.finite_coaction(
@@ -531,14 +540,22 @@ def test_finite_coaction_violations():
     )
     with pytest.raises(AxiomViolation, match="counit"):
         co.verify_coaction(bad)
+    # the involution a0 -> -a0, a1 -> 2 a0 + a1 fixes 1 and is a Z2
+    # action, but not by algebra maps: multiplicativity alone fails
+    bad = co.finite_coaction(
+        K, DIAG_MULT, [1, 1],
+        [{(0, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 2, (1, 1): 1}],
+    )
+    with pytest.raises(AxiomViolation, match="multiplicative"):
+        co.verify_coaction(bad)
     # spreading half of 1 on each k_1 leg passes the unit and counit
-    # laws but the k_1 components stop being idempotent
+    # laws, but the k_1 components T give T^2 = T, not the identity
     half = {(0, 1): Fraction(1, 2), (1, 1): Fraction(1, 2)}
     bad = co.finite_coaction(
         K, DIAG_MULT, [1, 1],
         [{**half, (0, 0): 1}, {**half, (1, 0): 1}],
     )
-    with pytest.raises(AxiomViolation, match="multiplicative"):
+    with pytest.raises(AxiomViolation, match="coassociativity"):
         co.verify_coaction(bad)
     # k_1 leg all of 1 on one basis vector and nothing on the other:
     # an algebra map with the right unit and counit, yet the second

@@ -227,6 +227,17 @@ def test_contains_in_trivial_bimodule_only_zero():
     assert contains_m_of_d(P, X) == (False, None)
 
 
+def test_contains_needs_trivial_eigenvectors():
+    L = ratfunc(2)
+    t = L.gen()
+    # D = 0 needs a two dimensional trivial eigenspace; rank 1 has one
+    P = Bimodule(L, {L: Matrix(L, [[t]])})
+    assert contains_m_of_d(P, Derivation(L)) == (False, None)
+    # the twist t -> t + 1 has no trivial eigenvector at all: W = 0
+    P = Bimodule(L, {L: Matrix(L, [[t + L.one()]])})
+    assert contains_m_of_d(P, Derivation(L, {L: L.one()})) == (False, None)
+
+
 def test_contains_with_witness_identity():
     L = ratfunc(2)
     t = L.gen()

@@ -306,6 +306,18 @@ def test_spectral_rungs_have_places():
         assert set(images) == set(chain(field)[1:])
 
 
+def test_place_skips_a_relation_that_does_not_map():
+    # y^2 = 1/(t - 2) has no image where t goes to 2, the first variable
+    # image, so the first place of L sends t to 3
+    Qt = RationalFunctionField(QQ, "t")
+    t = Qt.gen()
+    L = extend(Qt, Polynomial(Qt, [-(Qt.one() / (t - Qt.from_int(2))),
+                                   Qt.zero(), Qt.one()]), "y")
+    F, images = next(_places(L))
+    assert images[Qt] == F.from_int(3)
+    assert images[L] * images[L] == F.from_int(1)
+
+
 def test_unmapped_candidate_takes_the_exact_try():
     L, _ = _radical_tower()
     Fs = L.base

@@ -134,6 +134,17 @@ def test_untabled_fields_keep_the_element_path():
     assert _list_arithmetic(R) is None and R._els is None
 
 
+def test_a_layer_over_an_untabled_ring_is_untabled():
+    # GF(3)[x]/(x^2 - 1) has zero divisors, so it has no tables, and a
+    # layer over it builds none either
+    F3 = GF(3)
+    R = extend(F3, Polynomial(F3, [-1, 0, 1]), "x", validate=False)
+    S = extend(R, Polynomial(R, [1, 0, 1]), "y", validate=False)
+    assert S.finite_size <= TABLE_CAP
+    assert R._els is None and S._els is None
+    assert _list_arithmetic(S) is None
+
+
 def test_pow_mod_of_a_zero_modulus_raises():
     F = TABLED["GF9"]
     with pytest.raises(ZeroDivisionError):

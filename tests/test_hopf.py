@@ -466,6 +466,15 @@ def test_action_to_coaction_rejections():
         action_to_coaction(H, [ident], DIAG_ALGEBRA, [ONE, ONE])
 
 
+def test_action_matrices_act_on_the_algebra():
+    # each action matrix maps the 2-dimensional algebra to itself
+    H = group_algebra(QQ, [[0, 1], [1, 0]])
+    ident = Matrix.identity(QQ, 2)
+    for M in (Matrix.identity(QQ, 3), Matrix(QQ, [[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match="2 x 2"):
+            action_to_coaction(H, [ident, M], DIAG_ALGEBRA, [ONE, ONE])
+
+
 def mat2_basis_algebra():
     # 2 x 2 matrix units E11, E12, E21, E22
     mult = {}

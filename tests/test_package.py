@@ -1,7 +1,7 @@
 """Package hygiene: the package docstring, the install entry points and
 the benchmark's per-layer trace targets name only things that exist,
 every library exception has a raise site in the package, no module
-imports a name it never uses, every private helper and every public
+imports inside a function or imports a name it never uses, every private helper and every public
 function, class and method has a use, every defaulted parameter of
 a public function is passed somewhere, no division can yield a float
 and no float constant is written."""
@@ -161,6 +161,41 @@ def test_unused_import_guard_sees_uses():
         "os.path.join(d)\n"
     )
     assert _unused_imports(tree) == [(2, "b")]
+
+
+def _function_level_imports(tree):
+    """The lines of the imports made inside a function body."""
+    return sorted({
+        node.lineno for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_function_level_imports():
+    # every module states what it depends on at its top
+    inner = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _function_level_imports(ast.parse(path.read_text()))
+    ]
+    assert inner == []
+
+
+def test_function_level_import_guard_sees_imports():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    from .a import b\n"
+        "    def g():\n"
+        "        import c\n"
+        "class C:\n"
+        "    import d\n"
+        "    async def m(self):\n"
+        "        import e\n"
+    )
+    assert _function_level_imports(tree) == [3, 5, 9]
 
 
 def _unread(defining, reading, wanted):
