@@ -28,7 +28,6 @@ characters, those whose values at a_prim are its roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import (
@@ -54,6 +53,7 @@ ANALYSIS_OBSTRUCTIONS = (
 from .fieldops import (
     SplittingData,
     Subfield,
+    _Record,
     cached_basis,
     fixed_field,
     min_poly_over,
@@ -483,8 +483,7 @@ def verify_central_coefficients(poly: Polynomial, center: Subfield):
 # ----------------------------------------------------------- analysis
 
 
-@dataclass
-class GrFactor:
+class GrFactor(_Record):
     """One isotypic slot of the composition series at the L-level."""
 
     min_poly: Polynomial      # irreducible over L
@@ -493,8 +492,7 @@ class GrFactor:
     characters: list          # embeddings L -> E realized by this factor
 
 
-@dataclass
-class BimoduleAnalysis:
+class BimoduleAnalysis(_Record):
     bimodule: Bimodule
     center: Subfield
     primitive: object
@@ -735,8 +733,7 @@ def is_galois(P: Bimodule, analysis=None, **kw):
     return an.gamma.is_subgroup(_support(an))
 
 
-@dataclass
-class GaloisVerdict:
+class GaloisVerdict(_Record):
     """Tri-state outcome: booleans when decided, else the obstruction
     that stopped the analysis (a DegreeBound from probing, or the
     original analysis failure)."""
@@ -773,8 +770,7 @@ def galois_verdict(P: Bimodule, **kw) -> GaloisVerdict:
     )
 
 
-@dataclass
-class Classification:
+class Classification(_Record):
     """Recognition of a bimodule as r copies of the regular bimodule
     over its center."""
 
@@ -818,8 +814,7 @@ def classify(P: Bimodule, analysis=None, **kw) -> Classification:
     return Classification(center=an.center, degree=n, multiplicity=r)
 
 
-@dataclass
-class SplitData:
+class SplitData(_Record):
     """Splitting picture of a bimodule over its center."""
 
     analysis: BimoduleAnalysis
@@ -874,8 +869,7 @@ def split_analysis(P: Bimodule, analysis=None, **kw) -> SplitData:
 # ------------------------------------------------------- split probing
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(_Record):
     field: object
     steps: int
     resolved: bool

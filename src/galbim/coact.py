@@ -34,8 +34,6 @@ coefficients in L, in the convention of ``hopf``: every sum of them
 goes through ``lincomb``.
 """
 
-import dataclasses
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
@@ -49,6 +47,7 @@ from .errors import (
     Violated,
 )
 from .fieldops import (
+    _Record,
     cached_basis,
     kernel_over,
     locate_roots,
@@ -73,25 +72,23 @@ from .towers import (
 )
 
 
-@dataclass(eq=False)
-class FieldCoaction:
+class FieldCoaction(_Record, eq=False):
     """A coaction of ``hopf`` on the field ``field`` over its base
     layer, pinned by rho(generator) = ``rho_gen``."""
 
     hopf: HopfAlgebra
     field: ExtensionField
     rho_gen: dict
-    _bimodule: Bimodule = dataclasses.field(default=None, init=False)
-    _invariants: list = dataclasses.field(default=None, init=False)
-    _powers: list = dataclasses.field(default_factory=list, init=False)
+    _bimodule: Bimodule = None
+    _invariants: list = None
+    _powers: list = []
 
     @property
     def base(self):
         return self.field.base
 
 
-@dataclass(eq=False)
-class FiniteCoaction:
+class FiniteCoaction(_Record, eq=False):
     """A coaction of ``hopf`` on an algebra over its field, given by
     structure constants ``mult``, the coordinates ``unit`` of 1 and
     one image ``rho`` per basis element."""
@@ -101,11 +98,10 @@ class FiniteCoaction:
     mult: dict
     unit: list
     rho: list
-    _invariants: list = dataclasses.field(default=None, init=False)
+    _invariants: list = None
 
 
-@dataclass(eq=False)
-class SubstitutionAction:
+class SubstitutionAction(_Record, eq=False):
     """Affine substitutions, and pairs of them to equate, acting on the
     polynomials over ``field`` in ``nvars`` variables."""
 
@@ -230,8 +226,7 @@ def _apply_second_leg(C, tk, M):
 
 # ------------------------------------------------------- verification
 
-@dataclass(frozen=True)
-class CoactionReport:
+class CoactionReport(_Record, frozen=True):
     kind: str
     counit_checked: int
     coassociativity_checked: int
@@ -423,8 +418,7 @@ def bimodule_from_coaction(C):
 
 # ---------------------------------------------- psi, xi and tau checks
 
-@dataclass(frozen=True)
-class PsiXiTauReport:
+class PsiXiTauReport(_Record, frozen=True):
     psi_xi_identity: bool
     dimension_checked: int
     tau_well_defined: bool
@@ -559,8 +553,7 @@ def verify_psi_xi_tau(C):
 
 # ------------------------------------------------------- certificates
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(_Record, frozen=True):
     """``monic`` is always True, as mu is built monic from the chain's
     first dependence.  ``annihilates`` is always True too: id (x) eps is
     an L-algebra map L (x) K -> L sending rho(z) to z, so mu(rho(z)) = 0
@@ -630,8 +623,7 @@ def integrality_certificate(C, z):
     )
 
 
-@dataclass(frozen=True)
-class EndomorphismCertificate:
+class EndomorphismCertificate(_Record, frozen=True):
     min_poly: object
     char_poly: object
     min_poly_in_ring: bool
@@ -739,8 +731,7 @@ def galois_group_of_coaction(C, E=None, hints=(), expected=None):
 
 # -------------------------------------------------------- divisibility
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
+class DivisibilityVerdict(_Record, frozen=True):
     degree: int
     hopf_dim: int
     quotient: int
@@ -797,8 +788,7 @@ def divisibility_components(components, hopf_dim):
 
 # ----------------------------------------------------- semisimple bound
 
-@dataclass(frozen=True)
-class SemisimpleBound:
+class SemisimpleBound(_Record, frozen=True):
     applicable: bool
     invariant_dim: int
     hopf_dim: int
@@ -877,8 +867,7 @@ def _degree_monomials(nvars, cap):
     return mons
 
 
-@dataclass(frozen=True)
-class TruncatedInvariants:
+class TruncatedInvariants(_Record, frozen=True):
     dims: tuple
     basis: tuple
     monomials: tuple

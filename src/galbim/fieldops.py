@@ -12,12 +12,17 @@ A Subfield packages a presented field together with an embedding
 morphism into the ambient tower; when the subfield happens to be an
 actual tower layer the embedding is the canonical inclusion, and the
 same code paths handle both cases.
+
+The library's result records (here, in ``bimod`` and in ``coact``)
+derive from ``_Record``, which reads their fields from the class
+annotations: the standard library's data-class decorator would cost
+every import milliseconds, generating and exec'ing each class's
+methods.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import (
     FieldMismatch,
@@ -60,6 +65,71 @@ def scalar_layer(field):
     return best
 
 
+class _Record:
+    """A record whose fields are its class's annotated names, in order.
+
+    The constructor takes the fields not starting with ``_`` by position
+    or by keyword, a class value being the default; each ``_`` field is
+    a cache that starts at its class value, a list copied per instance.
+    ``repr`` shows every field.  A class defined with ``eq=False``
+    compares and hashes by identity; otherwise ``==`` compares the
+    fields of two records of one class, and the record is unhashable
+    unless ``frozen=True``, which also forbids assignment."""
+
+    def __init_subclass__(cls, eq=True, frozen=False):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._args = tuple(n for n in cls._fields if n[0] != "_")
+        cls._defaults = {n: vars(cls)[n] for n in cls._fields
+                         if n in vars(cls)}
+        if eq:
+            cls.__eq__ = _Record._eq
+            cls.__hash__ = _Record._hash if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._frozen
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._args) or (
+                kwargs.keys() - set(cls._args[len(args):])):
+            raise TypeError("%s() takes the fields %s, got %d positional "
+                            "and %s" % (cls.__name__, cls._args, len(args),
+                                        sorted(kwargs)))
+        given = dict(zip(cls._args, args), **kwargs)
+        for name in cls._fields:
+            if name in given:
+                value = given[name]
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+                if type(value) is list:
+                    value = list(value)
+            else:
+                raise TypeError("%s() misses the field %r"
+                                % (cls.__name__, name))
+            # bypasses a frozen class's hook, and keeps the instance's
+            # attributes inline: a written __dict__ slows every read
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _eq(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash(self):
+        return hash(self._values())
+
+    def _frozen(self, name, *value):
+        raise AttributeError("cannot change the field %r of a frozen %s"
+                             % (name, type(self).__name__))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
 def cached_basis(field, down):
     """tower_basis(field, down), memoized on the field handle itself so
     the basis is freed together with its tower."""
@@ -69,8 +139,7 @@ def cached_basis(field, down):
     return cache[down]
 
 
-@dataclass
-class Subfield:
+class Subfield(_Record):
     """A subfield of ``ambient``, presented on its own and embedded."""
 
     ambient: object
@@ -250,8 +319,7 @@ def subfield_coords(sub: Subfield, x):
 # -------------------------------------------------------- splitting data
 
 
-@dataclass
-class SplittingData:
+class SplittingData(_Record):
     """A field where a polynomial splits, with its roots.
 
     ``roots`` lists (root, multiplicity) pairs inside ``field`` whose

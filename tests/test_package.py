@@ -1,10 +1,12 @@
 """Package hygiene: the package docstring, the install entry points and
 the benchmark's per-layer trace targets name only things that exist,
 every library exception has a raise site in the package, no module
-imports inside a function or imports a name it never uses, every private helper and every public
-function, class and method has a use, every defaulted parameter of
-a public function is passed somewhere, no division can yield a float
-and no float constant is written."""
+imports inside a function or imports a name it never uses, importing
+every module leaves ``dataclasses`` and ``inspect`` unloaded (their
+import and code generation cost every set-up milliseconds), every
+private helper and every public function, class and method has a use,
+every defaulted parameter of a public function is passed somewhere, no
+division can yield a float and no float constant is written."""
 
 import ast
 import collections
@@ -13,6 +15,8 @@ import importlib.util
 import inspect
 import pathlib
 import re
+import subprocess
+import sys
 
 try:
     import tomllib
@@ -57,6 +61,22 @@ def test_layertrace_targets_resolve():
             except KeyError:
                 missing.append(target)
     assert missing == []
+
+
+def test_modules_leave_dataclasses_and_inspect_unloaded():
+    # -S: no site, so no .pth file of the host imports anything first
+    names = sorted("galbim." + p.stem for p in SRC.glob("*.py")
+                   if p.stem != "__init__")
+    probe = ("import importlib, sys\n"
+             "sys.path.insert(0, %r)\n"
+             "for name in %r:\n"
+             "    importlib.import_module(name)\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+             % (str(SRC.parent), names))
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _vars_keys(tree):
